@@ -22,10 +22,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The gate CI runs on every push/PR: formatting, build, vet, tests, and
-# a short deterministic stress smoke (see cmd/sbd-stress).
+# The gate CI runs on every push/PR: formatting, build, vet, tests, a
+# short deterministic stress smoke (see cmd/sbd-stress), and the
+# benchmark module — a module of its own (benchmark/go.mod), so ./...
+# at the root never compiles it and an API rename here would otherwise
+# break `bash benchmark/run.sh` silently.
 ci: fmt-check build vet test
 	$(GO) run ./cmd/sbd-stress -rounds=5 -seed=1
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Schedule-exploration stress harness. Seed/rounds overridable:
 #   make stress STRESS_ROUNDS=500 STRESS_SEED=$$RANDOM
@@ -37,41 +41,19 @@ stress:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark snapshots. BENCH_2.json: two representative
-# workloads (CPU-bound sunflow, contention-bound tomcat) with per-site
-# contention columns. BENCH_3.json: the multi-thread scalability suite
-# (contended counter, read-mostly, write-heavy, upgrade duel at 1/2/4/8
-# threads) compared against the committed pre-sharding global-mutex
-# baseline. BENCH_4.json: the same suite (now including rmw-hotset)
-# against the committed BENCH_3 "after" numbers, isolating the effect
-# of write-intent promotion and abort backoff. BENCH_5.json: the suite
-# (now including the pure-reader read-fan mix) against the committed
-# BENCH_4 "after" numbers, isolating the effect of the adaptive
-# read-bias layer. BENCH_6.json: open-loop serving — sbd-load boots a
-# real sbd-serve over TCP and sweeps arrival rates, recording achieved
-# throughput and latency percentiles per cell. BENCH_8.json: the suite
-# (now including the invis-flipflop mix) against the committed BENCH_5
-# "after" numbers, isolating the effect of the invisible-read tier
-# (read-fan/read-mostly gains; bounded validation_aborts under mode
-# flip-flop). BENCH_10.json: the suite (now including the batch-chain
-# mix) against the committed BENCH_8 "after" numbers, isolating the
-# effect of the sorted multi-word batch acquire path. CI runs this
-# non-gating and uploads every BENCH_*.json.
+# Machine-readable benchmark snapshots of today's tree, written under
+# results/: the committed BENCH_*.json files are history and are never
+# rewritten. One run of the multi-thread scalability suite against the
+# latest committed snapshot, and one open-loop serving sweep (sbd-load
+# boots a real sbd-serve over TCP and sweeps arrival rates, recording
+# achieved throughput and latency percentiles per cell). CI runs this
+# non-gating and uploads both files.
 bench-snapshot: bin/sbd-serve bin/sbd-load
-	$(GO) run ./cmd/sbd-bench -scale=1 -threads=1,2,4 \
-		-bench=sunflow,tomcat -json=BENCH_2.json
+	mkdir -p results
 	$(GO) run ./cmd/sbd-bench -scalability -ops=20000 \
-		-baseline=bench/scalability-global-mutex.json -json=BENCH_3.json
-	$(GO) run ./cmd/sbd-bench -scalability -ops=20000 \
-		-baseline=BENCH_3.json -json=BENCH_4.json
-	$(GO) run ./cmd/sbd-bench -scalability -ops=20000 \
-		-baseline=BENCH_4.json -json=BENCH_5.json
+		-baseline=BENCH_10.json -json=results/bench-scalability.json
 	./bin/sbd-load -spawn=bin/sbd-serve -seed=1 -conns=64 \
-		-rates=300,900,1800 -duration=3s -json=BENCH_6.json
-	$(GO) run ./cmd/sbd-bench -scalability -ops=20000 \
-		-baseline=BENCH_5.json -json=BENCH_8.json
-	$(GO) run ./cmd/sbd-bench -scalability -ops=20000 \
-		-baseline=BENCH_8.json -json=BENCH_10.json
+		-rates=300,900,1800 -duration=3s -json=results/bench-serving.json
 
 bin/sbd-serve: FORCE
 	@mkdir -p bin

@@ -137,7 +137,6 @@ type scalCell struct {
 	Contended  uint64  `json:"contended"`
 	CASFails   uint64  `json:"cas_fails"`
 	Deadlocks  uint64  `json:"deadlocks"`
-	IDWaits    uint64  `json:"id_waits"`
 	SlotWaits  uint64  `json:"slot_waits,omitempty"`
 	// Read-bias counters; omitted from snapshots taken before the bias
 	// layer existed, so older baselines decode with zeros.
@@ -229,7 +228,6 @@ func runScalability() {
 				Contended:        res.Contended,
 				CASFails:         res.CASFails,
 				Deadlocks:        res.Deadlocks,
-				IDWaits:          res.IDWaits,
 				SlotWaits:        res.SlotWaits,
 				BiasGrants:       res.BiasGrants,
 				BiasRevokes:      res.BiasRevokes,

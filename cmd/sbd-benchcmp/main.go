@@ -49,7 +49,7 @@ func (s sample) mean() float64 { return s.sum / float64(s.n) }
 // and a batch or intent count collapsing flags a compiler pass that
 // silently stopped firing, none of which an ns/op column would show.
 var waitUnits = []string{
-	"slotwaits/run", "idwaits/run", "invisreads/run", "valaborts/run",
+	"slotwaits/run", "invisreads/run", "valaborts/run",
 	"batches/run", "batchwords/run", "intenthints/run",
 }
 

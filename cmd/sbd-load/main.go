@@ -63,18 +63,17 @@ var (
 // statsSnap is the subset of stm.StatsSnapshot sbd-load diffs across a
 // cell (decoded from the obs /stats JSON endpoint).
 type statsSnap struct {
-	Commits, Aborts, Contended, CASFail      uint64
-	IDWaits, IDWaitNs, SlotWaits, SlotWaitNs uint64
-	Deadlocks, Promotions                    uint64
-	BiasGrants, BiasRevokes, BiasWriteThrus  uint64
-	InvisReads, ValidationAborts, ModeFlips  uint64
+	Commits, Aborts, Contended, CASFail     uint64
+	SlotWaits, SlotWaitNs                   uint64
+	Deadlocks, Promotions                   uint64
+	BiasGrants, BiasRevokes, BiasWriteThrus uint64
+	InvisReads, ValidationAborts, ModeFlips uint64
 }
 
 func (a statsSnap) sub(b statsSnap) statsSnap {
 	return statsSnap{
 		Commits: a.Commits - b.Commits, Aborts: a.Aborts - b.Aborts,
 		Contended: a.Contended - b.Contended, CASFail: a.CASFail - b.CASFail,
-		IDWaits: a.IDWaits - b.IDWaits, IDWaitNs: a.IDWaitNs - b.IDWaitNs,
 		SlotWaits: a.SlotWaits - b.SlotWaits, SlotWaitNs: a.SlotWaitNs - b.SlotWaitNs,
 		Deadlocks: a.Deadlocks - b.Deadlocks, Promotions: a.Promotions - b.Promotions,
 		BiasGrants: a.BiasGrants - b.BiasGrants, BiasRevokes: a.BiasRevokes - b.BiasRevokes,
@@ -114,7 +113,6 @@ type jsonCell struct {
 	Contended      uint64  `json:"contended"`
 	CASFails       uint64  `json:"cas_fails"`
 	Deadlocks      uint64  `json:"deadlocks"`
-	IDWaits        uint64  `json:"id_waits"`
 	SlotWaits      uint64  `json:"slot_waits"`
 	BiasGrants     uint64  `json:"bias_grants,omitempty"`
 	BiasRevokes    uint64  `json:"bias_revokes,omitempty"`
@@ -130,7 +128,6 @@ type jsonCell struct {
 	P999Ns        int64   `json:"p999_ns,omitempty"`
 	MaxNs         int64   `json:"max_ns,omitempty"`
 	Errors        uint64  `json:"errors,omitempty"`
-	IDWaitNs      uint64  `json:"id_wait_ns,omitempty"`
 	SlotWaitNs    uint64  `json:"slot_wait_ns,omitempty"`
 	Promotions    uint64  `json:"promotions,omitempty"`
 }
@@ -470,7 +467,6 @@ func main() {
 			Contended:        res.stats.Contended,
 			CASFails:         res.stats.CASFail,
 			Deadlocks:        res.stats.Deadlocks,
-			IDWaits:          res.stats.IDWaits,
 			SlotWaits:        res.stats.SlotWaits,
 			BiasGrants:       res.stats.BiasGrants,
 			BiasRevokes:      res.stats.BiasRevokes,
@@ -481,7 +477,6 @@ func main() {
 			P999Ns:           res.hist.Quantile(0.999).Nanoseconds(),
 			MaxNs:            res.hist.Max().Nanoseconds(),
 			Errors:           res.errors + res.non2xx + res.dropped,
-			IDWaitNs:         res.stats.IDWaitNs,
 			SlotWaitNs:       res.stats.SlotWaitNs,
 			Promotions:       res.stats.Promotions,
 			InvisReads:       res.stats.InvisReads,
@@ -508,11 +503,6 @@ func main() {
 			}
 			if statsAddr != "" && !res.statsValid {
 				smokeFailures = append(smokeFailures, fmt.Sprintf("rate %.0f: stats scrape failed", rate))
-			}
-			if n := res.stats.IDWaits; n > 0 {
-				// Identity is virtual: Begin must never block. Any overload
-				// waiting belongs in the slot-lease counters instead.
-				smokeFailures = append(smokeFailures, fmt.Sprintf("rate %.0f: %d ID waits (Begin blocked)", rate, n))
 			}
 			if n := res.stats.ValidationAborts; *zipfS <= 1 && n > 0 {
 				// Uniform keys barely conflict: an invisible read that still

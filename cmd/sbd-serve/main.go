@@ -60,6 +60,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sbd-serve: %v\n", err)
 		os.Exit(1)
 	}
+	// Before anything is announced: a client may signal the moment it has
+	// read the startup lines, and must get the drain, not the default
+	// handler.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+
 	srv := shop.NewServer(rt, sh)
 	bound, err := srv.Start(*addr)
 	if err != nil {
@@ -77,8 +83,6 @@ func main() {
 		fmt.Printf("sbd-serve: metrics on %s\n", mAddr)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	got := <-sig
 	fmt.Printf("sbd-serve: %v, draining (grace %v)\n", got, *drain)
 

@@ -48,9 +48,9 @@ func ProfileTable(rows []stm.SiteProfile) string {
 	if len(rows) == 0 {
 		return "no lock-site activity recorded\n"
 	}
-	tbl := harness.NewTable("Site", "Acq", "Cont", "CASFail", "Upgr", "Promo", "DuelLoss", "Dead", "Bias", "Revoke", "Invis", "VAbr", "Block")
+	tbl := harness.NewTable("Site", "Mode", "Acq", "Cont", "CASFail", "Upgr", "Promo", "DuelLoss", "Dead", "Bias", "Revoke", "Invis", "VAbr", "Block")
 	for _, r := range rows {
-		tbl.Row(r.Site.String(), r.Acquires, r.Contended, r.CASFails,
+		tbl.Row(r.Site.String(), r.Mode.String(), r.Acquires, r.Contended, r.CASFails,
 			r.Upgrades, r.Promotions, r.DuelLosses, r.Deadlocks,
 			r.BiasGrants, r.BiasRevokes, r.InvisReads, r.ValAborts,
 			r.BlockTime.Round(time.Microsecond).String())
@@ -105,10 +105,6 @@ func Metrics(snap stm.StatsSnapshot, sites []stm.SiteProfile, rec *stm.FlightRec
 	counter("sbd_aborts_total", "Aborted transactions.", snap.Aborts)
 	counter("sbd_contended_acquires_total", "Lock acquisitions that had to enqueue.", snap.Contended)
 	counter("sbd_cas_failures_total", "Failed lock-word CAS attempts.", snap.CASFail)
-	counter("sbd_id_waits_total", "Begin calls that waited for a transaction ID (always 0 since identity went virtual; kept for dashboard compatibility).", snap.IDWaits)
-	fmt.Fprintf(&b, "# HELP sbd_id_wait_seconds_total Time Begin calls spent waiting for a transaction ID (always 0; see sbd_slot_wait_seconds_total).\n")
-	fmt.Fprintf(&b, "# TYPE sbd_id_wait_seconds_total counter\n")
-	fmt.Fprintf(&b, "sbd_id_wait_seconds_total %s\n", promFloat(float64(snap.IDWaitNs)/1e9))
 	counter("sbd_slot_waits_total", "Sections that parked waiting for a lock-word slot lease.", snap.SlotWaits)
 	fmt.Fprintf(&b, "# HELP sbd_slot_wait_seconds_total Time sections spent parked waiting for a lock-word slot lease.\n")
 	fmt.Fprintf(&b, "# TYPE sbd_slot_wait_seconds_total counter\n")

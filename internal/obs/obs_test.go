@@ -69,8 +69,8 @@ func TestMetricsFormat(t *testing.T) {
 		"sbd_commits_total 2",
 		"sbd_contended_acquires_total 1",
 		"# TYPE sbd_abort_rate gauge",
-		"# TYPE sbd_id_wait_seconds_total counter",
-		"sbd_id_wait_seconds_total 0",
+		"# TYPE sbd_slot_wait_seconds_total counter",
+		"sbd_slot_wait_seconds_total 0",
 		`sbd_site_acquires_total{site="ObsMetrics.v"} 2`,
 		`sbd_site_contended_total{site="ObsMetrics.v"} 1`,
 		`sbd_site_block_seconds_total{site="ObsMetrics.v"}`,
@@ -103,8 +103,12 @@ func TestProfileTableRendering(t *testing.T) {
 	if !strings.Contains(out, "ObsTable.v") {
 		t.Fatalf("table missing the site:\n%s", out)
 	}
-	if !strings.Contains(out, "Site") || !strings.Contains(out, "Block") {
+	if !strings.Contains(out, "Site") || !strings.Contains(out, "Mode") || !strings.Contains(out, "Block") {
 		t.Fatalf("table missing headers:\n%s", out)
+	}
+	// Two plain writes teach the policy word nothing: still the paper's mode.
+	if !strings.Contains(out, "visible") {
+		t.Fatalf("table does not show the site's mode:\n%s", out)
 	}
 	if got := ProfileTable(nil); !strings.Contains(got, "no lock-site activity") {
 		t.Fatalf("empty profile rendering = %q", got)

@@ -257,14 +257,13 @@ type Result struct {
 	Contended uint64
 	CASFails  uint64
 	Deadlocks uint64
-	IDWaits   uint64
 	SlotWaits uint64
 	// Read-bias counters (bias.go): grants are reads served by the
 	// reader-slot path, revokes are writers tearing the bias down.
 	BiasGrants     uint64
 	BiasRevokes    uint64
 	BiasWriteThrus uint64
-	// Invisible-read counters (invis.go/readset.go): InvisReads are
+	// Invisible-read counters (site.go/readset.go): InvisReads are
 	// reads served by the optimistic TL2-style tier (no shared-memory
 	// store at all), ValidationAborts are commit-time read-set
 	// validation failures, ModeFlips are per-site read-mode threshold
@@ -333,7 +332,6 @@ func Run(m Mix, threads, totalOps int) Result {
 		Contended:        snap.Contended,
 		CASFails:         snap.CASFail,
 		Deadlocks:        snap.Deadlocks,
-		IDWaits:          snap.IDWaits,
 		SlotWaits:        snap.SlotWaits,
 		BiasGrants:       snap.BiasGrants,
 		BiasRevokes:      snap.BiasRevokes,

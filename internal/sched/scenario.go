@@ -657,7 +657,7 @@ func ScenarioSlotLease() Scenario {
 }
 
 // ScenarioInvisibleValidation forces the TL2-style optimistic tier
-// (invis.go/readset.go) through its one dangerous window: a reader
+// (site.go/readset.go) through its one dangerous window: a reader
 // takes an invisible read — no lock word bit, no reader slot, nothing
 // a writer could see — and a writer commits to the same word before
 // the reader validates. The commit-time read-set validation must abort

@@ -2,7 +2,6 @@ package stm
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -13,12 +12,9 @@ import (
 // on the cache line even with zero logical conflicts. The bias layer
 // removes that cost where it matters and nowhere else:
 //
-//   - A copy-on-write per-site score table (mirroring promoTable)
-//     classifies sites as read-hot: sampled read acquisitions boost the
-//     score, sampled write acquisitions and empty revocations decay it,
-//     and a duel loss crushes it (bias and write-promotion are mutually
-//     exclusive — a site is either read-hot or RMW-hot, never both).
-//   - While a site's score is at or above biasOn, a reader CASes the
+//   - Which sites are read-hot is the bias score of the site policy
+//     word (site.go); this file is the mechanism the score switches on.
+//   - While a site decodes to ModeBiased, a reader CASes the
 //     bias marker (biasQID, lockword.go) into the word once, and from
 //     then on readers skip the shared CAS entirely: visibility is a
 //     plain store of the word's address into a cache-line-padded
@@ -74,20 +70,6 @@ const (
 	// with the marker, so the fallback is always available).
 	biasStripes = 8
 
-	biasCap = 128 // score saturation
-	biasOn  = 32  // readers use the bias path while score >= biasOn
-	// biasShield: at or above this score, duel losses decay the bias
-	// score instead of crushing it and boosting write-promotion. A
-	// strongly read-biased site sees occasional writer-vs-writer duels
-	// even when reads dominate; without the shield one such duel would
-	// flip the site to write-promotion and serialize all its readers.
-	biasShield = 96
-
-	biasReadBoost      = 8  // sampled read acquisition or biased grant
-	biasWritePen       = 32 // sampled write acquisition
-	biasDuelPen        = 8  // duel loss at a shielded site
-	biasEmptyRevokePen = 16 // revocation that found no live reader slots
-
 	// biasDrainSpinMax bounds how many reschedules a writer spends
 	// waiting for the reader slots to drain — after a write-through
 	// (biasWriteDrain) or while holding an installed empty queue
@@ -108,34 +90,6 @@ const (
 	biasSpinRounds = 16
 )
 
-// biasCell is the read-bias score of one lock site.
-type biasCell struct {
-	score atomic.Int32
-	// ever latches once the site has ever had the marker installed. It
-	// gates bounded overtaking permanently: overtaking CASes past the
-	// queue field, which is only sound when that field can never hold
-	// the bias marker or a drain-pinned queue.
-	ever atomic.Bool
-}
-
-// add moves the score by d, clamped to [0, biasCap]; saturated cells
-// return without a store.
-func (c *biasCell) add(d int32) {
-	for {
-		v := c.score.Load()
-		nv := v + d
-		if nv > biasCap {
-			nv = biasCap
-		}
-		if nv < 0 {
-			nv = 0
-		}
-		if nv == v || c.score.CompareAndSwap(v, nv) {
-			return
-		}
-	}
-}
-
 // biasLine holds one transaction ID's reader slots, padded so two
 // transactions' publishes never share a cache line — the whole point is
 // that a biased read writes only memory private to its transaction ID.
@@ -144,13 +98,9 @@ type biasLine struct {
 	_     [64]byte
 }
 
-// biasTable is the per-runtime read-bias state: the score table (same
-// copy-on-write shape as promoTable, so shouldBias on the read path is
-// one pointer load, one bounds check, one score load) and the
+// biasTable is the per-runtime read-bias mechanism state: the
 // distributed reader-slot lines.
 type biasTable struct {
-	mu    sync.Mutex
-	cells atomic.Pointer[[]*biasCell]
 	// everAny latches once any site has ever been biased; it gates the
 	// 56-line slot scans on paths shared with never-biased workloads.
 	everAny atomic.Bool
@@ -162,82 +112,6 @@ func biasStripe(addr *uint64) int {
 	p := uintptr(unsafe.Pointer(addr))
 	p ^= p >> 9
 	return int((p >> 3) & (biasStripes - 1))
-}
-
-// shouldBias reports whether readers of the site should publish through
-// the reader slots instead of the shared word CAS.
-func (t *biasTable) shouldBias(site int32) bool {
-	p := t.cells.Load()
-	if p == nil {
-		return false
-	}
-	s := *p
-	return int(site) < len(s) && s[site].score.Load() >= biasOn
-}
-
-// shielded reports whether the site is strongly read-biased, so duel
-// losses there should not flip it to write-promotion.
-func (t *biasTable) shielded(site int32) bool {
-	p := t.cells.Load()
-	if p == nil {
-		return false
-	}
-	s := *p
-	return int(site) < len(s) && s[site].score.Load() >= biasShield
-}
-
-// everSite reports whether the site has ever had the bias marker
-// installed (see biasCell.ever).
-func (t *biasTable) everSite(site int32) bool {
-	p := t.cells.Load()
-	if p == nil {
-		return false
-	}
-	s := *p
-	return int(site) < len(s) && s[site].ever.Load()
-}
-
-// at returns the score cell of a site, growing the table when needed.
-func (t *biasTable) at(site int32) *biasCell {
-	if p := t.cells.Load(); p != nil && int(site) < len(*p) {
-		return (*p)[site]
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var cur []*biasCell
-	if p := t.cells.Load(); p != nil {
-		cur = *p
-		if int(site) < len(cur) {
-			return cur[site]
-		}
-	}
-	grown := make([]*biasCell, siteCount())
-	copy(grown, cur)
-	for i := len(cur); i < len(grown); i++ {
-		grown[i] = new(biasCell)
-	}
-	t.cells.Store(&grown)
-	return grown[site]
-}
-
-// crush zeroes the score: the site just lost a duel (RMW-hot evidence),
-// and bias and write-promotion must never be active together.
-func (t *biasTable) crush(site int32) {
-	if p := t.cells.Load(); p != nil && int(site) < len(*p) {
-		(*p)[site].score.Store(0)
-	}
-}
-
-// penalizeWrite decays the score on a sampled write acquisition. Cells
-// are never created here: a site no reader ever boosted has nothing to
-// decay, and the write fast path should not grow tables.
-func (t *biasTable) penalizeWrite(site int32) {
-	if p := t.cells.Load(); p != nil && int(site) < len(*p) {
-		c := (*p)[site]
-		if c.score.Load() != 0 {
-			c.add(-biasWritePen)
-		}
-	}
 }
 
 // slot returns the reader slot of (transaction ID, word address).
@@ -325,14 +199,14 @@ func (tx *Tx) tryBiasRead(addr *uint64, site int32) bool {
 		if wordQueueID(w) != 0 {
 			return false
 		}
-		// Latch ever/everAny BEFORE installing the marker: once the CAS
-		// lands, another reader may publish+verify a slot and a concurrent
-		// write-through writer then consults everAny in its drain checks —
-		// if the latch landed after the CAS, that writer could read false
-		// and skip the slot scan while a verified biased reader is live. A
-		// stale true (CAS fails below) is conservative: it only enables
-		// extra slot scans.
-		rt.bias.at(site).ever.Store(true)
+		// Latch the site's ever bit and everAny BEFORE installing the
+		// marker: once the CAS lands, another reader may publish+verify a
+		// slot and a concurrent write-through writer then consults everAny
+		// in its drain checks — if the latch landed after the CAS, that
+		// writer could read false and skip the slot scan while a verified
+		// biased reader is live. A stale true (CAS fails below) is
+		// conservative: it only enables extra slot scans.
+		rt.noteSite(site, siteMarkerInstall)
 		rt.bias.everAny.Store(true)
 		if !rt.casWord(addr, w, wordWithQueue(w, biasQID), PointBiasPublish) {
 			return false
@@ -362,7 +236,7 @@ func (tx *Tx) tryBiasRead(addr *uint64, site int32) bool {
 	if (tx.nBiasGrants+tx.ticket)&rt.profMask == 0 {
 		// Sampled: keep the score saturated while the bias is earning
 		// its keep, and charge the site profile.
-		rt.bias.at(site).add(biasReadBoost)
+		rt.noteSite(site, siteBiasGrant)
 		tx.profAt(site).biasGrants += uint32(rt.profMask + 1)
 	}
 	if rt.wantsEvent(EvBiased) {
@@ -440,6 +314,23 @@ func (tx *Tx) biasWriteRetract(addr *uint64, keepBit bool) {
 	}
 }
 
+// drainWriteThru finishes a write acquisition that may have gone through
+// the bias marker: wait out the published reader slots, and when the
+// drain budget runs out — some slot is not clearing, so its holder is
+// likely blocked, possibly on a lock this transaction holds — retract
+// the write and take the queue path, which folds the slot holders into
+// the published digest and makes the cycle visible to the deadlock
+// detector. The retry passes mustQueue, which keeps its spin phase from
+// writing through the marker again; without it the retry could re-enter
+// this loop forever and never reach the detector. keepBit: the
+// transaction held a plain read lock on the word before this write.
+func (tx *Tx) drainWriteThru(addr *uint64, site int32, keepBit bool) {
+	for wordIsBiased(atomic.LoadUint64(addr)) && !tx.biasWriteDrain(addr) {
+		tx.biasWriteRetract(addr, keepBit)
+		tx.slowAcquire(addr, site, true, true)
+	}
+}
+
 // noteBiasRevoke charges a bias revocation — the install CAS of
 // slowAcquire replaced the marker with queue qid — to the transaction
 // and the site. An empty revocation (no live foreign reader slots at
@@ -454,40 +345,9 @@ func (tx *Tx) noteBiasRevoke(addr *uint64, site int32, qid int) {
 	tx.nBiasRevokes++
 	tx.profAt(site).biasRevokes++
 	if tx.rt.bias.drainedExcept(addr, tx.slot) {
-		tx.rt.bias.at(site).add(-biasEmptyRevokePen)
+		tx.rt.noteSite(site, siteEmptyRevoke)
 	}
 	if tx.rt.wantsEvent(EvBiasRevoke) {
 		tx.rt.event(Event{Kind: EvBiasRevoke, TxID: tx.vid, Ticket: tx.ticket, Addr: addr, QID: qid})
 	}
-}
-
-// noteBiasSample scores a sampled non-biased lock acquisition: reads
-// are read-hot evidence, writes decay the hint. Out of line — the
-// lockFor fast path pays only the sampling branch it already had.
-//
-//go:noinline
-func (tx *Tx) noteBiasSample(site int32, write bool) {
-	if write {
-		tx.rt.bias.penalizeWrite(site)
-	} else {
-		tx.rt.bias.at(site).add(biasReadBoost)
-	}
-}
-
-// SeedReadBias pre-loads the read-bias score of the lock site behind
-// (class, field) to saturation, as if readers had trained it. Tests and
-// schedule-exploration scenarios use it to reach the biased state
-// deterministically instead of replaying the sampled learning phase.
-func (rt *Runtime) SeedReadBias(c *Class, f FieldID) {
-	site := c.fields[f].siteID
-	if c.isArray {
-		site = c.siteID
-	}
-	if site < 0 {
-		panic("stm: SeedReadBias on a final field")
-	}
-	cell := rt.bias.at(site)
-	cell.score.Store(biasCap)
-	cell.ever.Store(true)
-	rt.bias.everAny.Store(true)
 }

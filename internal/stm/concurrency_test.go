@@ -412,10 +412,6 @@ func TestSlotLeaseLimit(t *testing.T) {
 	if snap.SlotWaitNs < uint64(25*time.Millisecond) {
 		t.Fatalf("SlotWaitNs = %d, want at least 25ms of charged pool wait", snap.SlotWaitNs)
 	}
-	// Begin itself never waited on identity.
-	if snap.IDWaits != 0 || snap.IDWaitNs != 0 {
-		t.Fatalf("IDWaits/IDWaitNs = %d/%d, want 0/0 (Begin must not block)", snap.IDWaits, snap.IDWaitNs)
-	}
 }
 
 // TestTwoPhaseReleaseNoEarlyWake pins the two-phase release property: a

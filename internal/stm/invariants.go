@@ -60,8 +60,8 @@ func (rt *Runtime) CheckInvariants() error {
 				if wt.granted {
 					return fmt.Errorf("queue %d: granted waiter txn %d still enqueued", qid, wt.tx.vid)
 				}
-				if wt.q != q {
-					return fmt.Errorf("queue %d: waiter txn %d points at queue %d", qid, wt.tx.vid, wt.q.qid)
+				if wq := wt.q.Load(); wq != q {
+					return fmt.Errorf("queue %d: waiter txn %d points at queue %d", qid, wt.tx.vid, wq.qid)
 				}
 				if wt.tx.slot < 0 {
 					return fmt.Errorf("queue %d: waiter txn %d has no slot lease", qid, wt.tx.vid)
@@ -106,7 +106,7 @@ func (rt *Runtime) CheckInvariants() error {
 		if wt.tx.slot != slot {
 			return fmt.Errorf("blocked table slot %d holds txn %d leasing slot %d", slot, wt.tx.vid, wt.tx.slot)
 		}
-		q := wt.q
+		q := wt.q.Load()
 		q.mu.Lock()
 		err := func() error {
 			if d.blocked[slot].Load() != wt {
@@ -222,7 +222,7 @@ func (rt *Runtime) InjectSpuriousWake(txID int) bool {
 		if wt == nil || wt.tx.vid != txID {
 			continue
 		}
-		q := wt.q
+		q := wt.q.Load()
 		q.mu.Lock()
 		ok := d.blocked[slot].Load() == wt && !wt.granted && !wt.aborted
 		if ok {

@@ -117,7 +117,7 @@ func TestInvisValidationAbort(t *testing.T) {
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Fatalf("attempts saw %v, want [1 2]", seen)
 	}
-	if rt.invis.shouldRead(c.fields[v].siteID) {
+	if siteMode(rt, c.fields[v].siteID) == ModeInvisible {
 		t.Fatalf("site still invisible after a validation abort")
 	}
 	var aborts uint64
@@ -302,12 +302,12 @@ func TestInvisAdaptiveFlip(t *testing.T) {
 	o := NewCommitted(c)
 	site := c.fields[v].siteID
 
-	for i := 0; i < 16 && !rt.invis.shouldRead(site); i++ {
+	for i := 0; i < 16 && siteMode(rt, site) != ModeInvisible; i++ {
 		tx := rt.Begin()
 		tx.ReadWord(o, v)
 		tx.Commit()
 	}
-	if !rt.invis.shouldRead(site) {
+	if siteMode(rt, site) != ModeInvisible {
 		t.Fatalf("site did not flip invisible after 16 exact-sampled reads")
 	}
 	snap := rt.Stats().Snapshot()
@@ -327,12 +327,12 @@ func TestInvisAdaptiveFlip(t *testing.T) {
 	}
 
 	// Write traffic decays the score below the threshold again.
-	for i := 0; i < 8 && rt.invis.shouldRead(site); i++ {
+	for i := 0; i < 8 && siteMode(rt, site) == ModeInvisible; i++ {
 		tx := rt.Begin()
 		tx.WriteWord(o, v, uint64(i))
 		tx.Commit()
 	}
-	if rt.invis.shouldRead(site) {
+	if siteMode(rt, site) == ModeInvisible {
 		t.Fatalf("site still invisible after a write burst")
 	}
 	if after := rt.Stats().Snapshot(); after.ModeFlips < 2 {

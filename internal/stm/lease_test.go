@@ -214,9 +214,6 @@ func TestOverflowTierBreaksTxnCeiling(t *testing.T) {
 	if snap.SlotWaits < uint64(sections-MaxTxns) {
 		t.Fatalf("SlotWaits = %d, want at least %d", snap.SlotWaits, sections-MaxTxns)
 	}
-	if snap.IDWaits != 0 {
-		t.Fatalf("IDWaits = %d, want 0 (Begin must never block on identity)", snap.IDWaits)
-	}
 	if got := rt.LeasedSlots(); got != 0 {
 		t.Fatalf("%d slots leaked after all sections committed", got)
 	}

@@ -37,7 +37,7 @@ func TestOvertakeDeferredGrantAndDrain(t *testing.T) {
 	c := NewClass("OvertakeDrain", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")
-	rt.promo.boost(c.fields[v].siteID)
+	rt.noteSite(c.fields[v].siteID, siteDuelLoss)
 
 	tx1 := rt.Begin()
 	tx1.WriteWord(o, v, 1)
@@ -122,7 +122,7 @@ func TestOvertakeGrantBounded(t *testing.T) {
 	c := NewClass("OvertakeBound", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")
-	rt.promo.boost(c.fields[v].siteID)
+	rt.noteSite(c.fields[v].siteID, siteDuelLoss)
 
 	tx1 := rt.Begin()
 	val := tx1.ReadWord(o, v) // promoted to write
@@ -167,7 +167,7 @@ func TestParkRegrantTimerRescue(t *testing.T) {
 	c := NewClass("OvertakeRescue", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")
-	rt.promo.boost(c.fields[v].siteID)
+	rt.noteSite(c.fields[v].siteID, siteDuelLoss)
 
 	tx1 := rt.Begin()
 	tx1.WriteWord(o, v, 1)

@@ -75,8 +75,9 @@ func siteInfo(id int32) SiteInfo {
 	return siteReg.sites[id]
 }
 
-// siteCounters is the per-site aggregate of one runtime. All fields are
-// only written by flushProfile (atomic adds) and read by Snapshot.
+// siteCounters is the per-site aggregate of one runtime, the counter
+// half of a siteCell. All fields are only written by flushProfile
+// (atomic adds) and read by Snapshot.
 type siteCounters struct {
 	acquires    atomic.Uint64
 	contended   atomic.Uint64
@@ -164,91 +165,41 @@ func (tx *Tx) flushProfile() {
 	if len(buf) == 0 {
 		return
 	}
-	p := &tx.rt.profile
 	for i := range buf {
 		d := &buf[i]
-		c := p.counters(d.site)
-		if d.acquires != 0 {
-			c.acquires.Add(uint64(d.acquires))
-		}
-		if d.contended != 0 {
-			c.contended.Add(uint64(d.contended))
-		}
-		if d.casFails != 0 {
-			c.casFails.Add(uint64(d.casFails))
-		}
-		if d.upgrades != 0 {
-			c.upgrades.Add(uint64(d.upgrades))
-		}
-		if d.promotions != 0 {
-			c.promotions.Add(uint64(d.promotions))
-		}
-		if d.duelLosses != 0 {
-			c.duelLosses.Add(uint64(d.duelLosses))
-		}
-		if d.deadlocks != 0 {
-			c.deadlocks.Add(uint64(d.deadlocks))
-		}
-		if d.biasGrants != 0 {
-			c.biasGrants.Add(uint64(d.biasGrants))
-		}
-		if d.biasRevokes != 0 {
-			c.biasRevokes.Add(uint64(d.biasRevokes))
-		}
-		if d.invisReads != 0 {
-			c.invisReads.Add(uint64(d.invisReads))
-		}
-		if d.validationAborts != 0 {
-			c.validationAborts.Add(uint64(d.validationAborts))
-		}
-		if d.blockNs != 0 {
-			c.blockNs.Add(d.blockNs)
-		}
+		c := tx.rt.sites.at(d.site)
+		addNZ(&c.acquires, uint64(d.acquires))
+		addNZ(&c.contended, uint64(d.contended))
+		addNZ(&c.casFails, uint64(d.casFails))
+		addNZ(&c.upgrades, uint64(d.upgrades))
+		addNZ(&c.promotions, uint64(d.promotions))
+		addNZ(&c.duelLosses, uint64(d.duelLosses))
+		addNZ(&c.deadlocks, uint64(d.deadlocks))
+		addNZ(&c.biasGrants, uint64(d.biasGrants))
+		addNZ(&c.biasRevokes, uint64(d.biasRevokes))
+		addNZ(&c.invisReads, uint64(d.invisReads))
+		addNZ(&c.validationAborts, uint64(d.validationAborts))
+		addNZ(&c.blockNs, d.blockNs)
 	}
 	tx.rt.profBufs[tx.slot] = buf[:0]
 }
 
-// Profile aggregates per-site contention counters for one runtime. The
-// storage is a copy-on-write slice indexed by global site ID, grown
-// lazily the first time a transaction flushes a site.
-type Profile struct {
-	mu    sync.Mutex
-	sites atomic.Pointer[[]*siteCounters]
+// addNZ adds n to a shared counter, skipping the atomic add when n is 0.
+func addNZ(c *atomic.Uint64, n uint64) {
+	if n != 0 {
+		c.Add(n)
+	}
 }
 
-func (p *Profile) load() []*siteCounters {
-	if s := p.sites.Load(); s != nil {
-		return *s
-	}
-	return nil
-}
-
-// counters returns the aggregate cell of a site, growing the table under
-// the mutex when a new site appears. Reads on the flush path are one
-// atomic pointer load plus an index.
-func (p *Profile) counters(site int32) *siteCounters {
-	s := p.load()
-	if int(site) < len(s) {
-		return s[site]
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s = p.load()
-	if int(site) < len(s) {
-		return s[site]
-	}
-	grown := make([]*siteCounters, siteCount())
-	copy(grown, s)
-	for i := len(s); i < len(grown); i++ {
-		grown[i] = new(siteCounters)
-	}
-	p.sites.Store(&grown)
-	return grown[site]
-}
+// Profile is the exported read-only view of a runtime's site table
+// (site.go): the per-site contention counters, plus the mode each site's
+// policy word currently selects.
+type Profile siteTable
 
 // SiteProfile is one row of a profile snapshot.
 type SiteProfile struct {
 	Site        SiteInfo
+	Mode        Mode          // read mode the site's policy word selects now
 	Acquires    uint64        // lock acquire+release pairs (sampled estimate; see ProfileSampleRate)
 	Contended   uint64        // acquires that had to enqueue
 	CASFails    uint64        // failed lock-word CAS attempts
@@ -267,14 +218,12 @@ type SiteProfile struct {
 // first: descending block time, then contended acquires, then total
 // acquires — the order the "which lock melted" question wants.
 func (p *Profile) Snapshot() []SiteProfile {
-	s := p.load()
+	s := (*siteTable)(p).load()
 	out := make([]SiteProfile, 0, len(s))
 	for id, c := range s {
-		if c == nil {
-			continue
-		}
 		row := SiteProfile{
 			Site:        siteInfo(int32(id)),
+			Mode:        policy(c.policy.Load()).mode(true),
 			Acquires:    c.acquires.Load(),
 			Contended:   c.contended.Load(),
 			CASFails:    c.casFails.Load(),
@@ -309,9 +258,10 @@ func (p *Profile) Snapshot() []SiteProfile {
 	return out
 }
 
-// Reset zeroes every per-site counter (the table stays allocated).
+// Reset zeroes every per-site counter (the table stays allocated, and
+// the policy words keep what the sites have learned).
 func (p *Profile) Reset() {
-	for _, c := range p.load() {
+	for _, c := range (*siteTable)(p).load() {
 		c.acquires.Store(0)
 		c.contended.Store(0)
 		c.casFails.Store(0)

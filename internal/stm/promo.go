@@ -2,7 +2,6 @@ package stm
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,12 +14,14 @@ import (
 // cooperating mechanisms (none of which appear in the paper; see
 // DESIGN.md "Divergences") turn the curve around:
 //
-//  1. Write-intent promotion: every duel loss boosts a per-site hint
-//     score; while a site's score is positive, lockFor acquires reads
-//     there in WRITE mode up front. The promoted lock is strictly
-//     stronger, so the change is always safe — it can cost read sharing,
-//     never correctness — and commits that promoted without writing decay
-//     the score, so read-mostly phases regain read sharing.
+//  1. Write-intent promotion: every duel loss boosts the promotion
+//     score in the site's policy word (site.go); while it is positive,
+//     lockFor acquires reads there in WRITE mode up front. The promoted
+//     lock is strictly stronger, so the change is always safe — it can
+//     cost read sharing, never correctness — and commits that promoted
+//     without writing decay the score, so read-mostly phases regain read
+//     sharing. This file keeps the per-attempt promotion log and its
+//     commit-time scoring.
 //  2. Abort backoff: instead of replaying an aborted section immediately,
 //     Tx.RetryBackoff waits a bounded randomized exponentially-growing
 //     number of reschedules, seeded per (ID, ticket) — no global PRNG,
@@ -42,90 +43,6 @@ import (
 //     touches upgraders, inevitable transactions, or harness runs (see
 //     deferGrantLocked in queue.go).
 
-// Promotion-hint scoring. A duel loss is strong evidence the site is an
-// RMW hot spot (+promoBoost); a committed transaction that wrote through
-// a promoted lock confirms the hint (+promoReward); one that promoted
-// but never wrote paid read-sharing for nothing (−promoPenalty, heavier
-// than the reward so a read-mostly phase drains the score in a couple of
-// commits). The score saturates at promoCap and floors at zero; a site
-// promotes while its score is positive.
-const (
-	promoCap     = 128
-	promoBoost   = 8
-	promoReward  = 1
-	promoPenalty = -4
-)
-
-// promoCell is the hint score of one lock site.
-type promoCell struct{ score atomic.Int32 }
-
-// add moves the score by d, clamped to [0, promoCap]. Saturated cells
-// return without a store, so a stably-hot site costs no write sharing.
-func (c *promoCell) add(d int32) {
-	for {
-		v := c.score.Load()
-		nv := v + d
-		if nv > promoCap {
-			nv = promoCap
-		}
-		if nv < 0 {
-			nv = 0
-		}
-		if nv == v || c.score.CompareAndSwap(v, nv) {
-			return
-		}
-	}
-}
-
-// promoTable is the per-runtime hint table, indexed by global site ID.
-// Storage mirrors Profile: a copy-on-write slice grown under a mutex the
-// first time a site is scored, so the read path (shouldPromote, on every
-// non-owned read acquisition) is one atomic pointer load, one bounds
-// check, and one atomic score load — and a runtime that never lost a
-// duel keeps the pointer nil and pays only the load.
-type promoTable struct {
-	mu    sync.Mutex
-	cells atomic.Pointer[[]*promoCell]
-}
-
-// shouldPromote reports whether reads of the site should be acquired in
-// write mode.
-func (t *promoTable) shouldPromote(site int32) bool {
-	p := t.cells.Load()
-	if p == nil {
-		return false
-	}
-	s := *p
-	return int(site) < len(s) && s[site].score.Load() > 0
-}
-
-// at returns the score cell of a site, growing the table when needed.
-func (t *promoTable) at(site int32) *promoCell {
-	if p := t.cells.Load(); p != nil && int(site) < len(*p) {
-		return (*p)[site]
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var cur []*promoCell
-	if p := t.cells.Load(); p != nil {
-		cur = *p
-		if int(site) < len(cur) {
-			return cur[site]
-		}
-	}
-	grown := make([]*promoCell, siteCount())
-	copy(grown, cur)
-	for i := len(cur); i < len(grown); i++ {
-		grown[i] = new(promoCell)
-	}
-	t.cells.Store(&grown)
-	return grown[site]
-}
-
-func (t *promoTable) boost(site int32)    { t.at(site).add(promoBoost) }
-func (t *promoTable) reward(site int32)   { t.at(site).add(promoReward) }
-func (t *promoTable) penalize(site int32) { t.at(site).add(promoPenalty) }
-
 // promoRec records one adaptive promotion of the current attempt: which
 // lock word was promoted, its site, and whether a write has justified
 // the promotion since.
@@ -136,7 +53,7 @@ type promoRec struct {
 }
 
 // notePromoted records an adaptive promotion. Out of line: the lockFor
-// fast path only pays the shouldPromote load.
+// fast path only pays the mode decode.
 //
 //go:noinline
 func (tx *Tx) notePromoted(addr *uint64, site int32) {
@@ -163,30 +80,16 @@ func (tx *Tx) promoWritten(addr *uint64) {
 }
 
 // noteDuelLoss charges an upgrade-duel (or enqueued-upgrader) abort to
-// the site and boosts its promotion hint: the transaction is about to
-// replay, and with the hint set its retry acquires the lock in write
-// mode up front, ending the duel cycle.
+// the site and boosts its promotion hint (unless a strong read bias
+// shields it; see next): the transaction is about to replay, and with
+// the hint set its retry acquires the lock in write mode up front,
+// ending the duel cycle.
 //
 //go:noinline
 func (tx *Tx) noteDuelLoss(site int32) {
 	tx.nDuelLosses++
 	tx.profAt(site).duelLosses++
-	if tx.rt.bias.shielded(site) {
-		// Strongly read-biased site (bias.go): the occasional
-		// writer-vs-writer duel is expected noise there, and flipping the
-		// site to write-promotion would serialize all its readers. Decay
-		// the bias instead; sustained duels still wear it down past the
-		// shield, after which promotion takes over as usual.
-		tx.rt.bias.at(site).add(-biasDuelPen)
-		return
-	}
-	// Bias and write-promotion are mutually exclusive: promoting a site
-	// crushes any residual read-bias score — and any invisible-read
-	// score: an RMW-hot site would turn every optimistic read into a
-	// near-certain validation abort.
-	tx.rt.bias.crush(site)
-	tx.rt.invis.crush(site)
-	tx.rt.promo.boost(site)
+	tx.rt.noteSite(site, siteDuelLoss)
 }
 
 // flushPromo scores this transaction's promotions at commit: written
@@ -205,9 +108,9 @@ func (tx *Tx) flushPromoSlow() {
 	for i := range tx.promoLog {
 		r := &tx.promoLog[i]
 		if r.wrote {
-			tx.rt.promo.reward(r.site)
+			tx.rt.noteSite(r.site, sitePromoWritten)
 		} else {
-			tx.rt.promo.penalize(r.site)
+			tx.rt.noteSite(r.site, sitePromoWasted)
 			tx.nPromoWasted++
 		}
 	}
@@ -282,7 +185,7 @@ func (tx *Tx) nextRand() uint64 {
 // a monopolized lock charges the lock holder a timer interrupt per
 // wake.
 //
-// Bounded overtaking: on a promoted hot-RMW site (shouldPromote) the
+// Bounded overtaking: on a promoted hot-RMW site (policy.overtakes) the
 // no-queue fairness rule is relaxed — acquirers may CAS past an
 // installed queue, and the release path defers grants to the parked
 // waiters behind it (deferGrantLocked, queue.go). This keeps a
@@ -305,31 +208,35 @@ const (
 
 // overtakeOK reports whether tx may CAS a lock word past an installed
 // queue at this site: production mode only, and only while the site's
-// promotion hint is active — exactly the episodes where strict FIFO
-// entry costs a park/wake handoff per transaction. Everywhere else the
-// paper's rule stands: an installed queue forces the slow path. A site
-// that has ever been read-biased is permanently excluded: overtaking
-// CASes past the word's queue field, which at such a site may hold the
-// bias marker or a queue pinned by draining reader slots — states a
-// write must never CAS through (bias.go).
+// policy word allows it (policy.overtakes). Everywhere else the paper's
+// rule stands: an installed queue forces the slow path.
 func (tx *Tx) overtakeOK(site int32) bool {
-	return tx.rt.hooks == nil && tx.rt.promo.shouldPromote(site) &&
-		!tx.rt.bias.everSite(site)
+	return tx.rt.hooks == nil && tx.rt.sites.policyAt(site).overtakes()
 }
+
+// grantVia says how a slow-path acquisition was satisfied, so the caller
+// knows who owns the release.
+type grantVia uint8
+
+const (
+	viaNone grantVia = iota // spinAcquire only: not acquired, enqueue
+	viaWord                 // holder bit in the lock word: the caller logs the lock
+	viaSlot                 // read published through a bias reader slot: biasLog owns it
+)
 
 // spinAcquire tries to take the lock by bounded spinning before
 // slowAcquire pays for the queue protocol. It preserves the slow path's
 // fairness rule — no acquisition while a queue is installed — except on
 // promoted sites under bounded overtaking (overtakeOK), and gives up
 // immediately for upgrades (an upgrader must enqueue so the structural
-// duel detection and the U flag see it). Returns true if the lock was
-// acquired. Only called in production (rt.hooks == nil): under a
+// duel detection and the U flag see it). Returns viaNone if the lock was
+// not acquired. Only called in production (rt.hooks == nil): under a
 // harness the queue machinery is exactly what runs should explore, and
 // timed sleeps have no deterministic meaning.
-func (tx *Tx) spinAcquire(addr *uint64, site int32, write bool) bool {
+func (tx *Tx) spinAcquire(addr *uint64, site int32, write, mustQueue bool) grantVia {
 	w0 := atomic.LoadUint64(addr)
 	if w0&tx.mask != 0 {
-		return false // upgrade: the duel machinery needs the queue
+		return viaNone // upgrade: the duel machinery needs the queue
 	}
 	if write && len(tx.biasLog) != 0 && tx.hasBiasedRead(addr) {
 		// Upgrade from a biased read whose fast-path write-through lost
@@ -338,13 +245,13 @@ func (tx *Tx) spinAcquire(addr *uint64, site int32, write bool) bool {
 		// (and then burns its whole drain budget before the duel is even
 		// detected). Go straight to the queue so the structural duel
 		// detection resolves the standoff immediately.
-		return false
+		return viaNone
 	}
-	if write && tx.biasDrainFailed && wordIsBiased(w0) {
+	if mustQueue && wordIsBiased(w0) {
 		// This write already wrote through the marker once and timed out
 		// draining the reader slots; it must reach the queue — and the
-		// deadlock detector — not write through again (lockFor).
-		return false
+		// deadlock detector — not write through again (drainWriteThru).
+		return viaNone
 	}
 	overtake := tx.overtakeOK(site)
 	rounds := spinGoschedRounds + spinSleepRounds
@@ -371,17 +278,16 @@ func (tx *Tx) spinAcquire(addr *uint64, site int32, write bool) bool {
 			// writer's single-shot write-through CAS and force a full
 			// revocation — holder bits must not accumulate on a marker
 			// word while the bias is meant to stay up.
-			tx.spinBiased = true
 			tx.nSpinAcquires++
 			tx.requeued = false
-			return true
+			return viaSlot
 		}
 		if wordQueueID(w) == 0 || wordIsBiased(w) || overtake {
 			if nw, ok := grantWord(w, tx, write); ok {
 				if casw(addr, w, nw) {
 					tx.nSpinAcquires++
 					tx.requeued = false
-					return true
+					return viaWord
 				}
 				tx.chargeCASFail(site)
 			}
@@ -398,5 +304,5 @@ func (tx *Tx) spinAcquire(addr *uint64, site int32, write bool) bool {
 			time.Sleep(cap/2 + time.Duration(tx.nextRand()%uint64(cap)))
 		}
 	}
-	return false
+	return viaNone
 }

@@ -85,8 +85,8 @@ func TestPromotionHintDecay(t *testing.T) {
 
 	// One duel loss's worth of boost: score 8. Two read-only commits at
 	// -4 each drain it.
-	rt.promo.boost(site)
-	if !rt.promo.shouldPromote(site) {
+	rt.noteSite(site, siteDuelLoss)
+	if siteMode(rt, site) != ModePromoted {
 		t.Fatal("site not promoting after a boost")
 	}
 
@@ -99,7 +99,7 @@ func TestPromotionHintDecay(t *testing.T) {
 	if snap.Promotions != 2 || snap.PromoWasted != 2 {
 		t.Fatalf("promotions=%d wasted=%d after 2 read-only commits, want 2/2", snap.Promotions, snap.PromoWasted)
 	}
-	if rt.promo.shouldPromote(site) {
+	if siteMode(rt, site) == ModePromoted {
 		t.Fatal("hint did not decay to zero after the read-only phase")
 	}
 
@@ -132,7 +132,7 @@ func TestPromotionJustifiedByWrite(t *testing.T) {
 	v := c.Field("v")
 	site := c.fields[v].siteID
 
-	rt.promo.boost(site)
+	rt.noteSite(site, siteDuelLoss)
 	for i := 0; i < 8; i++ {
 		tx := rt.Begin()
 		val := tx.ReadWord(o, v) // promoted to a write acquisition
@@ -146,7 +146,7 @@ func TestPromotionJustifiedByWrite(t *testing.T) {
 	if snap.PromoWasted != 0 {
 		t.Fatalf("wasted=%d, want 0 (every promotion was written through)", snap.PromoWasted)
 	}
-	if !rt.promo.shouldPromote(site) {
+	if siteMode(rt, site) != ModePromoted {
 		t.Fatal("justified promotions decayed the hint")
 	}
 	if CommittedWord(o, v) != 8 {

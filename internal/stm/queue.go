@@ -51,7 +51,9 @@ type waiter struct {
 	granted  bool // guarded by q.mu
 	aborted  bool // guarded by q.mu
 	ch       chan struct{}
-	q        *lockQueue
+	// q is the queue of the current enqueue incarnation; atomic because the
+	// exact deadlock pass reads it off waiters whose queue it has not locked.
+	q atomic.Pointer[lockQueue]
 	// epoch identifies the enqueue incarnation of this (reused) waiter
 	// object; bumped under q.mu on every enqueue.
 	epoch atomic.Uint64
@@ -59,7 +61,9 @@ type waiter struct {
 	// transactions this waiter waits for, exact at publication time and a
 	// superset of the true dependencies afterwards (new lock holders can
 	// only be former waiters-ahead, which are already included; a
-	// front-inserted upgrader is OR-ed into the waiters behind it).
+	// front-inserted upgrader is OR-ed into the waiters behind it) — except
+	// for overtakers on a promoted site, which the waiter's parkRegrant
+	// tick catches up with (slowAcquire).
 	deps atomic.Uint64
 }
 
@@ -274,9 +278,12 @@ func (d *detector) maybeUninstallLocked(q *lockQueue) {
 // lock word already contains the transaction's bits; the caller records
 // the lock in its logs. site is the contention-profile site of the lock;
 // every outcome of the slow path (enqueue, upgrade duel, deadlock loss,
-// time spent parked) is charged to it. slowAcquire panics with *Aborted
-// if the transaction is chosen as a deadlock victim.
-func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
+// time spent parked) is charged to it. mustQueue forbids the spin phase
+// from writing through a bias marker again (drainWriteThru). The result
+// says whether the grant landed in the lock word or — a read that
+// re-entered a biased word mid-spin — in a bias reader slot. slowAcquire
+// panics with *Aborted if the transaction is chosen as a deadlock victim.
+func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grantVia {
 	rt := tx.rt
 	d := rt.det
 	rt.yield(PointSlowEnter)
@@ -287,8 +294,10 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
 	// handoff. Returning here does not count as contended — the Contended
 	// counter keeps meaning "had to enqueue". Skipped under a harness,
 	// which explores the queue machinery itself.
-	if rt.hooks == nil && tx.spinAcquire(addr, site, write) {
-		return
+	if rt.hooks == nil {
+		if via := tx.spinAcquire(addr, site, write, mustQueue); via != viaNone {
+			return via
+		}
 	}
 
 	var q *lockQueue
@@ -308,7 +317,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
 			nw, ok := grantWord(w, tx, write)
 			if ok {
 				if d.cas(addr, w, nw, PointRecheckCAS) {
-					return
+					return viaWord
 				}
 				tx.chargeCASFail(site)
 				continue
@@ -349,7 +358,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
 				if d.cas(addr, w, nw, PointRecheckCAS) {
 					d.maybeUninstallLocked(q)
 					q.mu.Unlock()
-					return
+					return viaWord
 				}
 				tx.chargeCASFail(site)
 				q.mu.Unlock()
@@ -407,7 +416,8 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
 	tx.requeued = true
 
 	wt := rt.waiterFor(tx)
-	wt.write, wt.upgrader, wt.q = write, upgrader, q
+	wt.write, wt.upgrader = write, upgrader
+	wt.q.Store(q)
 	wt.granted, wt.aborted = false, false
 	wt.epoch.Add(1)
 	if upgrader {
@@ -484,6 +494,15 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
 				q.mu.Lock()
 				if !q.dead && !wt.granted && !wt.aborted {
 					d.grantScanLocked(q)
+					if !wt.granted && !wt.aborted {
+						// Still parked: an overtaker may hold the word now,
+						// and it became a holder without ever being a
+						// waiter-ahead, so no published digest names it. If it
+						// then blocks on a lock we hold, its own pre-check
+						// walks our stale digest and misses the cycle.
+						// Republish; the pre-check is repeated below.
+						wt.deps.Store(q.depsOfLocked(wt))
+					}
 				}
 				q.mu.Unlock()
 			}
@@ -505,7 +524,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
 				// to writers is directly observable.
 				tx.nBiasRevokeWaitNs += uint64(time.Since(revokeStart))
 			}
-			return
+			return viaWord
 		}
 		if aborted {
 			pd := tx.profAt(site)
@@ -522,6 +541,11 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write bool) {
 			tx.selfAbort("aborted while enqueued")
 		}
 		if timerWake {
+			// Neither granted nor aborted, so still enqueued. The exact
+			// confirmation discards a pre-check hit that has gone stale.
+			if d.potentialCycle(wt) {
+				d.resolveDeadlocks(wt, site)
+			}
 			continue // self-service scan did not grant us; re-park
 		}
 		// Injected spurious wake-up (Runtime.InjectSpuriousWake): no
@@ -725,7 +749,7 @@ func (rt *Runtime) wakeQueue(qid int, addr *uint64) {
 func (d *detector) deferGrantLocked(q *lockQueue) bool {
 	rt := d.rt
 	if rt == nil || rt.hooks != nil || len(q.waiters) == 0 ||
-		!rt.promo.shouldPromote(q.site) {
+		rt.sites.policyAt(q.site).promo() == 0 {
 		return false
 	}
 	if q.skips >= grantSkipMax {
@@ -846,7 +870,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 		}
 		d.rt.stats.Deadlocks.Add(1)
 		if victim == wt {
-			q := wt.q
+			q := wt.q.Load()
 			q.mu.Lock()
 			if wt.aborted {
 				// A duel resolved against us concurrently; the aborter
@@ -900,7 +924,7 @@ func (d *detector) exactVictim(wt *waiter) (victim *waiter, vq *lockQueue, epoch
 		if bw == nil {
 			continue
 		}
-		q := bw.q
+		q := bw.q.Load()
 		dup := false
 		for _, have := range qs {
 			if have == q {
@@ -934,11 +958,16 @@ func (d *detector) exactVictim(wt *waiter) (victim *waiter, vq *lockQueue, epoch
 	var deps [MaxTxns]uint64
 	for id := 0; id < MaxTxns; id++ {
 		bw := d.blocked[id].Load()
-		if bw == nil || bw.granted || bw.aborted || !locked(bw.q) {
+		if bw == nil {
+			continue
+		}
+		// Only the queue lock makes the waiter's flags readable.
+		bq := bw.q.Load()
+		if !locked(bq) || bw.granted || bw.aborted {
 			continue
 		}
 		snap[id] = bw
-		deps[id] = bw.q.depsOfLocked(bw)
+		deps[id] = bq.depsOfLocked(bw)
 	}
 	if snap[wt.tx.slot] != wt {
 		return nil, nil, 0 // granted or aborted since the pre-check
@@ -1021,7 +1050,7 @@ func (d *detector) exactVictim(wt *waiter) (victim *waiter, vq *lockQueue, epoch
 		}
 		d.event(ev)
 	}
-	return victim, victim.q, victim.epoch.Load()
+	return victim, victim.q.Load(), victim.epoch.Load()
 }
 
 // cycleMembers returns the blocked transactions on a waits-for cycle

@@ -3,7 +3,7 @@ package stm
 import "sync/atomic"
 
 // Invisible reads: the TL2-style optimistic tier of the four read
-// modes (see invis.go for mode selection). A visible reader — holder
+// modes (see site.go for mode selection). A visible reader — holder
 // bit or bias slot — stores something shared per first access; an
 // invisible reader stores nothing. Instead it records (lock word,
 // observed version) in a private read-set and the commit proves the
@@ -129,30 +129,28 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 	return true
 }
 
-// readSetValid reports whether every invisible read still holds: its
-// recorded version is current and no other transaction holds the word
-// in write mode (an eager writer's value may already be in memory
-// before its stamp). A word this transaction itself write-locked — an
-// upgrade from an invisible read — passes the lock check but must
-// still pass the version check: a foreign commit between the invisible
-// read and the upgrade is exactly the lost-update window.
+// firstInvalid returns the first invisible read that no longer holds, or
+// nil: an entry holds while its recorded version is current and no other
+// transaction holds the word in write mode (an eager writer's value may
+// already be in memory before its stamp). A word this transaction itself
+// write-locked — an upgrade from an invisible read — passes the lock
+// check but must still pass the version check: a foreign commit between
+// the invisible read and the upgrade is exactly the lost-update window.
 //
 // Per entry the lock word is loaded before the version: writers stamp
 // before clearing, so "no writer AND version unchanged" in that order
 // proves no commit landed since the read (a commit racing the two
 // loads flips the version first).
-func (tx *Tx) readSetValid() bool {
+func (tx *Tx) firstInvalid() *invisRead {
 	for i := range tx.readSet {
 		e := &tx.readSet[i]
 		w := atomic.LoadUint64(&e.slab.words[e.lockID])
-		if wordIsWrite(w) && w&tx.mask == 0 {
-			return false
-		}
-		if atomic.LoadUint64(&(*e.slab.vers.Load())[e.lockID]) != e.v {
-			return false
+		if (wordIsWrite(w) && w&tx.mask == 0) ||
+			atomic.LoadUint64(&(*e.slab.vers.Load())[e.lockID]) != e.v {
+			return e
 		}
 	}
-	return true
+	return nil
 }
 
 // extendSnapshot re-snapshots the clock and revalidates the read-set
@@ -160,7 +158,7 @@ func (tx *Tx) readSetValid() bool {
 // advances and the triggering read may proceed.
 func (tx *Tx) extendSnapshot() bool {
 	now := tx.rt.vc.now()
-	if !tx.readSetValid() {
+	if tx.firstInvalid() != nil {
 		return false
 	}
 	tx.rv = now
@@ -176,13 +174,8 @@ func (tx *Tx) extendSnapshot() bool {
 //go:noinline
 func (tx *Tx) validateReads() {
 	tx.rt.yield(PointValidate)
-	for i := range tx.readSet {
-		e := &tx.readSet[i]
-		w := atomic.LoadUint64(&e.slab.words[e.lockID])
-		if (wordIsWrite(w) && w&tx.mask == 0) ||
-			atomic.LoadUint64(&(*e.slab.vers.Load())[e.lockID]) != e.v {
-			tx.invisAbort(e.site)
-		}
+	if e := tx.firstInvalid(); e != nil {
+		tx.invisAbort(e.site)
 	}
 }
 
@@ -195,13 +188,13 @@ func (tx *Tx) validateReads() {
 func (tx *Tx) invisAbort(site int32) {
 	tx.nValidationAborts++
 	rt := tx.rt
-	rt.invis.crush(site)
+	rt.noteSite(site, siteValidationAbort)
 	if tx.slot >= 0 {
 		tx.profAt(site).validationAborts++
 	} else {
 		// A read-only invisible section never leased a slot, so it has
 		// no buffered profile deltas; charge the aggregate directly.
-		rt.profile.counters(site).validationAborts.Add(1)
+		rt.sites.at(site).validationAborts.Add(1)
 	}
 	if rt.wantsEvent(EvValidationAbort) {
 		rt.event(Event{Kind: EvValidationAbort, TxID: tx.vid, Ticket: tx.ticket})
@@ -219,7 +212,7 @@ func (tx *Tx) chargeInvisRead(site int32) {
 	if tx.slot >= 0 {
 		tx.profAt(site).invisReads += uint32(n)
 	} else {
-		tx.rt.profile.counters(site).invisReads.Add(n)
+		tx.rt.sites.at(site).invisReads.Add(n)
 	}
 }
 

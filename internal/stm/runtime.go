@@ -46,22 +46,17 @@ type Runtime struct {
 	// hooks, when non-nil, routes slow-path decision points to a
 	// schedule-exploration harness (internal/sched). nil in production.
 	hooks Hooks
-	// profile aggregates per-lock-site contention counters, fed by
-	// per-transaction delta buffers at Commit/Reset (profile.go).
-	profile Profile
-	// promo is the per-site write-intent promotion hint table (promo.go):
-	// duel losses boost a site's score, and while it is positive lockFor
-	// acquires reads there in write mode up front.
-	promo promoTable
-	// bias is the per-site read-bias state (bias.go): the score table
-	// classifying read-hot sites and the distributed reader-slot lines
-	// biased readers publish visibility through.
+	// sites is the per-lock-site table (site.go): each cell holds the
+	// site's policy word — which of the four read modes serves it, and
+	// the scores behind that choice — and its contention counters, fed
+	// by per-transaction delta buffers at Commit/Reset (profile.go).
+	sites siteTable
+	// bias holds the distributed reader-slot lines biased readers
+	// publish visibility through (bias.go).
 	bias biasTable
-	// invis is the per-site invisible-read score table (invis.go), and
-	// vc the global version clock its commit-time validation is anchored
-	// to (clock.go, readset.go).
-	invis invisTable
-	vc    versionClock
+	// vc is the global version clock commit-time validation of invisible
+	// reads is anchored to (clock.go, readset.go).
+	vc versionClock
 	// profMask gates the sampled per-site acquire counter: a lock acquire
 	// is charged to its site when (nAcq+ticket)&profMask == 0.
 	profMask uint64
@@ -173,7 +168,6 @@ func NewRuntimeOpts(opts Options) *Runtime {
 	rt.profMask = uint64(pow - 1)
 	rt.slots.rt = rt
 	rt.det.rt = rt
-	rt.invis.rt = rt
 	rt.vc.init()
 	if opts.DebugLog != nil {
 		rt.debug = &debugLog{w: opts.DebugLog}
@@ -191,7 +185,7 @@ func (rt *Runtime) MaxConcurrentTxns() int { return rt.maxSlots }
 func (rt *Runtime) Stats() *Stats { return &rt.stats }
 
 // Profile returns the runtime's per-lock-site contention profile.
-func (rt *Runtime) Profile() *Profile { return &rt.profile }
+func (rt *Runtime) Profile() *Profile { return (*Profile)(&rt.sites) }
 
 // Recorder returns the protocol-event flight recorder, or nil when it
 // was disabled with Options.RecorderSize < 0.

@@ -18,15 +18,10 @@ type Stats struct {
 	Acquire    atomic.Uint64 // lock acquire+release pairs (incl. upgrades)
 
 	// Synchronization issues (Table 9).
-	Commits   atomic.Uint64
-	Aborts    atomic.Uint64
-	Contended atomic.Uint64 // acquisitions that had to enqueue
-	CASFail   atomic.Uint64 // failed lock-word CAS attempts
-	// IDWaits/IDWaitNs are retained for exporter compatibility but are
-	// always 0 since identity was virtualized: Begin no longer blocks
-	// on a bounded pool. Slot pressure shows up as SlotWaits/SlotWaitNs.
-	IDWaits    atomic.Uint64 // legacy: Begin waits on the old bounded ID pool (always 0)
-	IDWaitNs   atomic.Uint64 // legacy: nanoseconds Begin spent waiting for an ID (always 0)
+	Commits    atomic.Uint64
+	Aborts     atomic.Uint64
+	Contended  atomic.Uint64 // acquisitions that had to enqueue
+	CASFail    atomic.Uint64 // failed lock-word CAS attempts
 	SlotWaits  atomic.Uint64 // sections that parked in the slot pool's overflow tier
 	SlotWaitNs atomic.Uint64 // total nanoseconds sections spent parked for a lock-word slot
 	Deadlocks  atomic.Uint64 // deadlock cycles resolved
@@ -49,10 +44,10 @@ type Stats struct {
 	BiasWriteThrus   atomic.Uint64 // writes that went through the bias (W beside the marker, no revocation)
 	BiasRevokeWaitNs atomic.Uint64 // total nanoseconds writers spent draining biased readers (exact)
 
-	// Invisible reads (invis.go, readset.go).
+	// Invisible reads (site.go, readset.go).
 	InvisReads       atomic.Uint64 // reads served invisibly (no shared store at all)
 	ValidationAborts atomic.Uint64 // commit-time read-set validation failures
-	ModeFlips        atomic.Uint64 // per-site invisible-mode threshold crossings (either direction)
+	ModeFlips        atomic.Uint64 // per-site invisible-mode threshold crossings (either direction; exact)
 
 	// Compiler-directed fast paths (batch.go, the instrument passes).
 	// BatchAcquires and BatchWords flush together as one packed atomic
@@ -98,7 +93,7 @@ func (s *Stats) spillBatchPacked() {
 type StatsSnapshot struct {
 	Init, CheckNew, CheckOwned, Acquire     uint64
 	Commits, Aborts, Contended, CASFail     uint64
-	IDWaits, IDWaitNs, Deadlocks, InevWaits uint64
+	Deadlocks, InevWaits                    uint64
 	SlotWaits, SlotWaitNs                   uint64
 	SpuriousWakes                           uint64
 	Promotions, PromoWasted, DuelLosses     uint64
@@ -126,8 +121,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Aborts:           s.Aborts.Load(),
 		Contended:        s.Contended.Load(),
 		CASFail:          s.CASFail.Load(),
-		IDWaits:          s.IDWaits.Load(),
-		IDWaitNs:         s.IDWaitNs.Load(),
 		SlotWaits:        s.SlotWaits.Load(),
 		SlotWaitNs:       s.SlotWaitNs.Load(),
 		Deadlocks:        s.Deadlocks.Load(),
@@ -168,8 +161,6 @@ func (s *Stats) Reset() {
 	s.Aborts.Store(0)
 	s.Contended.Store(0)
 	s.CASFail.Store(0)
-	s.IDWaits.Store(0)
-	s.IDWaitNs.Store(0)
 	s.SlotWaits.Store(0)
 	s.SlotWaitNs.Store(0)
 	s.Deadlocks.Store(0)
@@ -212,8 +203,6 @@ func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 		Aborts:           s.Aborts - prev.Aborts,
 		Contended:        s.Contended - prev.Contended,
 		CASFail:          s.CASFail - prev.CASFail,
-		IDWaits:          s.IDWaits - prev.IDWaits,
-		IDWaitNs:         s.IDWaitNs - prev.IDWaitNs,
 		SlotWaits:        s.SlotWaits - prev.SlotWaits,
 		SlotWaitNs:       s.SlotWaitNs - prev.SlotWaitNs,
 		Deadlocks:        s.Deadlocks - prev.Deadlocks,

@@ -106,19 +106,6 @@ type Tx struct {
 	// (promo.go). Deliberately not reset across Begin: the signal is
 	// about the worker's recent history, which transaction reuse tracks.
 	requeued bool
-	// biasDrainFailed is set while lockFor retries a write whose
-	// write-through drain timed out: the retry must go through the queue
-	// (revocation) to become deadlock-detector-visible, so spinAcquire
-	// must not write through the marker again. Cleared when the retry
-	// resolves; a stale true after an abort unwind only skips one
-	// write-through attempt, it cannot affect correctness.
-	biasDrainFailed bool
-	// spinBiased is set by spinAcquire when a read was granted through
-	// the bias slots mid-spin (tryBiasRead) rather than through the lock
-	// word: lockFor must then skip the lock-log append — the read is in
-	// biasLog and releaseBias owns its release. Consumed immediately
-	// after slowAcquire returns.
-	spinBiased bool
 	// readSet records the invisible reads of the current attempt
 	// (readset.go): words read with no shared store at all, revalidated
 	// by Commit before anything irreversible happens. rv is the read
@@ -304,21 +291,26 @@ func (tx *Tx) ensureSlab(o *Object) *lockSlab {
 // lockFor implements the locking operation of paper Figure 5 for the lock
 // slot lockID of object o. The caller has already established that o is
 // not new (locks != nil), not thread-local, and that the field is not
-// final. site is the contention-profile site of the lock (profile.go).
-// When write is true the current value of the slot is captured in the
-// undo log at acquisition time.
+// final. site is the lock's site (profile.go). When write is true the
+// current value of the slot is captured in the undo log at acquisition
+// time.
+//
+// lockFor is a dispatcher. Steps (2) and (3) are answered here from the
+// lock word. A fresh read — the word is in none of our sets — loads the
+// site's policy word once (site.go) and goes to the function of the mode
+// it decodes to: tryInvisRead (readset.go), tryBiasRead (bias.go), or,
+// like every write and every fallback, step (4) in acquireWord.
 func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, write bool) {
 	slab := tx.ensureSlab(o)
 	addr := &slab.words[lockID]
 
 	w := atomic.LoadUint64(addr)
-	// mask is 0 while no slot is leased, so both ownership tests below
-	// are safely false for a section that has not acquired anything yet.
+	// mask is 0 while no slot is leased, so the ownership test is safely
+	// false for a section that has not acquired anything yet.
 	owned := w&tx.mask != 0
-	// fresh: the word is in none of our sets — only then may the read
-	// be redirected to the promotion or bias modes below.
-	fresh := !owned
-	if owned {
+	mode := ModeVisible
+	switch {
+	case owned:
 		// Step (3): already in our read or write set.
 		if !write || wordIsWrite(w) {
 			tx.nCheckOwned++
@@ -330,7 +322,7 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 			return
 		}
 		// Read held, write needed: upgrade.
-	} else if len(tx.biasLog) != 0 && tx.hasBiasedRead(addr) {
+	case len(tx.biasLog) != 0 && tx.hasBiasedRead(addr):
 		// Already a visible reader through the bias slots.
 		if !write {
 			tx.nCheckOwned++
@@ -342,79 +334,42 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 		// own slot, so the common case writes through the marker below,
 		// and the fallback enqueues this transaction as an upgrader —
 		// front of queue, U flag, structural duel detection.
-		fresh = false
-	} else if !write && kind == slotWord && tx.rt.invis.shouldRead(site) &&
-		tx.tryInvisRead(o, slot, slab, lockID, site) {
-		// Invisible-read site: nothing published anywhere — the value is
-		// parked for the accessor, the (word, version) pair joins the
-		// read-set, and Commit revalidates (readset.go). Reached before
-		// ensureSlot: a read-only invisible section leases no slot.
-		return
+	case !write:
+		pol := tx.rt.sites.policyAt(site)
+		mode = pol.mode(kind == slotWord)
+		if mode == ModeInvisible {
+			if tx.tryInvisRead(o, slot, slab, lockID, site) {
+				// Nothing published anywhere — the value is parked for the
+				// accessor, the (word, version) pair joins the read-set,
+				// and Commit revalidates. Reached before ensureSlot: a
+				// read-only invisible section leases no slot.
+				return
+			}
+			mode = pol.mode(false)
+		}
 	}
 	// From here on the acquisition touches the lock word (or the bias
 	// slots), which needs the bounded slot lease.
 	tx.ensureSlot()
-	if fresh && !write {
-		if tx.rt.promo.shouldPromote(site) {
-			// Adaptive write-intent promotion: this site's reads keep
-			// upgrading and losing duels, so acquire in write mode up
-			// front. Strictly stronger than the requested read lock —
-			// always safe.
-			write = true
-			tx.notePromoted(addr, site)
-		} else if tx.rt.bias.shouldBias(site) && tx.tryBiasRead(addr, site) {
-			// Read-biased site: visibility is published through the reader
-			// slots — no shared CAS, no lock log entry; releaseBias clears
-			// the slot at commit.
+	switch mode {
+	case ModePromoted:
+		// This site's reads keep upgrading and losing duels, so acquire
+		// in write mode up front. Strictly stronger than the requested
+		// read lock — always safe.
+		write = true
+		tx.notePromoted(addr, site)
+	case ModeBiased:
+		if tx.tryBiasRead(addr, site) {
+			// Visibility is published through the reader slots — no shared
+			// CAS, no lock log entry; releaseBias clears the slot at commit.
 			return
 		}
 	}
-	// Step (4): try to lock, else enqueue. An installed queue normally
-	// forces the slow path, but a promoted site under bounded overtaking
-	// (promo.go) may CAS past it; the short-circuit keeps the overtake
-	// check (an atomic load) off the word's uncontended path. A biased
-	// word admits reads through the shared CAS always, and writes in
-	// production — the write-through of bias.go: W lands beside the
-	// marker and the drain wait below takes care of the published
-	// reader slots. A harness run keeps writers on the revocation path,
-	// which is the machinery schedules should explore.
-	tx.rt.yield(PointFastCAS)
-	acquired := false
-	if wordQueueID(w) == 0 || (wordIsBiased(w) && (!write || tx.rt.hooks == nil)) ||
-		tx.overtakeOK(site) {
-		if nw, ok := grantWord(w, tx, write); ok {
-			if tx.rt.casWord(addr, w, nw, PointFastCAS) {
-				acquired = true
-			} else {
-				tx.chargeCASFail(site)
-			}
-		}
-	}
-	if !acquired {
-		tx.slowAcquire(addr, site, write) // blocks; panics with *Aborted on defeat
-		if tx.spinBiased {
-			// The spin phase published the read through the bias slots
-			// instead of the lock word: biasLog owns it, no lock-log entry.
-			tx.spinBiased = false
-			return
-		}
+	if tx.acquireWord(addr, w, site, write) == viaSlot {
+		return // biasLog owns the read; no lock-log entry
 	}
 	if write && tx.rt.bias.everAny.Load() {
-		for wordIsBiased(atomic.LoadUint64(addr)) && !tx.biasWriteDrain(addr) {
-			// Write-through drain budget exhausted: some reader slot is
-			// not clearing, so its holder is likely blocked — possibly on
-			// a lock this transaction holds. Retract the write and take
-			// the queue path, which folds the slot holders into the
-			// published digest and makes the cycle visible to the
-			// deadlock detector. biasDrainFailed keeps the retry's spin
-			// phase from writing through the marker again (spinAcquire) —
-			// without it the retry could re-enter this loop forever and
-			// never reach the detector.
-			tx.biasWriteRetract(addr, owned)
-			tx.biasDrainFailed = true
-			tx.slowAcquire(addr, site, write)
-		}
-		tx.biasDrainFailed = false
+		tx.drainWriteThru(addr, site, owned)
 	}
 	tx.nAcq++
 	// The per-site acquire count is sampled 1-in-(profMask+1): the ticket
@@ -422,13 +377,7 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 	// contribute in aggregate even though any single one usually skips.
 	// All other site counters are slow-path-only and stay exact.
 	if (tx.nAcq+tx.ticket)&tx.rt.profMask == 0 {
-		tx.chargeAcquire(site)
-		tx.noteBiasSample(site, write)
-		if kind == slotWord {
-			// Only word sites can ever read invisibly (readset.go), so
-			// only they train an invisible score.
-			tx.noteInvisSample(site, write)
-		}
+		tx.noteSample(site, kind, write)
 	}
 	if !owned {
 		// An upgrade keeps its original log entry: the word was already
@@ -439,6 +388,52 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 	if write {
 		tx.captureUndo(o, slot, kind)
 	}
+}
+
+// acquireWord is step (4) of Figure 5: try to lock with one CAS on the
+// word w was loaded from, else take the slow path (spin, enqueue, block;
+// panics with *Aborted on defeat). An installed queue normally forces the
+// slow path, but a promoted site under bounded overtaking (promo.go) may
+// CAS past it — only writes ask, because the dispatcher turned every
+// fresh read of a promoted site into one, and the short-circuit keeps the
+// policy load off the word's uncontended path. A biased word admits reads
+// through the shared CAS always, and writes in production — the
+// write-through of bias.go: W lands beside the marker and drainWriteThru
+// takes care of the published reader slots. A harness run keeps writers
+// on the revocation path, which is the machinery schedules should
+// explore.
+func (tx *Tx) acquireWord(addr *uint64, w uint64, site int32, write bool) grantVia {
+	tx.rt.yield(PointFastCAS)
+	if wordQueueID(w) == 0 || (wordIsBiased(w) && (!write || tx.rt.hooks == nil)) ||
+		(write && tx.overtakeOK(site)) {
+		if nw, ok := grantWord(w, tx, write); ok {
+			if tx.rt.casWord(addr, w, nw, PointFastCAS) {
+				return viaWord
+			}
+			tx.chargeCASFail(site)
+		}
+	}
+	return tx.slowAcquire(addr, site, write, false)
+}
+
+// noteSample charges one sampled lock-word acquisition to the site's
+// counters and feeds it to the policy word as evidence: reads are
+// read-hot evidence, writes decay the read-side scores. Out of line —
+// the lockFor fast path pays only the sampling branch.
+//
+//go:noinline
+func (tx *Tx) noteSample(site int32, kind slotKind, write bool) {
+	tx.chargeAcquire(site)
+	ev := siteRead
+	switch {
+	case write && kind == slotWord:
+		ev = siteWriteWord
+	case write:
+		ev = siteWrite
+	case kind == slotWord:
+		ev = siteReadWord
+	}
+	tx.rt.noteSite(site, ev)
 }
 
 // captureUndo records the pre-write value of a slot.
