@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-snapshot bench-compare tables examples clean ci fmt-check stress serve-smoke ablation ablation-golden
+.PHONY: all build vet test race bench bench-compare tables examples clean ci fmt-check stress serve-smoke ablation ablation-golden
 
 all: build vet test
 
@@ -41,20 +41,6 @@ stress:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark snapshots of today's tree, written under
-# results/: the committed BENCH_*.json files are history and are never
-# rewritten. One run of the multi-thread scalability suite against the
-# latest committed snapshot, and one open-loop serving sweep (sbd-load
-# boots a real sbd-serve over TCP and sweeps arrival rates, recording
-# achieved throughput and latency percentiles per cell). CI runs this
-# non-gating and uploads both files.
-bench-snapshot: bin/sbd-serve bin/sbd-load
-	mkdir -p results
-	$(GO) run ./cmd/sbd-bench -scalability -ops=20000 \
-		-baseline=BENCH_10.json -json=results/bench-scalability.json
-	./bin/sbd-load -spawn=bin/sbd-serve -seed=1 -conns=64 \
-		-rates=300,900,1800 -duration=3s -json=results/bench-serving.json
-
 bin/sbd-serve: FORCE
 	@mkdir -p bin
 	$(GO) build -o $@ ./cmd/sbd-serve
@@ -76,13 +62,13 @@ serve-smoke: bin/sbd-serve bin/sbd-load
 	./bin/sbd-load -spawn=bin/sbd-serve -seed=1 -conns=32 \
 		-rates=400 -duration=5s -zipf=1 -smoke
 
-# Compare head benchmarks against a base git ref (default main),
-# benchstat-style via the stdlib-only cmd/sbd-benchcmp. Informational
-# except for the uncontended fast path (Table6AcqRls*), which fails the
-# target when it regresses more than 5%.
+# Compare the uncontended fast path (Table6AcqRls*) at head against a
+# base git ref (default main), benchstat-style via the stdlib-only
+# cmd/sbd-benchcmp; the target fails when it regresses more than 5%.
+# Everything else is measured by `bash benchmark/run.sh`.
 BENCH_BASE    ?= main
-BENCH_PATTERN ?= BenchmarkTable6AcqRls|BenchmarkScalability
-BENCH_COUNT   ?= 3
+BENCH_PATTERN ?= BenchmarkTable6AcqRls
+BENCH_COUNT   ?= 10
 BENCH_TIME    ?= 0.5s
 # The base worktree is removed by a shell EXIT trap so a benchmark
 # failure (or ^C) mid-target cannot leave a stale .benchcmp-base behind
@@ -131,6 +117,8 @@ examples:
 	$(GO) run ./examples/transfer
 	$(GO) run ./examples/pingpong
 
+# Only what this Makefile generates and git ignores: results/ holds
+# committed tables.
 clean:
-	rm -rf results bin test_output.txt bench_output.txt stress-failure.txt \
-		bench-base.txt bench-head.txt .benchcmp-base
+	rm -rf bin .bench_build .benchcmp-base stress-failure.txt \
+		bench-base.txt bench-head.txt bench-compare.txt

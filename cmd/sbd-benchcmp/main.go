@@ -23,10 +23,10 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"regexp"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,30 +40,15 @@ type sample struct {
 
 func (s sample) mean() float64 { return s.sum / float64(s.n) }
 
-// waitUnits are the slot-lease / transaction-ID wait, invisible-read,
-// and compiler-fast-path counters some benchmarks report via
-// b.ReportMetric. Their deltas are printed as extra rows, informational
-// only — counters are too workload-shaped to gate on, but a slot-wait
-// count appearing where there was none flags a concurrency-ceiling
-// change, a validation abort count swelling flags misplaced optimism,
-// and a batch or intent count collapsing flags a compiler pass that
-// silently stopped firing, none of which an ns/op column would show.
-var waitUnits = []string{
-	"slotwaits/run", "invisreads/run", "valaborts/run",
-	"batches/run", "batchwords/run", "intenthints/run",
-}
-
 // parseFile extracts "Benchmark<Name>[-P] <iters> <value> ns/op ..."
-// lines. Repetitions of the same name accumulate. The second map holds
-// the wait-counter metrics, keyed "<name> <unit>".
-func parseFile(path string) (map[string]sample, map[string]sample, error) {
+// lines. Repetitions of the same name accumulate.
+func parseFile(path string) (map[string]sample, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	out := map[string]sample{}
-	waits := map[string]sample{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -72,56 +57,18 @@ func parseFile(path string) (map[string]sample, map[string]sample, error) {
 			continue
 		}
 		name := strings.TrimPrefix(fields[0], "Benchmark")
-		// Walk the value/unit pairs; custom -benchtime metrics may precede
-		// or follow ns/op.
+		// Walk the value/unit pairs; custom b.ReportMetric metrics may
+		// precede or follow ns/op.
 		for i := 2; i+1 < len(fields); i++ {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch unit := fields[i+1]; {
-			case unit == "ns/op":
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil && fields[i+1] == "ns/op" {
 				s := out[name]
 				s.sum += v
 				s.n++
 				out[name] = s
-			case slices.Contains(waitUnits, unit):
-				key := name + " " + unit
-				s := waits[key]
-				s.sum += v
-				s.n++
-				waits[key] = s
 			}
 		}
 	}
-	return out, waits, sc.Err()
-}
-
-// waitRows renders the wait-counter comparisons, new file's key order.
-func waitRows(old, cur map[string]sample) []row {
-	keys := make([]string, 0, len(cur))
-	for key := range cur {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	var rows []row
-	for _, key := range keys {
-		ns := cur[key]
-		r := row{name: key, oldNs: "-", newNs: fmt.Sprintf("%.1f", ns.mean()), delta: "new"}
-		if os_, ok := old[key]; ok {
-			r.oldNs = fmt.Sprintf("%.1f", os_.mean())
-			switch {
-			case os_.mean() != 0:
-				r.delta = fmt.Sprintf("%+.1f%%", (ns.mean()-os_.mean())/os_.mean()*100)
-			case ns.mean() == 0:
-				r.delta = "+0.0%"
-			default:
-				r.delta = "was 0"
-			}
-		}
-		rows = append(rows, r)
-	}
-	return rows
+	return out, sc.Err()
 }
 
 // row is one rendered comparison line.
@@ -133,108 +80,37 @@ type row struct {
 	mark  string
 }
 
-// threadsRe matches one cell of a thread-scaling benchmark family:
-// "<family>/threads=<N>" plus the -GOMAXPROCS suffix go test appends.
-var threadsRe = regexp.MustCompile(`^(.+)/threads=(\d+)(-\d+)?$`)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// scalingRows derives a per-family scaling ratio — throughput at the
-// highest thread count over throughput at the lowest (ns/op is inverse
-// throughput, so the ratio is ns/op@min ÷ ns/op@max) — for every
-// benchmark family with cells at two or more thread counts. A mix whose
-// absolute numbers move with runner noise tends to keep its shape, so a
-// drop here is a scaling regression even when every delta column is
-// green; the rows are informational and never gated.
-func scalingRows(old, cur map[string]sample) []row {
-	type cells struct{ minT, maxT int }
-	fams := map[string]*cells{}
-	at := func(m map[string]sample, fam string, t int) (float64, bool) {
-		for name, s := range m {
-			if sub := threadsRe.FindStringSubmatch(name); sub != nil && sub[1] == fam {
-				if n, _ := strconv.Atoi(sub[2]); n == t {
-					return s.mean(), true
-				}
-			}
-		}
-		return 0, false
+// run is main with its streams and exit status as values: 0 on success,
+// 1 on a gated regression, 2 on a usage or input error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sbd-benchcmp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	gate := fs.String("gate", "Table6AcqRls", "regexp of benchmark names whose regression fails the run")
+	threshold := fs.Float64("threshold", 5, "gated regression threshold in percent")
+	markdown := fs.Bool("markdown", false, "render as a GitHub-flavored markdown table")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	for name := range cur {
-		sub := threadsRe.FindStringSubmatch(name)
-		if sub == nil {
-			continue
-		}
-		t, _ := strconv.Atoi(sub[2])
-		c := fams[sub[1]]
-		if c == nil {
-			c = &cells{minT: t, maxT: t}
-			fams[sub[1]] = c
-		}
-		if t < c.minT {
-			c.minT = t
-		}
-		if t > c.maxT {
-			c.maxT = t
-		}
-	}
-	names := make([]string, 0, len(fams))
-	for fam := range fams {
-		names = append(names, fam)
-	}
-	sort.Strings(names)
-	var rows []row
-	for _, fam := range names {
-		c := fams[fam]
-		if c.minT == c.maxT {
-			continue
-		}
-		ratio := func(m map[string]sample) (float64, bool) {
-			lo, okLo := at(m, fam, c.minT)
-			hi, okHi := at(m, fam, c.maxT)
-			if !okLo || !okHi || hi == 0 {
-				return 0, false
-			}
-			return lo / hi, true
-		}
-		label := fmt.Sprintf("%s scaling @%d/@%d", fam, c.maxT, c.minT)
-		oldR, okOld := ratio(old)
-		newR, okNew := ratio(cur)
-		r := row{name: label, oldNs: "-", newNs: "-", delta: "-"}
-		if okOld {
-			r.oldNs = fmt.Sprintf("%.2fx", oldR)
-		}
-		if okNew {
-			r.newNs = fmt.Sprintf("%.2fx", newR)
-		}
-		if okOld && okNew && oldR > 0 {
-			r.delta = fmt.Sprintf("%+.1f%%", (newR-oldR)/oldR*100)
-		}
-		rows = append(rows, r)
-	}
-	return rows
-}
-
-func main() {
-	gate := flag.String("gate", "Table6AcqRls", "regexp of benchmark names whose regression fails the run")
-	threshold := flag.Float64("threshold", 5, "gated regression threshold in percent")
-	markdown := flag.Bool("markdown", false, "render as a GitHub-flavored markdown table")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: sbd-benchcmp [-gate regexp] [-threshold pct] [-markdown] old.txt new.txt")
-		os.Exit(2)
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: sbd-benchcmp [-gate regexp] [-threshold pct] [-markdown] old.txt new.txt")
+		return 2
 	}
 	gateRe, err := regexp.Compile(*gate)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sbd-benchcmp: bad -gate:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "sbd-benchcmp: bad -gate:", err)
+		return 2
 	}
-	old, oldWaits, err := parseFile(flag.Arg(0))
+	old, err := parseFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sbd-benchcmp:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "sbd-benchcmp:", err)
+		return 2
 	}
-	cur, curWaits, err := parseFile(flag.Arg(1))
+	cur, err := parseFile(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sbd-benchcmp:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "sbd-benchcmp:", err)
+		return 2
 	}
 
 	names := make([]string, 0, len(cur))
@@ -290,14 +166,12 @@ func main() {
 		gm := (math.Exp(logSum/float64(logN)) - 1) * 100
 		rows = append(rows, row{name: "geomean", oldNs: "", newNs: "", delta: fmt.Sprintf("%+.1f%%", gm)})
 	}
-	rows = append(rows, scalingRows(old, cur)...)
-	rows = append(rows, waitRows(oldWaits, curWaits)...)
 
 	if *markdown {
-		fmt.Println("| name | old ns/op | new ns/op | delta | |")
-		fmt.Println("|---|---:|---:|---:|---|")
+		fmt.Fprintln(stdout, "| name | old ns/op | new ns/op | delta | |")
+		fmt.Fprintln(stdout, "|---|---:|---:|---:|---|")
 		for _, r := range rows {
-			fmt.Printf("| %s | %s | %s | %s | %s |\n", r.name, r.oldNs, r.newNs, r.delta, r.mark)
+			fmt.Fprintf(stdout, "| %s | %s | %s | %s | %s |\n", r.name, r.oldNs, r.newNs, r.delta, r.mark)
 		}
 	} else {
 		w := len("name")
@@ -306,21 +180,22 @@ func main() {
 				w = len(r.name)
 			}
 		}
-		fmt.Printf("%-*s  %12s  %12s  %8s\n", w, "name", "old ns/op", "new ns/op", "delta")
+		fmt.Fprintf(stdout, "%-*s  %12s  %12s  %8s\n", w, "name", "old ns/op", "new ns/op", "delta")
 		for _, r := range rows {
 			mark := r.mark
 			if mark != "" {
 				mark = "  " + mark
 			}
-			fmt.Printf("%-*s  %12s  %12s  %8s%s\n", w, r.name, r.oldNs, r.newNs, r.delta, mark)
+			fmt.Fprintf(stdout, "%-*s  %12s  %12s  %8s%s\n", w, r.name, r.oldNs, r.newNs, r.delta, mark)
 		}
 	}
 
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "\nsbd-benchcmp: fast-path regression over %.1f%%:\n", *threshold)
+		fmt.Fprintf(stderr, "\nsbd-benchcmp: fast-path regression over %.1f%%:\n", *threshold)
 		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "  "+f)
+			fmt.Fprintln(stderr, "  "+f)
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -10,10 +10,9 @@
 // Each -rates cell runs for -duration, records per-request latency into
 // an HDR-style histogram, scrapes the server's /stats JSON before and
 // after (runtime counters: aborts, contention, slot-lease waits, bias),
-// and reports p50/p99/p999/max, achieved txns/s, and error counts. -json
-// writes the cells as a BENCH_6-style snapshot in the sbd-bench
-// before/after schema (-baseline embeds an earlier snapshot as the
-// "before" half, and such files load back into sbd-bench -baseline).
+// and reports p50/p99/p999/max, achieved txns/s, and error counts.
+// Recorded, repeatable serving numbers come from benchmark/ (bash
+// benchmark/run.sh --workload serve-mixed), not from this tool.
 //
 // -spawn boots a sbd-serve binary first, drives it, then SIGTERMs it
 // and verifies the drain was clean; with -smoke the whole run becomes a
@@ -41,6 +40,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/loadgen"
 	"repro/internal/minihttp"
+	"repro/internal/stm"
 )
 
 var (
@@ -55,37 +55,13 @@ var (
 	zipfS     = flag.Float64("zipf", 1.2, "Zipfian item-skew exponent (<=1 uniform)")
 	items     = flag.Int("items", 24, "catalog size (must match the server)")
 	mixFlag   = flag.String("mix", "70,20,10", "browse,add,checkout weights")
-	jsonOut   = flag.String("json", "", "write a BENCH_6-style snapshot to this file")
-	baseline  = flag.String("baseline", "", "earlier snapshot to embed as the 'before' half of -json")
 	smoke     = flag.Bool("smoke", false, "fail on any error, non-2xx, empty histogram, or unclean shutdown")
 )
 
-// statsSnap is the subset of stm.StatsSnapshot sbd-load diffs across a
-// cell (decoded from the obs /stats JSON endpoint).
-type statsSnap struct {
-	Commits, Aborts, Contended, CASFail     uint64
-	SlotWaits, SlotWaitNs                   uint64
-	Deadlocks, Promotions                   uint64
-	BiasGrants, BiasRevokes, BiasWriteThrus uint64
-	InvisReads, ValidationAborts, ModeFlips uint64
-}
-
-func (a statsSnap) sub(b statsSnap) statsSnap {
-	return statsSnap{
-		Commits: a.Commits - b.Commits, Aborts: a.Aborts - b.Aborts,
-		Contended: a.Contended - b.Contended, CASFail: a.CASFail - b.CASFail,
-		SlotWaits: a.SlotWaits - b.SlotWaits, SlotWaitNs: a.SlotWaitNs - b.SlotWaitNs,
-		Deadlocks: a.Deadlocks - b.Deadlocks, Promotions: a.Promotions - b.Promotions,
-		BiasGrants: a.BiasGrants - b.BiasGrants, BiasRevokes: a.BiasRevokes - b.BiasRevokes,
-		BiasWriteThrus:   a.BiasWriteThrus - b.BiasWriteThrus,
-		InvisReads:       a.InvisReads - b.InvisReads,
-		ValidationAborts: a.ValidationAborts - b.ValidationAborts,
-		ModeFlips:        a.ModeFlips - b.ModeFlips,
-	}
-}
-
-func scrapeStats(addr string) (statsSnap, error) {
-	var s statsSnap
+// scrapeStats decodes the obs /stats JSON endpoint, whose keys are the
+// exported fields of stm.StatsSnapshot.
+func scrapeStats(addr string) (stm.StatsSnapshot, error) {
+	var s stm.StatsSnapshot
 	if addr == "" {
 		return s, nil
 	}
@@ -99,66 +75,6 @@ func scrapeStats(addr string) (statsSnap, error) {
 		return s, err
 	}
 	return s, json.Unmarshal(data, &s)
-}
-
-// JSON snapshot schema: the sbd-bench scalability before/after shape
-// with serving-only extras (latency percentiles, offered rate, errors).
-type jsonCell struct {
-	Mix            string  `json:"mix"`
-	Threads        int     `json:"threads"` // connections
-	Ops            uint64  `json:"ops"`
-	ElapsedNs      int64   `json:"elapsed_ns"`
-	TxnsPerSec     float64 `json:"txns_per_sec"`
-	Aborts         uint64  `json:"aborts"`
-	Contended      uint64  `json:"contended"`
-	CASFails       uint64  `json:"cas_fails"`
-	Deadlocks      uint64  `json:"deadlocks"`
-	SlotWaits      uint64  `json:"slot_waits"`
-	BiasGrants     uint64  `json:"bias_grants,omitempty"`
-	BiasRevokes    uint64  `json:"bias_revokes,omitempty"`
-	BiasWriteThrus uint64  `json:"bias_write_thrus,omitempty"`
-	// Invisible-read counters; omitted from pre-invisible snapshots.
-	InvisReads       uint64 `json:"invis_reads,omitempty"`
-	ValidationAborts uint64 `json:"validation_aborts,omitempty"`
-	ModeFlips        uint64 `json:"mode_flips,omitempty"`
-
-	OfferedPerSec float64 `json:"offered_per_sec,omitempty"`
-	P50Ns         int64   `json:"p50_ns,omitempty"`
-	P99Ns         int64   `json:"p99_ns,omitempty"`
-	P999Ns        int64   `json:"p999_ns,omitempty"`
-	MaxNs         int64   `json:"max_ns,omitempty"`
-	Errors        uint64  `json:"errors,omitempty"`
-	SlotWaitNs    uint64  `json:"slot_wait_ns,omitempty"`
-	Promotions    uint64  `json:"promotions,omitempty"`
-}
-
-type jsonSnapshot struct {
-	Tool  string     `json:"tool"`
-	Mode  string     `json:"mode"`
-	Cells []jsonCell `json:"cells"`
-}
-
-type jsonReport struct {
-	Tool   string        `json:"tool"`
-	Mode   string        `json:"mode"`
-	Before *jsonSnapshot `json:"before,omitempty"`
-	After  jsonSnapshot  `json:"after"`
-}
-
-func loadBaseline(path string) (*jsonSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(data, &rep); err == nil && len(rep.After.Cells) > 0 {
-		return &rep.After, nil
-	}
-	var snap jsonSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
 }
 
 // clientConn is one persistent connection with its deterministic
@@ -232,7 +148,7 @@ type cellResult struct {
 	dropped    uint64
 	elapsed    time.Duration
 	hist       *loadgen.Hist
-	stats      statsSnap
+	stats      stm.StatsSnapshot
 	statsValid bool
 }
 
@@ -291,7 +207,7 @@ func runCell(cs []*clientConn, mix [3]int, rate float64, d loadgen.Dist,
 	res.ops, res.errors = ops.Load(), errs.Load()
 	res.non2xx, res.dropped = non2xx.Load(), dropped.Load()
 	if after, errAfter := scrapeStats(statsAddr); statsAddr != "" && errBefore == nil && errAfter == nil {
-		res.stats = after.sub(before)
+		res.stats = after.Sub(before)
 		res.statsValid = true
 	}
 	return res
@@ -442,7 +358,6 @@ func main() {
 		fail("%v", err)
 	}
 
-	after := jsonSnapshot{Tool: "sbd-load", Mode: "serving"}
 	tbl := harness.NewTable("Rate", "Txns/s", "Ops", "Err", "p50", "p99", "p999", "max", "Abr", "Con", "SlotWait", "Invis", "VAbr")
 	smokeFailures := []string{}
 	for i, rate := range rateList {
@@ -457,32 +372,6 @@ func main() {
 			res.stats.Aborts, res.stats.Contended,
 			time.Duration(res.stats.SlotWaitNs).Round(time.Microsecond).String(),
 			res.stats.InvisReads, res.stats.ValidationAborts)
-		after.Cells = append(after.Cells, jsonCell{
-			Mix:              fmt.Sprintf("open-loop/%s@%.0f", d, rate),
-			Threads:          *conns,
-			Ops:              res.ops,
-			ElapsedNs:        res.elapsed.Nanoseconds(),
-			TxnsPerSec:       achieved,
-			Aborts:           res.stats.Aborts,
-			Contended:        res.stats.Contended,
-			CASFails:         res.stats.CASFail,
-			Deadlocks:        res.stats.Deadlocks,
-			SlotWaits:        res.stats.SlotWaits,
-			BiasGrants:       res.stats.BiasGrants,
-			BiasRevokes:      res.stats.BiasRevokes,
-			BiasWriteThrus:   res.stats.BiasWriteThrus,
-			OfferedPerSec:    rate,
-			P50Ns:            res.hist.Quantile(0.50).Nanoseconds(),
-			P99Ns:            res.hist.Quantile(0.99).Nanoseconds(),
-			P999Ns:           res.hist.Quantile(0.999).Nanoseconds(),
-			MaxNs:            res.hist.Max().Nanoseconds(),
-			Errors:           res.errors + res.non2xx + res.dropped,
-			SlotWaitNs:       res.stats.SlotWaitNs,
-			Promotions:       res.stats.Promotions,
-			InvisReads:       res.stats.InvisReads,
-			ValidationAborts: res.stats.ValidationAborts,
-			ModeFlips:        res.stats.ModeFlips,
-		})
 		if *smoke {
 			if n := res.errors; n > 0 {
 				smokeFailures = append(smokeFailures, fmt.Sprintf("rate %.0f: %d request errors", rate, n))
@@ -529,24 +418,6 @@ func main() {
 		} else {
 			fmt.Println("server drained cleanly on SIGTERM")
 		}
-	}
-
-	if *jsonOut != "" {
-		var before *jsonSnapshot
-		if *baseline != "" {
-			if before, err = loadBaseline(*baseline); err != nil {
-				fail("-baseline: %v", err)
-			}
-		}
-		rep := jsonReport{Tool: "sbd-load", Mode: "serving", Before: before, After: after}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fail("-json: %v", err)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 
 	if *smoke {

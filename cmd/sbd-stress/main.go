@@ -40,6 +40,13 @@ var (
 
 func main() {
 	flag.Parse()
+	if *rounds < 1 {
+		// Zero rounds would print "all invariants held" having checked
+		// none: a typo in CI must not read as a green stress run.
+		fmt.Fprintf(os.Stderr, "sbd-stress: -rounds=%d: need at least one round\n", *rounds)
+		flag.Usage()
+		os.Exit(2)
+	}
 	cfg := sched.Config{MaxSteps: *maxSteps, Timeout: *timeout}
 
 	var total sched.Coverage

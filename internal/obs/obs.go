@@ -13,7 +13,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,27 +44,81 @@ func FormatRate(v float64) string {
 	return fmt.Sprintf("%.2f", v)
 }
 
+// series is one counter of a declaration struct (stm.StatsSnapshot or
+// stm.SiteCounters), read off its struct tags once at package init:
+// the struct is the only list of counters, the renderers walk it.
+// Element i of a seriesOf slice describes field i of the struct.
+type series struct {
+	prom   string // series name, with any fixed label; "" = not on /metrics
+	family string // prom without the label: one HELP/TYPE header per run
+	help   string
+	col    string // /profile column header
+	ns     bool   // a nanosecond total: seconds on /metrics, a duration on /profile
+}
+
+func seriesOf(decl any) []series {
+	t := reflect.TypeOf(decl)
+	out := make([]series, t.NumField())
+	for i := range out {
+		tag := t.Field(i).Tag
+		prom := tag.Get("prom")
+		family, _, _ := strings.Cut(prom, "{")
+		out[i] = series{prom, family, tag.Get("help"), tag.Get("col"), tag.Get("unit") == "ns"}
+	}
+	return out
+}
+
+var (
+	statsSeries = seriesOf(stm.StatsSnapshot{})
+	siteSeries  = seriesOf(stm.SiteCounters{})
+)
+
+// counter reads field i of a declaration struct; both uint64 counters
+// and time.Duration totals come back as the raw 64-bit count.
+func counter(decl reflect.Value, i int) uint64 {
+	f := decl.Field(i)
+	if f.CanInt() {
+		return uint64(f.Int())
+	}
+	return f.Uint()
+}
+
+// promValue renders a counter value for /metrics.
+func (s series) promValue(v uint64) string {
+	if s.ns {
+		return promFloat(float64(v) / 1e9)
+	}
+	return strconv.FormatUint(v, 10)
+}
+
 // ProfileTable renders the per-site contention profile as an aligned
 // text table, hottest site first (the stm.Profile snapshot order).
 func ProfileTable(rows []stm.SiteProfile) string {
 	if len(rows) == 0 {
 		return "no lock-site activity recorded\n"
 	}
-	tbl := harness.NewTable("Site", "Mode", "Acq", "Cont", "CASFail", "Upgr", "Promo", "DuelLoss", "Dead", "Bias", "Revoke", "Invis", "VAbr", "Block")
+	header := []string{"Site", "Mode"}
+	for _, s := range siteSeries {
+		header = append(header, s.col)
+	}
+	tbl := harness.NewTable(header...)
 	for _, r := range rows {
-		tbl.Row(r.Site.String(), r.Mode.String(), r.Acquires, r.Contended, r.CASFails,
-			r.Upgrades, r.Promotions, r.DuelLosses, r.Deadlocks,
-			r.BiasGrants, r.BiasRevokes, r.InvisReads, r.ValAborts,
-			r.BlockTime.Round(time.Microsecond).String())
+		cells := []any{r.Site.String(), r.Mode.String()}
+		counts := reflect.ValueOf(r.SiteCounters)
+		for i, s := range siteSeries {
+			if v := counter(counts, i); s.ns {
+				cells = append(cells, time.Duration(v).Round(time.Microsecond).String())
+			} else {
+				cells = append(cells, v)
+			}
+		}
+		tbl.Row(cells...)
 	}
 	return tbl.String()
 }
 
-// promEscape escapes a Prometheus label value.
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+// promEscaper escapes a Prometheus label value.
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // promFloat renders a float the way Prometheus text exposition wants
 // it, including the +Inf literal.
@@ -83,55 +139,24 @@ func promFloat(v float64) string {
 // disabled).
 func Metrics(snap stm.StatsSnapshot, sites []stm.SiteProfile, rec *stm.FlightRecorder) string {
 	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	header := func(family, help, typ string) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", family, help, family, typ)
 	}
 
-	fmt.Fprintf(&b, "# HELP sbd_lock_ops_total Lock operations by effect (paper Table 7).\n")
-	fmt.Fprintf(&b, "# TYPE sbd_lock_ops_total counter\n")
-	for _, op := range []struct {
-		label string
-		v     uint64
-	}{
-		{"init", snap.Init},
-		{"check_new", snap.CheckNew},
-		{"check_owned", snap.CheckOwned},
-		{"acquire", snap.Acquire},
-	} {
-		fmt.Fprintf(&b, "sbd_lock_ops_total{op=%q} %d\n", op.label, op.v)
+	counts := reflect.ValueOf(snap)
+	family := ""
+	for i, s := range statsSeries {
+		if s.prom == "" {
+			continue
+		}
+		if s.family != family {
+			family = s.family
+			header(s.family, s.help, "counter")
+		}
+		fmt.Fprintf(&b, "%s %s\n", s.prom, s.promValue(counter(counts, i)))
 	}
 
-	counter("sbd_commits_total", "Committed transactions.", snap.Commits)
-	counter("sbd_aborts_total", "Aborted transactions.", snap.Aborts)
-	counter("sbd_contended_acquires_total", "Lock acquisitions that had to enqueue.", snap.Contended)
-	counter("sbd_cas_failures_total", "Failed lock-word CAS attempts.", snap.CASFail)
-	counter("sbd_slot_waits_total", "Sections that parked waiting for a lock-word slot lease.", snap.SlotWaits)
-	fmt.Fprintf(&b, "# HELP sbd_slot_wait_seconds_total Time sections spent parked waiting for a lock-word slot lease.\n")
-	fmt.Fprintf(&b, "# TYPE sbd_slot_wait_seconds_total counter\n")
-	fmt.Fprintf(&b, "sbd_slot_wait_seconds_total %s\n", promFloat(float64(snap.SlotWaitNs)/1e9))
-	counter("sbd_deadlocks_total", "Deadlock cycles resolved.", snap.Deadlocks)
-	counter("sbd_inev_waits_total", "BecomeInevitable calls that waited for the token.", snap.InevWaits)
-	counter("sbd_promotions_total", "Reads adaptively promoted to write acquisitions.", snap.Promotions)
-	counter("sbd_promotions_wasted_total", "Promotions committed without a write (hint decay).", snap.PromoWasted)
-	counter("sbd_duel_losses_total", "Upgrade aborts that boosted a promotion hint.", snap.DuelLosses)
-	counter("sbd_backoffs_total", "Backed-off transaction retries.", snap.Backoffs)
-	counter("sbd_backoff_spins_total", "Reschedules spent in retry backoff.", snap.BackoffSpins)
-	counter("sbd_spin_acquires_total", "Slow-path acquisitions resolved by bounded spinning.", snap.SpinAcquires)
-	counter("sbd_bias_grants_total", "Reads served by the biased reader-slot path.", snap.BiasGrants)
-	counter("sbd_bias_revokes_total", "Writer revocations of read-biased lock words.", snap.BiasRevokes)
-	counter("sbd_bias_write_throughs_total", "Writes that went through a bias marker without revoking it.", snap.BiasWriteThrus)
-	fmt.Fprintf(&b, "# HELP sbd_bias_revoke_wait_seconds_total Time writers spent draining biased readers.\n")
-	fmt.Fprintf(&b, "# TYPE sbd_bias_revoke_wait_seconds_total counter\n")
-	fmt.Fprintf(&b, "sbd_bias_revoke_wait_seconds_total %s\n", promFloat(float64(snap.BiasRevokeWaitNs)/1e9))
-	counter("sbd_invis_reads_total", "Reads served by the invisible optimistic tier.", snap.InvisReads)
-	counter("sbd_validation_aborts_total", "Commit-time read-set validation failures.", snap.ValidationAborts)
-	counter("sbd_mode_flips_total", "Per-site read-mode threshold crossings (visible<->invisible).", snap.ModeFlips)
-	counter("sbd_batch_acquires_total", "Compiler-batched multi-word acquisitions (one per AcquireBatch).", snap.BatchAcquires)
-	counter("sbd_batch_words_total", "Distinct lock words covered by batched acquisitions.", snap.BatchWords)
-	counter("sbd_intent_hints_total", "Reads carrying compiler-inferred write intent (ReadWordForWrite).", snap.IntentHints)
-
-	fmt.Fprintf(&b, "# HELP sbd_abort_rate Aborts per commit; +Inf when aborting without commits.\n")
-	fmt.Fprintf(&b, "# TYPE sbd_abort_rate gauge\n")
+	header("sbd_abort_rate", "Aborts per commit; +Inf when aborting without commits.", "gauge")
 	fmt.Fprintf(&b, "sbd_abort_rate %s\n", promFloat(snap.AbortRate()))
 
 	if len(sites) > 0 {
@@ -141,42 +166,24 @@ func Metrics(snap stm.StatsSnapshot, sites []stm.SiteProfile, rec *stm.FlightRec
 		sort.Slice(sorted, func(i, j int) bool {
 			return sorted[i].Site.String() < sorted[j].Site.String()
 		})
-		series := func(name, help string, get func(stm.SiteProfile) string) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, r := range sorted {
-				fmt.Fprintf(&b, "%s{site=\"%s\"} %s\n", name, promEscape(r.Site.String()), get(r))
+		labels := make([]string, len(sorted))
+		counts := make([]reflect.Value, len(sorted))
+		for i, r := range sorted {
+			labels[i] = promEscaper.Replace(r.Site.String())
+			counts[i] = reflect.ValueOf(r.SiteCounters)
+		}
+		for i, s := range siteSeries {
+			header(s.family, s.help, "counter")
+			for r := range sorted {
+				fmt.Fprintf(&b, "%s{site=\"%s\"} %s\n", s.prom, labels[r], s.promValue(counter(counts[r], i)))
 			}
 		}
-		series("sbd_site_acquires_total", "Lock acquisitions per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.Acquires) })
-		series("sbd_site_contended_total", "Contended acquisitions per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.Contended) })
-		series("sbd_site_cas_failures_total", "Failed lock-word CAS attempts per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.CASFails) })
-		series("sbd_site_upgrades_total", "Enqueued read-to-write upgrades per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.Upgrades) })
-		series("sbd_site_promotions_total", "Adaptive write-intent promotions per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.Promotions) })
-		series("sbd_site_duel_losses_total", "Hint-boosting upgrade aborts per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.DuelLosses) })
-		series("sbd_site_deadlocks_total", "Acquire-path abort involvements per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.Deadlocks) })
-		series("sbd_site_bias_grants_total", "Biased reader-slot grants per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.BiasGrants) })
-		series("sbd_site_bias_revokes_total", "Read-bias revocations per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.BiasRevokes) })
-		series("sbd_site_invis_reads_total", "Invisible optimistic reads per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.InvisReads) })
-		series("sbd_site_validation_aborts_total", "Commit-time validation failures per site.",
-			func(r stm.SiteProfile) string { return fmt.Sprint(r.ValAborts) })
-		series("sbd_site_block_seconds_total", "Cumulative time blocked per site.",
-			func(r stm.SiteProfile) string { return promFloat(r.BlockTime.Seconds()) })
 	}
 
 	if rec != nil {
-		counter("sbd_recorder_events_total", "Protocol events recorded by the flight recorder.", rec.Recorded())
-		fmt.Fprintf(&b, "# HELP sbd_recorder_capacity Flight recorder ring capacity.\n")
-		fmt.Fprintf(&b, "# TYPE sbd_recorder_capacity gauge\n")
+		header("sbd_recorder_events_total", "Protocol events recorded by the flight recorder.", "counter")
+		fmt.Fprintf(&b, "sbd_recorder_events_total %d\n", rec.Recorded())
+		header("sbd_recorder_capacity", "Flight recorder ring capacity.", "gauge")
 		fmt.Fprintf(&b, "sbd_recorder_capacity %d\n", rec.Cap())
 	}
 	return b.String()

@@ -1,7 +1,9 @@
 // Package scalebench is the multi-thread scalability benchmark suite
 // for the STM's contended path, in the style of Synchrobench-like
-// read/write-mix methodology: fixed transaction mixes run at 1/2/4/8
-// goroutines, reported as transactions per second.
+// read/write-mix methodology: fixed transaction mixes run at a chosen
+// number of goroutines, reported as transactions per second. It is the
+// stm-contend workload of benchmark/, which owns the thread sweep, the
+// repetition and the recorded run conditions.
 //
 // On a single-core container two microsecond-scale critical sections
 // essentially never overlap by accident, so each mix forces real
@@ -30,8 +32,6 @@ var cellV = cellClass.Field("v")
 // Mix is one transaction mix of the suite.
 type Mix struct {
 	Name string
-	// Desc is the one-line description printed by -scalability.
-	Desc string
 	// body runs one transaction's accesses. w is the worker index, i the
 	// worker-local operation counter (used to pick read vs. write in
 	// mixed workloads); cells are the shared objects of the run.
@@ -43,15 +43,12 @@ type Mix struct {
 	verify func(cells []*stm.Object, ops uint64) error
 }
 
-// ThreadCounts is the default thread sweep of the suite.
-var ThreadCounts = []int{1, 2, 4, 8}
-
 // Mixes returns the mixes of the suite, in reporting order.
 func Mixes() []Mix {
 	return []Mix{
 		{
+			// Every transaction increments one shared counter, yielding while the write lock is held.
 			Name:  "contended-counter",
-			Desc:  "every transaction increments one shared counter, yielding while the write lock is held",
 			cells: 1,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				v := tx.ReadWord(cells[0], cellV)
@@ -66,8 +63,8 @@ func Mixes() []Mix {
 			},
 		},
 		{
+			// 90% read-only / 10% increment transactions on one shared cell.
 			Name:  "read-mostly",
-			Desc:  "90% read-only / 10% increment transactions on one shared cell",
 			cells: 1,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				if i%10 == 9 {
@@ -80,8 +77,8 @@ func Mixes() []Mix {
 			},
 		},
 		{
+			// 100% read-only transactions fanning over a 4-cell shared hot set (read-bias target).
 			Name:  "read-fan",
-			Desc:  "100% read-only transactions fanning over a 4-cell shared hot set (read-bias target)",
 			cells: 4,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				// Pure reader fan-out: every worker reads the whole hot set
@@ -106,8 +103,8 @@ func Mixes() []Mix {
 			},
 		},
 		{
+			// Read fan-out over 4 cells with a migrating write-hot cell, forcing invisible<->visible mode flips.
 			Name:  "invis-flipflop",
-			Desc:  "read fan-out over 4 cells with a migrating write-hot cell, forcing invisible<->visible mode flips",
 			cells: 4,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				// Every phaseLen ops the write-hot cell moves to the next
@@ -133,8 +130,8 @@ func Mixes() []Mix {
 			},
 		},
 		{
+			// Every transaction write-locks two cells in global order (distinct queues, two-phase release).
 			Name:  "write-heavy",
-			Desc:  "every transaction write-locks two cells in global order (distinct queues, two-phase release)",
 			cells: 4,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				// Two locks per transaction, always in ascending index
@@ -154,8 +151,8 @@ func Mixes() []Mix {
 			},
 		},
 		{
+			// Read-yield-write on one shared cell, forcing concurrent read holders into dueling upgrades.
 			Name:  "upgrade-duel",
-			Desc:  "read-yield-write on one shared cell, forcing concurrent read holders into dueling upgrades",
 			cells: 1,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				v := tx.ReadWord(cells[0], cellV)
@@ -170,8 +167,8 @@ func Mixes() []Mix {
 			},
 		},
 		{
+			// Each transaction batch-acquires a rotating 3-cell window of an 8-cell set, yielding with the whole batch held.
 			Name:  "batch-chain",
-			Desc:  "each transaction batch-acquires a rotating 3-cell window of an 8-cell set, yielding with the whole batch held",
 			cells: 8,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				// Workers batch overlapping windows starting at rotating,
@@ -208,8 +205,8 @@ func Mixes() []Mix {
 			},
 		},
 		{
+			// Read-modify-write over an 8-cell hot set, yielding while the read lock is held.
 			Name:  "rmw-hotset",
-			Desc:  "read-modify-write over an 8-cell hot set, yielding while the read lock is held",
 			cells: 8,
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				// Each worker sweeps the hot set at its own stride, so any
@@ -233,16 +230,6 @@ func Mixes() []Mix {
 			},
 		},
 	}
-}
-
-// MixByName returns the named mix.
-func MixByName(name string) (Mix, error) {
-	for _, m := range Mixes() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Mix{}, fmt.Errorf("scalebench: unknown mix %q", name)
 }
 
 // Result is the outcome of one (mix, threads) cell.

@@ -112,8 +112,8 @@ func resolveBatchAccess(a *BatchAccess) (slot, lockID, site int32, ok bool) {
 func (tx *Tx) tryBatchFast(accs []BatchAccess) bool {
 	lockMark := len(tx.lockLog)
 	undoMark := len(tx.undo)
-	ownedMark := tx.nCheckOwned
-	newMark := tx.nCheckNew
+	ownedMark := tx.n.CheckOwned
+	newMark := tx.n.CheckNew
 	var fast, words uint64
 	firstSite := int32(-1)
 	var lastObj *Object
@@ -137,7 +137,7 @@ func (tx *Tx) tryBatchFast(accs []BatchAccess) bool {
 		} else {
 			if o.locks.Load() == nil {
 				// New in this transaction: one is-new check covers the access.
-				tx.nCheckNew++
+				tx.n.CheckNew++
 				continue
 			}
 			slab = tx.ensureSlab(o)
@@ -147,7 +147,7 @@ func (tx *Tx) tryBatchFast(accs []BatchAccess) bool {
 		w := atomic.LoadUint64(addr)
 		if w&tx.mask != 0 && (!a.Write || wordIsWrite(w)) {
 			// Already held in a sufficient mode.
-			tx.nCheckOwned++
+			tx.n.CheckOwned++
 			if a.Write && len(tx.promoLog) != 0 {
 				tx.promoWritten(addr)
 			}
@@ -187,7 +187,7 @@ func (tx *Tx) tryBatchFast(accs []BatchAccess) bool {
 			// successful AcquireBatch), so dropping them is sound.
 			tx.releaseLockEntries(lockMark)
 			tx.undo = tx.undo[:undoMark]
-			tx.nCheckOwned, tx.nCheckNew = ownedMark, newMark
+			tx.n.CheckOwned, tx.n.CheckNew = ownedMark, newMark
 			return false
 		}
 	}
@@ -195,10 +195,10 @@ func (tx *Tx) tryBatchFast(accs []BatchAccess) bool {
 	// words at all (everything local, new, or final) is not counted — it
 	// never reached the locking machinery, matching the sorted phase.
 	if words > 0 {
-		tx.nAcq += fast
-		tx.nBatchAcquires++
-		tx.nBatchWords += words
-		if fast > 0 && (tx.nAcq+tx.ticket)&tx.rt.profMask == 0 {
+		tx.n.Acquire += fast
+		tx.n.BatchAcquires++
+		tx.n.BatchWords += words
+		if fast > 0 && (tx.n.Acquire+tx.ticket)&tx.rt.profMask == 0 {
 			// One sampled profile charge per batch, attributed to the first
 			// fast-path word's site: the batch is one compiler-chosen program
 			// point, not N independent adaptive sites.
@@ -228,7 +228,7 @@ func (tx *Tx) acquireBatchSorted(accs []BatchAccess) {
 		}
 		if o.locks.Load() == nil {
 			// New in this transaction: one is-new check covers the access.
-			tx.nCheckNew++
+			tx.n.CheckNew++
 			continue
 		}
 		slab := tx.ensureSlab(o)
@@ -275,7 +275,7 @@ func (tx *Tx) acquireBatchSorted(accs []BatchAccess) {
 		w := atomic.LoadUint64(bw.addr)
 		if w&tx.mask != 0 && (!bw.write || wordIsWrite(w)) {
 			// Already held in a sufficient mode.
-			tx.nCheckOwned++
+			tx.n.CheckOwned++
 			if bw.write && len(tx.promoLog) != 0 {
 				tx.promoWritten(bw.addr)
 			}
@@ -312,10 +312,10 @@ func (tx *Tx) acquireBatchSorted(accs []BatchAccess) {
 		}
 	}
 	// Single batched accounting: lockFor fallbacks counted themselves.
-	tx.nAcq += fast
-	tx.nBatchAcquires++
-	tx.nBatchWords += uint64(len(words))
-	if fast > 0 && (tx.nAcq+tx.ticket)&tx.rt.profMask == 0 {
+	tx.n.Acquire += fast
+	tx.n.BatchAcquires++
+	tx.n.BatchWords += uint64(len(words))
+	if fast > 0 && (tx.n.Acquire+tx.ticket)&tx.rt.profMask == 0 {
 		// One sampled profile charge per batch, attributed to the first
 		// fast-path word's site: the batch is one compiler-chosen program
 		// point, not N independent adaptive sites.

@@ -47,12 +47,12 @@ func TestAcquireBatchBasics(t *testing.T) {
 	_ = arr.RawElem(3)
 
 	// A second batch over the same words is pure owned-checks.
-	before := tx.nCheckOwned
+	before := tx.n.CheckOwned
 	tx.AcquireBatch([]BatchAccess{
 		{Obj: o, Field: fa, Write: true},
 		{Obj: o, Field: fb},
 	})
-	if got := tx.nCheckOwned - before; got != 2 {
+	if got := tx.n.CheckOwned - before; got != 2 {
 		t.Fatalf("re-batch owned checks = %d, want 2", got)
 	}
 	if n := len(tx.lockLog); n != 4 {
@@ -105,8 +105,8 @@ func TestAcquireBatchResolution(t *testing.T) {
 	if !wordIsWrite(w) {
 		t.Fatalf("read+write dedup did not acquire write mode: %s", formatWord(w))
 	}
-	if tx.nCheckNew != 1 {
-		t.Fatalf("nCheckNew = %d, want 1", tx.nCheckNew)
+	if tx.n.CheckNew != 1 {
+		t.Fatalf("nCheckNew = %d, want 1", tx.n.CheckNew)
 	}
 	// The local write's undo was captured by the batch: a reset restores.
 	local.SetRawWord(fv, 99)

@@ -232,12 +232,12 @@ func (tx *Tx) tryBiasRead(addr *uint64, site int32) bool {
 		return false
 	}
 	tx.biasLog = append(tx.biasLog, biasRead{slot: slot, addr: addr, site: site})
-	tx.nBiasGrants++
-	if (tx.nBiasGrants+tx.ticket)&rt.profMask == 0 {
+	tx.n.BiasGrants++
+	if (tx.n.BiasGrants+tx.ticket)&rt.profMask == 0 {
 		// Sampled: keep the score saturated while the bias is earning
 		// its keep, and charge the site profile.
 		rt.noteSite(site, siteBiasGrant)
-		tx.profAt(site).biasGrants += uint32(rt.profMask + 1)
+		tx.profAt(site).BiasGrants += rt.profMask + 1
 	}
 	if rt.wantsEvent(EvBiased) {
 		rt.event(Event{Kind: EvBiased, TxID: tx.vid, Ticket: tx.ticket, Addr: addr})
@@ -280,7 +280,7 @@ func (tx *Tx) biasWriteDrain(addr *uint64) bool {
 	rt := tx.rt
 	for i := 0; i < biasDrainSpinMax; i++ {
 		if rt.bias.drainedExcept(addr, tx.slot) {
-			tx.nBiasWriteThrus++
+			tx.n.BiasWriteThrus++
 			return true
 		}
 		runtime.Gosched()
@@ -342,8 +342,8 @@ func (tx *Tx) drainWriteThru(addr *uint64, site int32, keepBit bool) {
 //
 //go:noinline
 func (tx *Tx) noteBiasRevoke(addr *uint64, site int32, qid int) {
-	tx.nBiasRevokes++
-	tx.profAt(site).biasRevokes++
+	tx.n.BiasRevokes++
+	tx.profAt(site).BiasRevokes++
 	if tx.rt.bias.drainedExcept(addr, tx.slot) {
 		tx.rt.noteSite(site, siteEmptyRevoke)
 	}

@@ -120,7 +120,7 @@ func (p *slotPool) acquire(tx *Tx) (slot int, waited bool) {
 		if rt.wantsEvent(EvSlotWait) {
 			rt.event(Event{Kind: EvSlotWait, TxID: tx.vid, Ticket: tx.ticket})
 		}
-		rt.stats.SlotWaits.Add(1)
+		atomic.AddUint64(&rt.stats.c.SlotWaits, 1)
 	}
 	start := time.Now()
 	if rt != nil {
@@ -129,7 +129,7 @@ func (p *slotPool) acquire(tx *Tx) (slot int, waited bool) {
 	slot = <-w.ch
 	if rt != nil {
 		rt.unblock(PointSlotWait)
-		rt.stats.SlotWaitNs.Add(uint64(time.Since(start)))
+		atomic.AddUint64(&rt.stats.c.SlotWaitNs, uint64(time.Since(start)))
 	}
 	return p.took(slot), true
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Per-lock-site contention profiling. A lock site is the static identity
@@ -15,7 +16,7 @@ import (
 // the queue class", not "lock word 0xc000123".
 //
 // The profiler follows the same zero-shared-atomics discipline as the
-// nAcq counters in Tx: every acquire updates a small per-transaction
+// counter block in Tx (Tx.n): every acquire updates a small per-transaction
 // delta buffer (no sharing, no atomics), and Commit/Reset flush the
 // buffer into the runtime's per-site atomic counters. The uncontended
 // check paths (new instance, already owned, final, thread-local) never
@@ -75,42 +76,43 @@ func siteInfo(id int32) SiteInfo {
 	return siteReg.sites[id]
 }
 
-// siteCounters is the per-site aggregate of one runtime, the counter
-// half of a siteCell. All fields are only written by flushProfile
-// (atomic adds) and read by Snapshot.
-type siteCounters struct {
-	acquires    atomic.Uint64
-	contended   atomic.Uint64
-	casFails    atomic.Uint64
-	upgrades    atomic.Uint64
-	promotions  atomic.Uint64
-	duelLosses  atomic.Uint64
-	deadlocks   atomic.Uint64
-	biasGrants  atomic.Uint64
-	biasRevokes atomic.Uint64
-	// invisReads and validationAborts may also be added to directly,
+// SiteCounters is the declaration of the per-site counters, the way
+// StatsSnapshot is for the runtime-wide ones: one 8-byte field per
+// counter, and the cell aggregate (siteCell.n), the per-transaction
+// delta (siteDelta), flushProfile, Profile.Snapshot/Reset and the
+// exposition in internal/obs all index this list. prom and help are the
+// /metrics series (one sample per site), col is the /profile column.
+//
+// Acquires, BiasGrants, InvisReads and BlockTime are sampled estimates
+// scaled by ProfileSampleRate; the rest are exact.
+type SiteCounters struct {
+	Acquires    uint64 `prom:"sbd_site_acquires_total" help:"Lock acquisitions per site." col:"Acq"`
+	Contended   uint64 `prom:"sbd_site_contended_total" help:"Contended acquisitions per site." col:"Cont"`
+	CASFails    uint64 `prom:"sbd_site_cas_failures_total" help:"Failed lock-word CAS attempts per site." col:"CASFail"`
+	Upgrades    uint64 `prom:"sbd_site_upgrades_total" help:"Enqueued read-to-write upgrades per site." col:"Upgr"`
+	Promotions  uint64 `prom:"sbd_site_promotions_total" help:"Adaptive write-intent promotions per site." col:"Promo"`
+	DuelLosses  uint64 `prom:"sbd_site_duel_losses_total" help:"Hint-boosting upgrade aborts per site." col:"DuelLoss"`
+	Deadlocks   uint64 `prom:"sbd_site_deadlocks_total" help:"Acquire-path abort involvements per site." col:"Dead"`
+	BiasGrants  uint64 `prom:"sbd_site_bias_grants_total" help:"Biased reader-slot grants per site." col:"Bias"`
+	BiasRevokes uint64 `prom:"sbd_site_bias_revokes_total" help:"Read-bias revocations per site." col:"Revoke"`
+	// InvisReads and ValAborts may also be added to the cell directly,
 	// bypassing the delta buffers: a read-only invisible section never
 	// leases a slot and so owns no buffer (readset.go).
-	invisReads       atomic.Uint64
-	validationAborts atomic.Uint64
-	blockNs          atomic.Uint64
+	InvisReads uint64        `prom:"sbd_site_invis_reads_total" help:"Invisible optimistic reads per site." col:"Invis"`
+	ValAborts  uint64        `prom:"sbd_site_validation_aborts_total" help:"Commit-time validation failures per site." col:"VAbr"`
+	BlockTime  time.Duration `prom:"sbd_site_block_seconds_total" help:"Cumulative time blocked per site." col:"Block" unit:"ns"`
+}
+
+const numSiteCounters = int(unsafe.Sizeof(SiteCounters{}) / 8)
+
+func (c *SiteCounters) words() *[numSiteCounters]uint64 {
+	return (*[numSiteCounters]uint64)(unsafe.Pointer(c))
 }
 
 // siteDelta is the per-transaction buffered contribution to one site.
 type siteDelta struct {
-	site             int32
-	acquires         uint32
-	contended        uint32
-	casFails         uint32
-	upgrades         uint32
-	promotions       uint32
-	duelLosses       uint32
-	deadlocks        uint32
-	biasGrants       uint32
-	biasRevokes      uint32
-	invisReads       uint32
-	validationAborts uint32
-	blockNs          uint64
+	site int32
+	SiteCounters
 }
 
 // profAt returns the transaction's delta buffer entry for a site,
@@ -142,7 +144,7 @@ func (tx *Tx) profAt(site int32) *siteDelta {
 //
 //go:noinline
 func (tx *Tx) chargeAcquire(site int32) {
-	tx.profAt(site).acquires += uint32(tx.rt.profMask) + 1
+	tx.profAt(site).Acquires += tx.rt.profMask + 1
 }
 
 // chargeCASFail records a failed fast-path lock CAS, out of line for
@@ -150,8 +152,8 @@ func (tx *Tx) chargeAcquire(site int32) {
 //
 //go:noinline
 func (tx *Tx) chargeCASFail(site int32) {
-	tx.nCASFail++
-	tx.profAt(site).casFails++
+	tx.n.CASFail++
+	tx.profAt(site).CASFails++
 }
 
 // flushProfile moves the per-transaction site deltas into the runtime
@@ -166,29 +168,14 @@ func (tx *Tx) flushProfile() {
 		return
 	}
 	for i := range buf {
-		d := &buf[i]
-		c := tx.rt.sites.at(d.site)
-		addNZ(&c.acquires, uint64(d.acquires))
-		addNZ(&c.contended, uint64(d.contended))
-		addNZ(&c.casFails, uint64(d.casFails))
-		addNZ(&c.upgrades, uint64(d.upgrades))
-		addNZ(&c.promotions, uint64(d.promotions))
-		addNZ(&c.duelLosses, uint64(d.duelLosses))
-		addNZ(&c.deadlocks, uint64(d.deadlocks))
-		addNZ(&c.biasGrants, uint64(d.biasGrants))
-		addNZ(&c.biasRevokes, uint64(d.biasRevokes))
-		addNZ(&c.invisReads, uint64(d.invisReads))
-		addNZ(&c.validationAborts, uint64(d.validationAborts))
-		addNZ(&c.blockNs, d.blockNs)
+		dst := tx.rt.sites.at(buf[i].site).n.words()
+		for j, v := range buf[i].words() {
+			if v != 0 {
+				atomic.AddUint64(&dst[j], v)
+			}
+		}
 	}
 	tx.rt.profBufs[tx.slot] = buf[:0]
-}
-
-// addNZ adds n to a shared counter, skipping the atomic add when n is 0.
-func addNZ(c *atomic.Uint64, n uint64) {
-	if n != 0 {
-		c.Add(n)
-	}
 }
 
 // Profile is the exported read-only view of a runtime's site table
@@ -198,20 +185,9 @@ type Profile siteTable
 
 // SiteProfile is one row of a profile snapshot.
 type SiteProfile struct {
-	Site        SiteInfo
-	Mode        Mode          // read mode the site's policy word selects now
-	Acquires    uint64        // lock acquire+release pairs (sampled estimate; see ProfileSampleRate)
-	Contended   uint64        // acquires that had to enqueue
-	CASFails    uint64        // failed lock-word CAS attempts
-	Upgrades    uint64        // read-to-write upgrades that enqueued
-	Promotions  uint64        // reads adaptively promoted to write acquisitions
-	DuelLosses  uint64        // upgrade aborts feeding the promotion hint (exact)
-	Deadlocks   uint64        // abort involvements while acquiring (deadlock victim, duel loss)
-	BiasGrants  uint64        // reads served by the biased reader-slot path (sampled estimate)
-	BiasRevokes uint64        // writer revocations of this site's read bias (exact)
-	InvisReads  uint64        // reads served invisibly, no shared store (sampled estimate)
-	ValAborts   uint64        // commit-time validation aborts charged to this site (exact)
-	BlockTime   time.Duration // time spent parked (sampled estimate; see ProfileSampleRate)
+	Site SiteInfo
+	Mode Mode // read mode the site's policy word selects now
+	SiteCounters
 }
 
 // Snapshot returns every site with at least one recorded event, hottest
@@ -221,26 +197,16 @@ func (p *Profile) Snapshot() []SiteProfile {
 	s := (*siteTable)(p).load()
 	out := make([]SiteProfile, 0, len(s))
 	for id, c := range s {
-		row := SiteProfile{
-			Site:        siteInfo(int32(id)),
-			Mode:        policy(c.policy.Load()).mode(true),
-			Acquires:    c.acquires.Load(),
-			Contended:   c.contended.Load(),
-			CASFails:    c.casFails.Load(),
-			Upgrades:    c.upgrades.Load(),
-			Promotions:  c.promotions.Load(),
-			DuelLosses:  c.duelLosses.Load(),
-			Deadlocks:   c.deadlocks.Load(),
-			BiasGrants:  c.biasGrants.Load(),
-			BiasRevokes: c.biasRevokes.Load(),
-			InvisReads:  c.invisReads.Load(),
-			ValAborts:   c.validationAborts.Load(),
-			BlockTime:   time.Duration(c.blockNs.Load()),
+		row := SiteProfile{Site: siteInfo(int32(id)), Mode: policy(c.policy.Load()).mode(true)}
+		var seen uint64
+		for j := range c.n.words() {
+			v := atomic.LoadUint64(&c.n.words()[j])
+			row.words()[j] = v
+			seen |= v
 		}
-		if row.Acquires|row.Contended|row.CASFails|row.Upgrades|row.Promotions|row.DuelLosses|row.Deadlocks|row.BiasGrants|row.BiasRevokes|row.InvisReads|row.ValAborts == 0 && row.BlockTime == 0 {
-			continue
+		if seen != 0 {
+			out = append(out, row)
 		}
-		out = append(out, row)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -262,17 +228,8 @@ func (p *Profile) Snapshot() []SiteProfile {
 // the policy words keep what the sites have learned).
 func (p *Profile) Reset() {
 	for _, c := range (*siteTable)(p).load() {
-		c.acquires.Store(0)
-		c.contended.Store(0)
-		c.casFails.Store(0)
-		c.upgrades.Store(0)
-		c.promotions.Store(0)
-		c.duelLosses.Store(0)
-		c.deadlocks.Store(0)
-		c.biasGrants.Store(0)
-		c.biasRevokes.Store(0)
-		c.invisReads.Store(0)
-		c.validationAborts.Store(0)
-		c.blockNs.Store(0)
+		for j := range c.n.words() {
+			atomic.StoreUint64(&c.n.words()[j], 0)
+		}
 	}
 }

@@ -58,8 +58,8 @@ type promoRec struct {
 //go:noinline
 func (tx *Tx) notePromoted(addr *uint64, site int32) {
 	tx.promoLog = append(tx.promoLog, promoRec{addr: addr, site: site})
-	tx.nPromoted++
-	tx.profAt(site).promotions++
+	tx.n.Promotions++
+	tx.profAt(site).Promotions++
 	if tx.rt.wantsEvent(EvPromoted) {
 		tx.rt.event(Event{Kind: EvPromoted, TxID: tx.vid, Ticket: tx.ticket, Addr: addr, Write: true})
 	}
@@ -87,8 +87,8 @@ func (tx *Tx) promoWritten(addr *uint64) {
 //
 //go:noinline
 func (tx *Tx) noteDuelLoss(site int32) {
-	tx.nDuelLosses++
-	tx.profAt(site).duelLosses++
+	tx.n.DuelLosses++
+	tx.profAt(site).DuelLosses++
 	tx.rt.noteSite(site, siteDuelLoss)
 }
 
@@ -111,7 +111,7 @@ func (tx *Tx) flushPromoSlow() {
 			tx.rt.noteSite(r.site, sitePromoWritten)
 		} else {
 			tx.rt.noteSite(r.site, sitePromoWasted)
-			tx.nPromoWasted++
+			tx.n.PromoWasted++
 		}
 	}
 	tx.promoLog = tx.promoLog[:0]
@@ -134,7 +134,7 @@ const backoffMaxShift = 6
 // yield, so schedules stay replayable decision-for-decision.
 func (tx *Tx) RetryBackoff() {
 	tx.retries++
-	tx.nBackoffs++
+	tx.n.Backoffs++
 	rt := tx.rt
 	if rt.wantsEvent(EvBackoff) {
 		rt.event(Event{Kind: EvBackoff, TxID: tx.vid, Ticket: tx.ticket})
@@ -149,7 +149,7 @@ func (tx *Tx) RetryBackoff() {
 		shift = backoffMaxShift
 	}
 	spins := 1 + int(x%(uint64(1)<<shift))
-	tx.nBackoffSpins += uint64(spins)
+	tx.n.BackoffSpins += uint64(spins)
 	for i := 0; i < spins; i++ {
 		runtime.Gosched()
 	}
@@ -278,14 +278,14 @@ func (tx *Tx) spinAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			// writer's single-shot write-through CAS and force a full
 			// revocation — holder bits must not accumulate on a marker
 			// word while the bias is meant to stay up.
-			tx.nSpinAcquires++
+			tx.n.SpinAcquires++
 			tx.requeued = false
 			return viaSlot
 		}
 		if wordQueueID(w) == 0 || wordIsBiased(w) || overtake {
 			if nw, ok := grantWord(w, tx, write); ok {
 				if casw(addr, w, nw) {
-					tx.nSpinAcquires++
+					tx.n.SpinAcquires++
 					tx.requeued = false
 					return viaWord
 				}

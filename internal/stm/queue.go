@@ -366,15 +366,15 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			}
 		}
 
-		tx.nContended++
-		tx.profAt(site).contended++
+		tx.n.Contended++
+		tx.profAt(site).Contended++
 		upgrader = write && (atomic.LoadUint64(addr)&tx.mask != 0 ||
 			(len(tx.biasLog) != 0 && tx.hasBiasedRead(addr)))
 		if !upgrader {
 			break
 		}
 
-		tx.profAt(site).upgrades++
+		tx.profAt(site).Upgrades++
 		// Dueling write-upgrades (paper §3.3): two upgrading readers of the
 		// same lock always deadlock; resolve it now by aborting the younger
 		// of the two instead of waiting for digest propagation. The duel is
@@ -404,7 +404,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			d.event(Event{Kind: EvDuel, TxID: tx.vid, VictimID: tx.vid, OtherID: other.tx.vid, Addr: addr, Inev: other.tx.inevitable})
 		}
 		q.mu.Unlock()
-		tx.profAt(site).deadlocks++
+		tx.profAt(site).Deadlocks++
 		tx.noteDuelLoss(site)
 		tx.selfAbort("dueling write-upgrade")
 	}
@@ -465,7 +465,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	// measures every block exactly. The ticket offsets the sampling phase
 	// per transaction (see lockFor).
 	var parkStart time.Time
-	blockSampled := (tx.nContended+tx.ticket)&rt.profMask == 0
+	blockSampled := (tx.n.Contended+tx.ticket)&rt.profMask == 0
 	if blockSampled {
 		parkStart = time.Now()
 	}
@@ -516,22 +516,22 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		q.mu.Unlock()
 		if granted {
 			if blockSampled {
-				tx.profAt(site).blockNs += uint64(time.Since(parkStart)) * (rt.profMask + 1)
+				tx.profAt(site).BlockTime += time.Since(parkStart) * time.Duration(rt.profMask+1)
 			}
 			if revoked {
 				// Revocations are rare and always contended; their wait is
 				// measured exactly (no sampling) so the bias layer's cost
 				// to writers is directly observable.
-				tx.nBiasRevokeWaitNs += uint64(time.Since(revokeStart))
+				tx.n.BiasRevokeWaitNs += uint64(time.Since(revokeStart))
 			}
 			return viaWord
 		}
 		if aborted {
 			pd := tx.profAt(site)
 			if blockSampled {
-				pd.blockNs += uint64(time.Since(parkStart)) * (rt.profMask + 1)
+				pd.BlockTime += time.Since(parkStart) * time.Duration(rt.profMask+1)
 			}
-			pd.deadlocks++
+			pd.Deadlocks++
 			if wt.upgrader {
 				// Aborted while enqueued as an upgrader: a duel resolved
 				// against us, or a deadlock through the upgrade edge —
@@ -550,7 +550,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		}
 		// Injected spurious wake-up (Runtime.InjectSpuriousWake): no
 		// state changed; re-check and re-park.
-		rt.stats.SpuriousWakes.Add(1)
+		atomic.AddUint64(&rt.stats.c.SpuriousWakes, 1)
 		if rt.wantsEvent(EvSpuriousWake) {
 			rt.event(Event{Kind: EvSpuriousWake, TxID: tx.vid, Addr: addr})
 		}
@@ -868,7 +868,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 			d.cycleMu.Unlock()
 			return
 		}
-		d.rt.stats.Deadlocks.Add(1)
+		atomic.AddUint64(&d.rt.stats.c.Deadlocks, 1)
 		if victim == wt {
 			q := wt.q.Load()
 			q.mu.Lock()
@@ -877,7 +877,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 				// already removed us.
 				q.mu.Unlock()
 				d.cycleMu.Unlock()
-				tx.profAt(site).deadlocks++
+				tx.profAt(site).Deadlocks++
 				if wt.upgrader {
 					tx.noteDuelLoss(site)
 				}
@@ -891,7 +891,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 			d.removeWaiterLocked(q, wt)
 			q.mu.Unlock()
 			d.cycleMu.Unlock()
-			tx.profAt(site).deadlocks++
+			tx.profAt(site).Deadlocks++
 			if wt.upgrader {
 				tx.noteDuelLoss(site)
 			}

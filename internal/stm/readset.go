@@ -88,7 +88,7 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 		// writer already inside its critical section may have checked
 		// vers before the install and would store the value plainly.
 		if slab.installVersions() {
-			rt.stats.LockBytes.Add(uint64(len(slab.words)) * 8)
+			atomic.AddUint64(&rt.stats.c.LockBytes, uint64(len(slab.words))*8)
 		}
 		return false
 	}
@@ -119,8 +119,8 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 	}
 	tx.readSet = append(tx.readSet, invisRead{slab: slab, lockID: lockID, site: site, v: v1})
 	tx.invisVal, tx.invisHit = val, true
-	tx.nInvisReads++
-	if (tx.nInvisReads+tx.ticket)&rt.profMask == 0 {
+	tx.n.InvisReads++
+	if (tx.n.InvisReads+tx.ticket)&rt.profMask == 0 {
 		tx.chargeInvisRead(site)
 	}
 	if rt.wantsEvent(EvInvisRead) {
@@ -186,15 +186,15 @@ func (tx *Tx) validateReads() {
 //
 //go:noinline
 func (tx *Tx) invisAbort(site int32) {
-	tx.nValidationAborts++
+	tx.n.ValidationAborts++
 	rt := tx.rt
 	rt.noteSite(site, siteValidationAbort)
 	if tx.slot >= 0 {
-		tx.profAt(site).validationAborts++
+		tx.profAt(site).ValAborts++
 	} else {
 		// A read-only invisible section never leased a slot, so it has
 		// no buffered profile deltas; charge the aggregate directly.
-		rt.sites.at(site).validationAborts.Add(1)
+		atomic.AddUint64(&rt.sites.at(site).n.ValAborts, 1)
 	}
 	if rt.wantsEvent(EvValidationAbort) {
 		rt.event(Event{Kind: EvValidationAbort, TxID: tx.vid, Ticket: tx.ticket})
@@ -208,11 +208,11 @@ func (tx *Tx) invisAbort(site int32) {
 //
 //go:noinline
 func (tx *Tx) chargeInvisRead(site int32) {
-	n := uint64(tx.rt.profMask) + 1
+	n := tx.rt.profMask + 1
 	if tx.slot >= 0 {
-		tx.profAt(site).invisReads += uint32(n)
+		tx.profAt(site).InvisReads += n
 	} else {
-		tx.rt.sites.at(site).invisReads.Add(n)
+		atomic.AddUint64(&tx.rt.sites.at(site).n.InvisReads, n)
 	}
 }
 

@@ -58,7 +58,7 @@ type Runtime struct {
 	// reads is anchored to (clock.go, readset.go).
 	vc versionClock
 	// profMask gates the sampled per-site acquire counter: a lock acquire
-	// is charged to its site when (nAcq+ticket)&profMask == 0.
+	// is charged to its site when (Tx.n.Acquire+ticket)&profMask == 0.
 	profMask uint64
 	// profBufs holds the per-slot site-delta buffers, indexed by the
 	// leased lock-word slot (see profAt): the buffer is exclusively

@@ -217,8 +217,8 @@ func next(p policy, ev siteEvent) policy {
 type siteCell struct {
 	policy atomic.Uint64
 	_      [56]byte
-	siteCounters
-	_ [32]byte
+	n      SiteCounters // atomic access only
+	_      [32]byte
 }
 
 // siteTable is the per-runtime table of site cells, indexed by global
@@ -282,7 +282,7 @@ func (rt *Runtime) noteSite(site int32, ev siteEvent) (old, now policy) {
 		now = next(old, ev)
 		if now == old || c.policy.CompareAndSwap(uint64(old), uint64(now)) {
 			if (old^now)&polOn != 0 {
-				rt.stats.ModeFlips.Add(1)
+				atomic.AddUint64(&rt.stats.c.ModeFlips, 1)
 			}
 			return old, now
 		}

@@ -30,7 +30,7 @@ func (p policy) String() string {
 
 func TestSiteCellLayout(t *testing.T) {
 	var c siteCell
-	if off := unsafe.Offsetof(c.siteCounters); off != 64 {
+	if off := unsafe.Offsetof(c.n); off != 64 {
 		t.Errorf("counters start at offset %d, want 64: they share the policy word's line", off)
 	}
 	if sz := unsafe.Sizeof(c); sz%64 != 0 {

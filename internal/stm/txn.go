@@ -130,26 +130,14 @@ type Tx struct {
 	batchScratch []batchWord
 	batchNoSort  bool
 
-	// Per-transaction counters, flushed to Runtime.Stats at end to keep
-	// the access fast path free of shared atomics. They accumulate across
-	// Reset and flush only at Commit/AbandonAfterReset: a transaction that
-	// retries under contention would otherwise pay the full set of shared
-	// atomic adds once per attempt.
-	nInit, nCheckNew, nCheckOwned, nAcq uint64
-	nContended, nCASFail                uint64
-	nPromoted, nPromoWasted             uint64
-	nDuelLosses, nBackoffs              uint64
-	nBackoffSpins, nSpinAcquires        uint64
-	nBiasGrants, nBiasRevokes           uint64
-	nBiasWriteThrus                     uint64
-	nBiasRevokeWaitNs                   uint64
-	nInvisReads, nValidationAborts      uint64
-	nBatchAcquires, nBatchWords         uint64
-	nIntentHints                        uint64
-	// Table 8 memory accounting, accumulated per attempt (accountMemory)
-	// and flushed with the counters.
-	accRWSetBytes, accUndoEntries, accInitEntries uint64
-	accBufferBytes, accAttempts                   uint64
+	// n is the per-transaction counter block, flushed to Runtime.Stats at
+	// end to keep the access fast path free of shared atomics. It
+	// accumulates across Reset and flushes only at Commit or
+	// AbandonAfterReset: a transaction that retries under contention would
+	// otherwise pay the full set of shared atomic adds once per attempt.
+	// The Table 8 memory accounting accumulates in it per attempt
+	// (accountMemory) and flushes with the rest.
+	n StatsSnapshot
 }
 
 // ID returns the transaction's virtual ID: unbounded, unique for the
@@ -219,7 +207,7 @@ func (tx *Tx) BecomeInevitable() {
 	select {
 	case <-tx.rt.inev:
 	default:
-		tx.rt.stats.InevWaits.Add(1)
+		atomic.AddUint64(&tx.rt.stats.c.InevWaits, 1)
 		tx.rt.block(PointInevWait)
 		<-tx.rt.inev
 		tx.rt.unblock(PointInevWait)
@@ -279,8 +267,8 @@ func (tx *Tx) ensureSlab(o *Object) *lockSlab {
 	for slab == unallocSlab {
 		fresh := &lockSlab{words: make([]uint64, o.numLockSlots())}
 		if o.locks.CompareAndSwap(unallocSlab, fresh) {
-			tx.nInit++
-			tx.rt.stats.LockBytes.Add(uint64(len(fresh.words)) * 8)
+			tx.n.Init++
+			atomic.AddUint64(&tx.rt.stats.c.LockBytes, uint64(len(fresh.words))*8)
 			return fresh
 		}
 		slab = o.locks.Load()
@@ -313,7 +301,7 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 	case owned:
 		// Step (3): already in our read or write set.
 		if !write || wordIsWrite(w) {
-			tx.nCheckOwned++
+			tx.n.CheckOwned++
 			if write && len(tx.promoLog) != 0 {
 				// A write landing on an already-write-held word may be the
 				// write an adaptive promotion predicted; credit it.
@@ -325,7 +313,7 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 	case len(tx.biasLog) != 0 && tx.hasBiasedRead(addr):
 		// Already a visible reader through the bias slots.
 		if !write {
-			tx.nCheckOwned++
+			tx.n.CheckOwned++
 			return
 		}
 		// Write after a biased read of the same word: an upgrade. The
@@ -371,12 +359,12 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 	if write && tx.rt.bias.everAny.Load() {
 		tx.drainWriteThru(addr, site, owned)
 	}
-	tx.nAcq++
+	tx.n.Acquire++
 	// The per-site acquire count is sampled 1-in-(profMask+1): the ticket
 	// offsets the sampling phase per transaction, so short transactions
 	// contribute in aggregate even though any single one usually skips.
 	// All other site counters are slow-path-only and stay exact.
-	if (tx.nAcq+tx.ticket)&tx.rt.profMask == 0 {
+	if (tx.n.Acquire+tx.ticket)&tx.rt.profMask == 0 {
 		tx.noteSample(site, kind, write)
 	}
 	if !owned {
@@ -480,7 +468,7 @@ func (tx *Tx) fieldAccess(o *Object, f FieldID, kind slotKind, write bool) int32
 	}
 	if o.locks.Load() == nil {
 		// Step (1): new in the current transaction.
-		tx.nCheckNew++
+		tx.n.CheckNew++
 		return m.idx
 	}
 	tx.lockFor(o, m.idx, kind, m.lockID, m.siteID, write)
@@ -511,7 +499,7 @@ func (tx *Tx) elemAccess(o *Object, i int, kind slotKind, write bool) {
 		return
 	}
 	if o.locks.Load() == nil {
-		tx.nCheckNew++
+		tx.n.CheckNew++
 		return
 	}
 	tx.lockFor(o, int32(i), kind, int32(i), o.class.siteID, write)
@@ -591,21 +579,21 @@ func (tx *Tx) WriteStr(o *Object, f FieldID, v string) {
 // Use it for the read half of a read-modify-write; the declared intent
 // skips the adaptive promoter's learning phase entirely.
 func (tx *Tx) ReadWordForWrite(o *Object, f FieldID) uint64 {
-	tx.nIntentHints++
+	tx.n.IntentHints++
 	idx := tx.fieldAccess(o, f, slotWord, true)
 	return o.words[idx]
 }
 
 // ReadRefForWrite reads a reference field with declared write intent.
 func (tx *Tx) ReadRefForWrite(o *Object, f FieldID) *Object {
-	tx.nIntentHints++
+	tx.n.IntentHints++
 	idx := tx.fieldAccess(o, f, slotRef, true)
 	return o.refs[idx]
 }
 
 // ReadStrForWrite reads a string field with declared write intent.
 func (tx *Tx) ReadStrForWrite(o *Object, f FieldID) string {
-	tx.nIntentHints++
+	tx.n.IntentHints++
 	idx := tx.fieldAccess(o, f, slotStr, true)
 	return o.strs[idx]
 }
@@ -656,7 +644,7 @@ func (tx *Tx) ReadElem(o *Object, i int) uint64 {
 // ReadElemForWrite reads word element i of an array with declared write
 // intent (see ReadWordForWrite).
 func (tx *Tx) ReadElemForWrite(o *Object, i int) uint64 {
-	tx.nIntentHints++
+	tx.n.IntentHints++
 	tx.elemAccess(o, i, slotWord, true)
 	return o.words[i]
 }
@@ -790,80 +778,45 @@ func (tx *Tx) releaseLockEntries(mark int) {
 // the transaction-local accumulators (each attempt — commit or reset —
 // counts as one measured transaction).
 func (tx *Tx) accountMemory() {
-	tx.accRWSetBytes += uint64(len(tx.lockLog))*16 + uint64(len(tx.undo))*40 +
+	tx.n.RWSetBytes += uint64(len(tx.lockLog))*16 + uint64(len(tx.undo))*40 +
 		uint64(len(tx.readSet))*24
-	tx.accUndoEntries += uint64(len(tx.undo))
-	tx.accInitEntries += uint64(len(tx.initLog))
+	tx.n.UndoEntries += uint64(len(tx.undo))
+	tx.n.InitEntries += uint64(len(tx.initLog))
 	for _, r := range tx.resources {
 		if bs, ok := r.(BufferSizer); ok {
-			tx.accBufferBytes += uint64(bs.BufferedBytes())
+			tx.n.BufferBytes += uint64(bs.BufferedBytes())
 		}
 	}
-	tx.accAttempts++
+	tx.n.TxnsMeasured++
 }
 
-// flushCounters moves the per-transaction counters into the runtime
-// aggregate.
+// flushCounters moves the per-transaction counter block into the runtime
+// aggregate. Zero words are skipped: a shared atomic add costs as much as
+// the acquire itself on Table6AcqRls, and on any given commit all but
+// four or five counters are zero. They are skipped four at a time and a
+// window with something in it is flushed by straight-line code: Go does
+// not unroll loops, and a loop testing one word per iteration measures
+// 3–5 ns per commit slower than this.
 func (tx *Tx) flushCounters() {
-	// Every add below is guarded on the counter being nonzero: a shared
-	// atomic add costs as much as the acquire itself on Table6AcqRls,
-	// while a predictable not-taken branch is near free, and on any given
-	// commit most counters are zero — a bias-read-only transaction, the
-	// hot case of a read-biased site, flushes two adds instead of twenty.
-	st := &tx.rt.stats
-	flushNZ(&st.Init, &tx.nInit)
-	flushNZ(&st.CheckNew, &tx.nCheckNew)
-	flushNZ(&st.CheckOwned, &tx.nCheckOwned)
-	flushNZ(&st.Acquire, &tx.nAcq)
-	flushNZ(&st.Contended, &tx.nContended)
-	flushNZ(&st.CASFail, &tx.nCASFail)
-	// Both batch counters flush as one packed add — a batching
-	// transaction pays a single LOCK-prefixed RMW at commit where two
-	// would eat the per-word saving on small batches. The spill check is
-	// a predictable not-taken branch (see batchSpillMask).
-	if tx.nBatchAcquires != 0 {
-		if st.batchPacked.Add(tx.nBatchAcquires|tx.nBatchWords<<32)&batchSpillMask != 0 {
-			st.spillBatchPacked()
+	src, dst := tx.n.words(), tx.rt.stats.c.words()
+	for w := 0; w < numCounters; w += 4 {
+		// The last window slides back to stay in range; the words it
+		// shares with its neighbour are already flushed and zero.
+		lo := min(w, numCounters-4)
+		if src[lo]|src[lo+1]|src[lo+2]|src[lo+3] == 0 {
+			continue
 		}
-		tx.nBatchAcquires, tx.nBatchWords = 0, 0
-	}
-	// The adaptation counters are all zero on the uncontended non-biased
-	// path; one branch keeps their individual checks off it entirely.
-	if tx.nPromoted|tx.nPromoWasted|tx.nDuelLosses|
-		tx.nBackoffs|tx.nBackoffSpins|tx.nSpinAcquires|
-		tx.nBiasGrants|tx.nBiasRevokes|tx.nBiasWriteThrus|
-		tx.nBiasRevokeWaitNs|tx.nInvisReads|tx.nValidationAborts|
-		tx.nIntentHints != 0 {
-		flushNZ(&st.Promotions, &tx.nPromoted)
-		flushNZ(&st.PromoWasted, &tx.nPromoWasted)
-		flushNZ(&st.DuelLosses, &tx.nDuelLosses)
-		flushNZ(&st.Backoffs, &tx.nBackoffs)
-		flushNZ(&st.BackoffSpins, &tx.nBackoffSpins)
-		flushNZ(&st.SpinAcquires, &tx.nSpinAcquires)
-		flushNZ(&st.BiasGrants, &tx.nBiasGrants)
-		flushNZ(&st.BiasRevokes, &tx.nBiasRevokes)
-		flushNZ(&st.BiasWriteThrus, &tx.nBiasWriteThrus)
-		flushNZ(&st.BiasRevokeWaitNs, &tx.nBiasRevokeWaitNs)
-		flushNZ(&st.InvisReads, &tx.nInvisReads)
-		flushNZ(&st.ValidationAborts, &tx.nValidationAborts)
-		flushNZ(&st.IntentHints, &tx.nIntentHints)
-	}
-	if tx.accAttempts != 0 {
-		flushNZ(&st.RWSetBytes, &tx.accRWSetBytes)
-		flushNZ(&st.UndoEntries, &tx.accUndoEntries)
-		flushNZ(&st.InitEntries, &tx.accInitEntries)
-		flushNZ(&st.BufferBytes, &tx.accBufferBytes)
-		st.TxnsMeasured.Add(tx.accAttempts)
-		tx.accAttempts = 0
+		flushWord(dst, src, lo)
+		flushWord(dst, src, lo+1)
+		flushWord(dst, src, lo+2)
+		flushWord(dst, src, lo+3)
 	}
 }
 
-// flushNZ adds *src to dst and zeroes it, skipping the shared atomic
-// add when the local counter is zero.
-func flushNZ(dst *atomic.Uint64, src *uint64) {
-	if *src != 0 {
-		dst.Add(*src)
-		*src = 0
+func flushWord(dst, src *[numCounters]uint64, i int) {
+	if v := src[i]; v != 0 {
+		atomic.AddUint64(&dst[i], v)
+		src[i] = 0
 	}
 }
 
@@ -900,11 +853,11 @@ func (tx *Tx) Commit() {
 	deferred := tx.onCommit
 	tx.onCommit = nil
 	tx.clearLogs()
-	tx.rt.stats.Commits.Add(1)
+	atomic.AddUint64(&tx.rt.stats.c.Commits, 1)
 	if tx.rt.wantsEvent(EvCommit) {
 		tx.rt.event(Event{Kind: EvCommit, TxID: tx.vid, Ticket: tx.ticket})
 	}
-	tx.flushPromo() // before flushCounters: scoring bumps nPromoWasted
+	tx.flushPromo() // before flushCounters: scoring bumps PromoWasted
 	tx.flushCounters()
 	tx.flushProfile() // before endTx: the profile buffer is per-slot
 	tx.rt.endTx(tx)
@@ -957,7 +910,7 @@ func (tx *Tx) Reset() {
 	// written is unknown.
 	tx.promoLog = tx.promoLog[:0]
 	tx.victim.Store(false)
-	tx.rt.stats.Aborts.Add(1)
+	atomic.AddUint64(&tx.rt.stats.c.Aborts, 1)
 	if tx.rt.wantsEvent(EvReset) {
 		tx.rt.event(Event{Kind: EvReset, TxID: tx.vid, Ticket: tx.ticket})
 	}
