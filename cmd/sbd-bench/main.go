@@ -82,10 +82,32 @@ type cell struct {
 	casFail   uint64
 }
 
+// usageError reports a flag combination that would measure nothing and
+// exits 2, the status of any other flag error.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "sbd-bench: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
 func main() {
 	flag.Parse()
 	cfg := harness.Config{Window: *window, MaxCoV: *maxCoV, MaxIters: *maxIters}
 	counts := parseThreads(*threads)
+	if len(counts) == 0 {
+		usageError("-threads=%q: need at least one positive thread count", *threads)
+	}
+	var names []string
+	var ws []*workloads.Workload
+	for _, w := range workloads.All() {
+		names = append(names, w.Name)
+		if selected(w.Name) {
+			ws = append(ws, w)
+		}
+	}
+	if len(ws) == 0 {
+		usageError("-bench=%q names no workload (have %s)", *bench, strings.Join(names, ","))
+	}
 
 	// The live metrics endpoint follows the currently-measured runtime;
 	// between iterations it reads the most recent one. Scrapes run on
@@ -108,10 +130,7 @@ func main() {
 	}
 
 	var overheads []float64
-	for _, w := range workloads.All() {
-		if !selected(w.Name) {
-			continue
-		}
+	for _, w := range ws {
 		in := w.Prepare(*scale)
 		var cells []cell
 		var lastRT *core.Runtime

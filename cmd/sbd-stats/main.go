@@ -73,7 +73,7 @@ func main() {
 			init: snap.Init, checkNew: snap.CheckNew, checkOwned: snap.CheckOwned,
 			acq: snap.Acquire, lockBytes: snap.LockBytes,
 			rwSet: snap.RWSetBytes, buffers: snap.BufferBytes,
-			initLog: snap.InitEntries * 8, txns: snap.TxnsMeasured,
+			initLog: snap.InitEntries * 8, txns: snap.Commits + snap.Aborts,
 		}, snap, rt.Profile().Snapshot()})
 	}
 

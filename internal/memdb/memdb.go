@@ -8,7 +8,10 @@
 // Concurrency control is first-updater-wins row ownership: a transaction
 // that updates, inserts, or deletes a row owns it until it ends; a
 // second writer gets ErrConflict and is expected to roll back and retry.
-// Readers always see the last committed version (read committed).
+// Readers always see the last committed version (read committed), and a
+// transaction that read a row before another committed it cannot then
+// write it: Get remembers the row's commit version, and Update or Delete
+// of a row that has moved since returns ErrConflict (no lost updates).
 package memdb
 
 import (
@@ -32,7 +35,11 @@ type row struct {
 	committed []string // nil = not visible to other transactions yet
 	pending   []string // nil while unowned; tombstone encoded as deleted=true
 	deleted   bool
-	owner     *Txn
+	// version counts this row's commits. 32 bits keep the row in a
+	// 64-byte allocation, and a stale read goes unnoticed only if the
+	// row commits exactly 2^32 times between the read and the write.
+	version uint32
+	owner   *Txn
 }
 
 // Table is a map from int64 primary keys to string tuples.
@@ -91,7 +98,34 @@ func (db *DB) Table(name string) (*Table, error) {
 type Txn struct {
 	db    *DB
 	owned []ownedRow
+	read  []readMark
 	ended bool
+}
+
+// readMark is the version of a row as this transaction first read it.
+type readMark struct {
+	t       *Table
+	key     int64
+	r       *row
+	version uint32
+}
+
+// readOf returns this transaction's first read of (t, key), or nil.
+func (tx *Txn) readOf(t *Table, key int64) *readMark {
+	for i := range tx.read {
+		if m := &tx.read[i]; m.t == t && m.key == key {
+			return m
+		}
+	}
+	return nil
+}
+
+// stale reports whether the row now at (t, key) is not the one this
+// transaction read, or has committed since. Rows it never read are not
+// stale. Caller holds db.mu.
+func (tx *Txn) stale(t *Table, key int64, r *row) bool {
+	m := tx.readOf(t, key)
+	return m != nil && (m.r != r || m.version != r.version)
 }
 
 type ownedRow struct {
@@ -134,6 +168,9 @@ func (tx *Txn) Get(t *Table, key int64) ([]string, error) {
 	if r.committed == nil {
 		return nil, ErrNotFound // uncommitted insert of another transaction
 	}
+	if tx.readOf(t, key) == nil {
+		tx.read = append(tx.read, readMark{t: t, key: key, r: r, version: r.version})
+	}
 	return r.committed, nil
 }
 
@@ -175,7 +212,7 @@ func (tx *Txn) Update(t *Table, key int64, vals []string) error {
 	if r == nil || (r.owner != tx && r.committed == nil) {
 		return ErrNotFound
 	}
-	if r.owner != nil && r.owner != tx {
+	if r.owner != tx && (r.owner != nil || tx.stale(t, key, r)) {
 		tx.db.stats.Conflicts.Add(1)
 		return ErrConflict
 	}
@@ -203,7 +240,7 @@ func (tx *Txn) Delete(t *Table, key int64) error {
 	if r == nil || (r.owner != tx && r.committed == nil) {
 		return ErrNotFound
 	}
-	if r.owner != nil && r.owner != tx {
+	if r.owner != tx && (r.owner != nil || tx.stale(t, key, r)) {
 		tx.db.stats.Conflicts.Add(1)
 		return ErrConflict
 	}
@@ -273,6 +310,7 @@ func (tx *Txn) Commit() error {
 		o.r.committed = o.r.pending
 		o.r.pending = nil
 		o.r.owner = nil
+		o.r.version++
 	}
 	tx.db.mu.Unlock()
 	tx.db.stats.Commits.Add(1)

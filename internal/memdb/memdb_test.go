@@ -409,3 +409,49 @@ func TestConcurrentHotRowOwnershipExcludes(t *testing.T) {
 		t.Fatalf("commits = %d, want >= %d", db.Stats().Commits.Load(), workers*commits)
 	}
 }
+
+// TestStaleReadCannotWrite is the lost update a read-merge-write handler
+// hits: T1 reads row k, T2 updates k and commits, and T1's write of k —
+// computed from the value T2 overwrote — must be refused, whether it is
+// an Update or a Delete. A row T1 never read stays writable.
+func TestStaleReadCannotWrite(t *testing.T) {
+	for _, write := range []struct {
+		name string
+		do   func(tx *Txn, tbl *Table) error
+	}{
+		{"Update", func(tx *Txn, tbl *Table) error { return tx.Update(tbl, 1, []string{"t1"}) }},
+		{"Delete", func(tx *Txn, tbl *Table) error { return tx.Delete(tbl, 1) }},
+	} {
+		t.Run(write.name, func(t *testing.T) {
+			db := New()
+			tbl := mustTable(t, db, "carts")
+			seed := db.Begin()
+			seed.Insert(tbl, 1, []string{"v0"})
+			seed.Insert(tbl, 2, []string{"v0"})
+			seed.Commit()
+
+			t1 := db.Begin()
+			if _, err := t1.Get(tbl, 1); err != nil {
+				t.Fatal(err)
+			}
+			t2 := db.Begin()
+			if err := t2.Update(tbl, 1, []string{"t2"}); err != nil {
+				t.Fatal(err)
+			}
+			t2.Commit()
+
+			if err := write.do(t1, tbl); err != ErrConflict {
+				t.Fatalf("write after a stale read: %v, want ErrConflict", err)
+			}
+			if err := t1.Update(tbl, 2, []string{"t1"}); err != nil {
+				t.Fatalf("write of a row never read: %v", err)
+			}
+			t1.Commit()
+			check := db.Begin()
+			if v, _ := check.Get(tbl, 1); v[0] != "t2" {
+				t.Fatalf("row 1 = %v, want T2's committed value", v)
+			}
+			check.Rollback()
+		})
+	}
+}

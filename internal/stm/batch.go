@@ -74,10 +74,10 @@ func (tx *Tx) AcquireBatch(accs []BatchAccess) {
 	}
 	// batchNoSort (tests only) must exercise the blocking path in program
 	// order, so it skips the non-blocking trylock phase too.
-	if !tx.batchNoSort && tx.tryBatchFast(accs) {
-		return
+	if tx.batchNoSort || !tx.tryBatchFast(accs) {
+		tx.acquireBatchSorted(accs)
 	}
-	tx.acquireBatchSorted(accs)
+	tx.revalidate()
 }
 
 // resolveBatchAccess maps one access to its storage slot, lock slot, and

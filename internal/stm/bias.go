@@ -237,7 +237,7 @@ func (tx *Tx) tryBiasRead(addr *uint64, site int32) bool {
 		// Sampled: keep the score saturated while the bias is earning
 		// its keep, and charge the site profile.
 		rt.noteSite(site, siteBiasGrant)
-		tx.profAt(site).BiasGrants += rt.profMask + 1
+		atomic.AddUint64(&rt.sites.at(site).n.BiasGrants, rt.profMask+1)
 	}
 	if rt.wantsEvent(EvBiased) {
 		rt.event(Event{Kind: EvBiased, TxID: tx.vid, Ticket: tx.ticket, Addr: addr})
@@ -343,7 +343,7 @@ func (tx *Tx) drainWriteThru(addr *uint64, site int32, keepBit bool) {
 //go:noinline
 func (tx *Tx) noteBiasRevoke(addr *uint64, site int32, qid int) {
 	tx.n.BiasRevokes++
-	tx.profAt(site).BiasRevokes++
+	atomic.AddUint64(&tx.rt.sites.at(site).n.BiasRevokes, 1)
 	if tx.rt.bias.drainedExcept(addr, tx.slot) {
 		tx.rt.noteSite(site, siteEmptyRevoke)
 	}

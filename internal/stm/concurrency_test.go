@@ -372,10 +372,11 @@ func TestSlotLeaseLimit(t *testing.T) {
 
 	tx1 := rt.Begin()
 	tx2 := rt.Begin()
-	// A third Begin proceeds immediately: identity is virtual, unbounded.
+	// A third Begin proceeds immediately: identity is virtual, unbounded,
+	// and no Begin leases a slot.
 	tx3 := rt.Begin()
-	if rt.ActiveTxns() != 3 {
-		t.Fatalf("ActiveTxns = %d, want 3", rt.ActiveTxns())
+	if got := rt.LeasedSlots(); got != 0 {
+		t.Fatalf("LeasedSlots = %d after three Begins, want 0", got)
 	}
 	tx1.WriteInt(a, v, 1)
 	tx2.WriteInt(b, v, 1)
@@ -481,8 +482,8 @@ func TestAllTxnIDsUsable(t *testing.T) {
 		}
 		seen[txs[i].ID()] = true
 	}
-	if rt.ActiveTxns() != MaxTxns {
-		t.Fatalf("ActiveTxns = %d, want %d", rt.ActiveTxns(), MaxTxns)
+	if got := rt.LeasedSlots(); got != 0 {
+		t.Fatalf("LeasedSlots = %d after %d Begins, want 0", got, MaxTxns)
 	}
 	c := NewClass("C", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
@@ -490,8 +491,14 @@ func TestAllTxnIDsUsable(t *testing.T) {
 	for _, tx := range txs {
 		_ = tx.ReadInt(o, c.Field("v"))
 	}
+	if got := rt.LeasedSlots(); got != MaxTxns {
+		t.Fatalf("LeasedSlots = %d with every section holding a lock, want %d", got, MaxTxns)
+	}
 	for _, tx := range txs {
 		tx.Commit()
+	}
+	if got := rt.Stats().Snapshot().Commits; got != MaxTxns {
+		t.Fatalf("Commits = %d, want %d", got, MaxTxns)
 	}
 }
 

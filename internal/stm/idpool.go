@@ -116,12 +116,10 @@ func (p *slotPool) acquire(tx *Tx) (slot int, waited bool) {
 	p.waiters = append(p.waiters, w)
 	p.mu.Unlock()
 
-	if rt != nil {
-		if rt.wantsEvent(EvSlotWait) {
-			rt.event(Event{Kind: EvSlotWait, TxID: tx.vid, Ticket: tx.ticket})
-		}
-		atomic.AddUint64(&rt.stats.c.SlotWaits, 1)
+	if rt != nil && rt.wantsEvent(EvSlotWait) {
+		rt.event(Event{Kind: EvSlotWait, TxID: tx.vid, Ticket: tx.ticket})
 	}
+	tx.n.SlotWaits++
 	start := time.Now()
 	if rt != nil {
 		rt.block(PointSlotWait)
@@ -129,8 +127,8 @@ func (p *slotPool) acquire(tx *Tx) (slot int, waited bool) {
 	slot = <-w.ch
 	if rt != nil {
 		rt.unblock(PointSlotWait)
-		atomic.AddUint64(&rt.stats.c.SlotWaitNs, uint64(time.Since(start)))
 	}
+	tx.n.SlotWaitNs += uint64(time.Since(start))
 	return p.took(slot), true
 }
 

@@ -440,3 +440,45 @@ func TestInvisConcurrentCounters(t *testing.T) {
 		t.Fatal(readerErr)
 	}
 }
+
+// TestVisibleGrantRevalidates is the invisible→visible zombie: T1 reads
+// x invisibly, T2 overwrites x and the ref y and commits, and T1's next
+// visible read of y must unwind with *Aborted — a grant without a look
+// at the read-set would hand T1 T2's y beside T1's stale x. y lives on
+// an object whose slab carries no version array, so only the clock
+// tells T1 that something committed.
+func TestVisibleGrantRevalidates(t *testing.T) {
+	rt := invisRuntime()
+	c := NewClass("InvisZombie", FieldSpec{Name: "x", Kind: KindWord}, FieldSpec{Name: "y", Kind: KindRef})
+	x, y := c.Field("x"), c.Field("y")
+	o, p := NewCommitted(c), NewCommitted(c)
+	rt.SeedInvisible(c, x)
+	primeInvis(rt, o, x)
+
+	t1 := rt.Begin()
+	t1.ReadWord(o, x)
+	if len(t1.readSet) != 1 {
+		t.Fatalf("T1's read of x was not invisible (read-set %d)", len(t1.readSet))
+	}
+	t2 := rt.Begin()
+	t2.WriteWord(o, x, 1)
+	t2.WriteRef(p, y, NewCommitted(c))
+	t2.Commit()
+
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		t1.ReadRef(p, y)
+		return nil
+	}()
+	if _, ok := got.(*Aborted); !ok {
+		t.Fatalf("T1's visible read after a conflicting commit returned; recovered %v, want *Aborted", got)
+	}
+	t1.Reset()
+	if t1.ReadWord(o, x) != 1 || t1.ReadRef(p, y) == nil {
+		t.Fatal("replay did not see T2's commit")
+	}
+	t1.Commit()
+	if s := rt.Stats().Snapshot(); s.ValidationAborts != 1 {
+		t.Fatalf("ValidationAborts = %d, want 1", s.ValidationAborts)
+	}
+}

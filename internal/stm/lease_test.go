@@ -159,8 +159,9 @@ func TestSlotLeaseNoLeak(t *testing.T) {
 			t.Fatalf("round %d: %d stale overflow waiters after quiescence", round, got)
 		}
 	}
-	if rt.ActiveTxns() != 0 {
-		t.Fatalf("ActiveTxns = %d after quiescence, want 0", rt.ActiveTxns())
+	// Every section that began has ended: each committed exactly once.
+	if got := rt.Stats().Snapshot().Commits; got != 20*8 {
+		t.Fatalf("Commits = %d after quiescence, want %d", got, 20*8)
 	}
 }
 

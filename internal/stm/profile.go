@@ -15,17 +15,16 @@ import (
 // about when a workload collapses: "the hot lock is the size field of
 // the queue class", not "lock word 0xc000123".
 //
-// The profiler follows the same zero-shared-atomics discipline as the
-// counter block in Tx (Tx.n): every acquire updates a small per-transaction
-// delta buffer (no sharing, no atomics), and Commit/Reset flush the
-// buffer into the runtime's per-site atomic counters. The uncontended
-// check paths (new instance, already owned, final, thread-local) never
-// touch the profiler at all.
+// A per-site event is charged to its site's cell with one atomic add
+// where it happens (siteCell.n). None is on the uncontended path:
+// each is slow-path, sampled 1-in-ProfileSampleRate (acquires, bias
+// grants, invisible reads, block time), or a promotion, charged once
+// per promoted acquire. The check paths never touch the profiler.
 
 // DefaultProfileSampleRate is the default sampling period of the
 // per-site acquire counter (Options.ProfileSampleRate): the fast path
-// charges one in every 64 acquires to its site and the flush scales the
-// sample back up, keeping the always-on cost of the profiler to one
+// charges one in every 64 acquires to its site, scaled back up to the
+// period, keeping the always-on cost of the profiler to one
 // add-and-branch per acquire. Per-site block time shares the same
 // period (two clock reads per block dominate the slow path under heavy
 // contention otherwise); the other contention counters are always exact.
@@ -78,29 +77,25 @@ func siteInfo(id int32) SiteInfo {
 
 // SiteCounters is the declaration of the per-site counters, the way
 // StatsSnapshot is for the runtime-wide ones: one 8-byte field per
-// counter, and the cell aggregate (siteCell.n), the per-transaction
-// delta (siteDelta), flushProfile, Profile.Snapshot/Reset and the
+// counter, and the cell (siteCell.n), Profile.Snapshot/Reset and the
 // exposition in internal/obs all index this list. prom and help are the
 // /metrics series (one sample per site), col is the /profile column.
 //
 // Acquires, BiasGrants, InvisReads and BlockTime are sampled estimates
 // scaled by ProfileSampleRate; the rest are exact.
 type SiteCounters struct {
-	Acquires    uint64 `prom:"sbd_site_acquires_total" help:"Lock acquisitions per site." col:"Acq"`
-	Contended   uint64 `prom:"sbd_site_contended_total" help:"Contended acquisitions per site." col:"Cont"`
-	CASFails    uint64 `prom:"sbd_site_cas_failures_total" help:"Failed lock-word CAS attempts per site." col:"CASFail"`
-	Upgrades    uint64 `prom:"sbd_site_upgrades_total" help:"Enqueued read-to-write upgrades per site." col:"Upgr"`
-	Promotions  uint64 `prom:"sbd_site_promotions_total" help:"Adaptive write-intent promotions per site." col:"Promo"`
-	DuelLosses  uint64 `prom:"sbd_site_duel_losses_total" help:"Hint-boosting upgrade aborts per site." col:"DuelLoss"`
-	Deadlocks   uint64 `prom:"sbd_site_deadlocks_total" help:"Acquire-path abort involvements per site." col:"Dead"`
-	BiasGrants  uint64 `prom:"sbd_site_bias_grants_total" help:"Biased reader-slot grants per site." col:"Bias"`
-	BiasRevokes uint64 `prom:"sbd_site_bias_revokes_total" help:"Read-bias revocations per site." col:"Revoke"`
-	// InvisReads and ValAborts may also be added to the cell directly,
-	// bypassing the delta buffers: a read-only invisible section never
-	// leases a slot and so owns no buffer (readset.go).
-	InvisReads uint64        `prom:"sbd_site_invis_reads_total" help:"Invisible optimistic reads per site." col:"Invis"`
-	ValAborts  uint64        `prom:"sbd_site_validation_aborts_total" help:"Commit-time validation failures per site." col:"VAbr"`
-	BlockTime  time.Duration `prom:"sbd_site_block_seconds_total" help:"Cumulative time blocked per site." col:"Block" unit:"ns"`
+	Acquires    uint64        `prom:"sbd_site_acquires_total" help:"Lock acquisitions per site." col:"Acq"`
+	Contended   uint64        `prom:"sbd_site_contended_total" help:"Contended acquisitions per site." col:"Cont"`
+	CASFails    uint64        `prom:"sbd_site_cas_failures_total" help:"Failed lock-word CAS attempts per site." col:"CASFail"`
+	Upgrades    uint64        `prom:"sbd_site_upgrades_total" help:"Enqueued read-to-write upgrades per site." col:"Upgr"`
+	Promotions  uint64        `prom:"sbd_site_promotions_total" help:"Adaptive write-intent promotions per site." col:"Promo"`
+	DuelLosses  uint64        `prom:"sbd_site_duel_losses_total" help:"Hint-boosting upgrade aborts per site." col:"DuelLoss"`
+	Deadlocks   uint64        `prom:"sbd_site_deadlocks_total" help:"Acquire-path abort involvements per site." col:"Dead"`
+	BiasGrants  uint64        `prom:"sbd_site_bias_grants_total" help:"Biased reader-slot grants per site." col:"Bias"`
+	BiasRevokes uint64        `prom:"sbd_site_bias_revokes_total" help:"Read-bias revocations per site." col:"Revoke"`
+	InvisReads  uint64        `prom:"sbd_site_invis_reads_total" help:"Invisible optimistic reads per site." col:"Invis"`
+	ValAborts   uint64        `prom:"sbd_site_validation_aborts_total" help:"Commit-time validation failures per site." col:"VAbr"`
+	BlockTime   time.Duration `prom:"sbd_site_block_seconds_total" help:"Cumulative time blocked per site." col:"Block" unit:"ns"`
 }
 
 const numSiteCounters = int(unsafe.Sizeof(SiteCounters{}) / 8)
@@ -109,42 +104,14 @@ func (c *SiteCounters) words() *[numSiteCounters]uint64 {
 	return (*[numSiteCounters]uint64)(unsafe.Pointer(c))
 }
 
-// siteDelta is the per-transaction buffered contribution to one site.
-type siteDelta struct {
-	site int32
-	SiteCounters
-}
-
-// profAt returns the transaction's delta buffer entry for a site,
-// creating it on first touch. The newest-first linear search exploits
-// locality: a transaction usually hammers the site it touched last.
-//
-// The buffer lives in Runtime.profBufs, indexed by the leased lock-word
-// slot, not in Tx: the slot is exclusively owned by one section between
-// lease and release (with the slot pool providing the happens-before
-// edge on handoff), and the buffer's capacity survives across sections
-// that reuse the slot. Every caller is on a lock path, so the slot lease
-// is already in place (lockFor runs ensureSlot first).
-func (tx *Tx) profAt(site int32) *siteDelta {
-	buf := tx.rt.profBufs[tx.slot]
-	for i := len(buf) - 1; i >= 0; i-- {
-		if buf[i].site == site {
-			return &buf[i]
-		}
-	}
-	buf = append(buf, siteDelta{site: site})
-	tx.rt.profBufs[tx.slot] = buf
-	return &buf[len(buf)-1]
-}
-
 // chargeAcquire scales one sampled acquire back up to the sampling
-// period and charges it to the site. Kept out of line so the inlined
-// profAt body does not bloat lockFor, whose code size the uncontended
-// fast path pays for on every access.
+// period and charges it to the site. Kept out of line so the cell
+// lookup does not bloat lockFor, whose code size the uncontended fast
+// path pays for on every access.
 //
 //go:noinline
 func (tx *Tx) chargeAcquire(site int32) {
-	tx.profAt(site).Acquires += tx.rt.profMask + 1
+	atomic.AddUint64(&tx.rt.sites.at(site).n.Acquires, tx.rt.profMask+1)
 }
 
 // chargeCASFail records a failed fast-path lock CAS, out of line for
@@ -153,29 +120,13 @@ func (tx *Tx) chargeAcquire(site int32) {
 //go:noinline
 func (tx *Tx) chargeCASFail(site int32) {
 	tx.n.CASFail++
-	tx.profAt(site).CASFails++
+	atomic.AddUint64(&tx.rt.sites.at(site).n.CASFails, 1)
 }
 
-// flushProfile moves the per-transaction site deltas into the runtime
-// profile. Zero fields are skipped so the common uncontended acquire
-// costs one atomic add per touched site.
-func (tx *Tx) flushProfile() {
-	if tx.slot < 0 {
-		return // never leased a slot: no lock was acquired, nothing buffered
-	}
-	buf := tx.rt.profBufs[tx.slot]
-	if len(buf) == 0 {
-		return
-	}
-	for i := range buf {
-		dst := tx.rt.sites.at(buf[i].site).n.words()
-		for j, v := range buf[i].words() {
-			if v != 0 {
-				atomic.AddUint64(&dst[j], v)
-			}
-		}
-	}
-	tx.rt.profBufs[tx.slot] = buf[:0]
+// chargeBlock charges one sampled park that began at start, scaled back
+// up to the sampling period.
+func (rt *Runtime) chargeBlock(site int32, start time.Time) {
+	atomic.AddInt64((*int64)(&rt.sites.at(site).n.BlockTime), int64(time.Since(start))*int64(rt.profMask+1))
 }
 
 // Profile is the exported read-only view of a runtime's site table

@@ -59,7 +59,7 @@ type promoRec struct {
 func (tx *Tx) notePromoted(addr *uint64, site int32) {
 	tx.promoLog = append(tx.promoLog, promoRec{addr: addr, site: site})
 	tx.n.Promotions++
-	tx.profAt(site).Promotions++
+	atomic.AddUint64(&tx.rt.sites.at(site).n.Promotions, 1)
 	if tx.rt.wantsEvent(EvPromoted) {
 		tx.rt.event(Event{Kind: EvPromoted, TxID: tx.vid, Ticket: tx.ticket, Addr: addr, Write: true})
 	}
@@ -88,7 +88,7 @@ func (tx *Tx) promoWritten(addr *uint64) {
 //go:noinline
 func (tx *Tx) noteDuelLoss(site int32) {
 	tx.n.DuelLosses++
-	tx.profAt(site).DuelLosses++
+	atomic.AddUint64(&tx.rt.sites.at(site).n.DuelLosses, 1)
 	tx.rt.noteSite(site, siteDuelLoss)
 }
 

@@ -367,14 +367,14 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		}
 
 		tx.n.Contended++
-		tx.profAt(site).Contended++
+		atomic.AddUint64(&rt.sites.at(site).n.Contended, 1)
 		upgrader = write && (atomic.LoadUint64(addr)&tx.mask != 0 ||
 			(len(tx.biasLog) != 0 && tx.hasBiasedRead(addr)))
 		if !upgrader {
 			break
 		}
 
-		tx.profAt(site).Upgrades++
+		atomic.AddUint64(&rt.sites.at(site).n.Upgrades, 1)
 		// Dueling write-upgrades (paper §3.3): two upgrading readers of the
 		// same lock always deadlock; resolve it now by aborting the younger
 		// of the two instead of waiting for digest propagation. The duel is
@@ -404,7 +404,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			d.event(Event{Kind: EvDuel, TxID: tx.vid, VictimID: tx.vid, OtherID: other.tx.vid, Addr: addr, Inev: other.tx.inevitable})
 		}
 		q.mu.Unlock()
-		tx.profAt(site).Deadlocks++
+		atomic.AddUint64(&rt.sites.at(site).n.Deadlocks, 1)
 		tx.noteDuelLoss(site)
 		tx.selfAbort("dueling write-upgrade")
 	}
@@ -516,7 +516,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		q.mu.Unlock()
 		if granted {
 			if blockSampled {
-				tx.profAt(site).BlockTime += time.Since(parkStart) * time.Duration(rt.profMask+1)
+				rt.chargeBlock(site, parkStart)
 			}
 			if revoked {
 				// Revocations are rare and always contended; their wait is
@@ -527,11 +527,10 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			return viaWord
 		}
 		if aborted {
-			pd := tx.profAt(site)
 			if blockSampled {
-				pd.BlockTime += time.Since(parkStart) * time.Duration(rt.profMask+1)
+				rt.chargeBlock(site, parkStart)
 			}
-			pd.Deadlocks++
+			atomic.AddUint64(&rt.sites.at(site).n.Deadlocks, 1)
 			if wt.upgrader {
 				// Aborted while enqueued as an upgrader: a duel resolved
 				// against us, or a deadlock through the upgrade edge —
@@ -550,7 +549,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		}
 		// Injected spurious wake-up (Runtime.InjectSpuriousWake): no
 		// state changed; re-check and re-park.
-		atomic.AddUint64(&rt.stats.c.SpuriousWakes, 1)
+		tx.n.SpuriousWakes++
 		if rt.wantsEvent(EvSpuriousWake) {
 			rt.event(Event{Kind: EvSpuriousWake, TxID: tx.vid, Addr: addr})
 		}
@@ -868,6 +867,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 			d.cycleMu.Unlock()
 			return
 		}
+		// At the event, not through tx.n: see StatsSnapshot.
 		atomic.AddUint64(&d.rt.stats.c.Deadlocks, 1)
 		if victim == wt {
 			q := wt.q.Load()
@@ -877,7 +877,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 				// already removed us.
 				q.mu.Unlock()
 				d.cycleMu.Unlock()
-				tx.profAt(site).Deadlocks++
+				atomic.AddUint64(&d.rt.sites.at(site).n.Deadlocks, 1)
 				if wt.upgrader {
 					tx.noteDuelLoss(site)
 				}
@@ -891,7 +891,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 			d.removeWaiterLocked(q, wt)
 			q.mu.Unlock()
 			d.cycleMu.Unlock()
-			tx.profAt(site).Deadlocks++
+			atomic.AddUint64(&d.rt.sites.at(site).n.Deadlocks, 1)
 			if wt.upgrader {
 				tx.noteDuelLoss(site)
 			}

@@ -13,8 +13,8 @@ import "sync/atomic"
 //
 //   - Writers stamp. A committing transaction that wrote a word whose
 //     slab carries a version array stores the new global clock value
-//     into the word's version slot BEFORE the release CAS clears its
-//     write lock (Tx.stampVersion, called from releaseLocks — which
+//     into the word's version slot BEFORE its first release CAS clears
+//     any lock (Tx.stampVersion, called from releaseLocks — which
 //     also covers bias write-throughs, since a write-through holds W
 //     beside the marker and releases through the same log). Under Go's
 //     sequentially-consistent atomics, "lock word shows no writer"
@@ -31,7 +31,8 @@ import "sync/atomic"
 //     re-snapshot the clock, revalidate the whole read-set — so a
 //     transaction never consumes two reads no single moment could have
 //     produced (no zombie sections: user code between reads runs only
-//     on consistent snapshots).
+//     on consistent snapshots). A visible grant that follows an
+//     invisible read makes the same check (Tx.revalidate).
 //
 //   - Commit revalidates. validateReads runs before the undo log is
 //     discarded, before resources commit, and before any lock is
@@ -88,7 +89,7 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 		// writer already inside its critical section may have checked
 		// vers before the install and would store the value plainly.
 		if slab.installVersions() {
-			atomic.AddUint64(&rt.stats.c.LockBytes, uint64(len(slab.words))*8)
+			tx.n.LockBytes += uint64(len(slab.words)) * 8
 		}
 		return false
 	}
@@ -112,7 +113,7 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 	if w2 := atomic.LoadUint64(addr); wordIsWrite(w2) || atomic.LoadUint64(ver) != v1 {
 		return false // moved underfoot; the pessimistic path will wait properly
 	}
-	if v1 > tx.rv && !tx.extendSnapshot() {
+	if v1 > tx.rv && tx.extendSnapshot() != nil {
 		// The word committed after our snapshot and some earlier read
 		// no longer holds: no single moment produced this read-set.
 		tx.invisAbort(site)
@@ -121,7 +122,7 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 	tx.invisVal, tx.invisHit = val, true
 	tx.n.InvisReads++
 	if (tx.n.InvisReads+tx.ticket)&rt.profMask == 0 {
-		tx.chargeInvisRead(site)
+		atomic.AddUint64(&rt.sites.at(site).n.InvisReads, rt.profMask+1)
 	}
 	if rt.wantsEvent(EvInvisRead) {
 		rt.event(Event{Kind: EvInvisRead, TxID: tx.vid, Ticket: tx.ticket, Addr: addr})
@@ -154,15 +155,36 @@ func (tx *Tx) firstInvalid() *invisRead {
 }
 
 // extendSnapshot re-snapshots the clock and revalidates the read-set
-// (TL2 snapshot extension): on success the transaction's read version
-// advances and the triggering read may proceed.
-func (tx *Tx) extendSnapshot() bool {
+// (TL2 snapshot extension): on success (nil) the transaction's read
+// version advances and the triggering access may proceed; otherwise it
+// returns the read that no longer holds.
+func (tx *Tx) extendSnapshot() *invisRead {
 	now := tx.rt.vc.now()
-	if tx.firstInvalid() != nil {
-		return false
+	if e := tx.firstInvalid(); e != nil {
+		return e
 	}
 	tx.rv = now
-	return true
+	return nil
+}
+
+// revalidate is the opacity check of a fresh visible grant (lockFor,
+// AcquireBatch): once the clock has passed rv, a section that read
+// invisibly extends its snapshot or aborts before it can consume the
+// new value beside a stale one — Kuznetsov & Ravi's incremental
+// validation. Called after the grant is logged, so an abort releases it.
+func (tx *Tx) revalidate() {
+	if len(tx.readSet) != 0 {
+		tx.revalidateSlow()
+	}
+}
+
+//go:noinline
+func (tx *Tx) revalidateSlow() {
+	if tx.rt.vc.now() != tx.rv {
+		if e := tx.extendSnapshot(); e != nil {
+			tx.invisAbort(e.site)
+		}
+	}
 }
 
 // validateReads is the commit-time revalidation, called before the
@@ -189,46 +211,30 @@ func (tx *Tx) invisAbort(site int32) {
 	tx.n.ValidationAborts++
 	rt := tx.rt
 	rt.noteSite(site, siteValidationAbort)
-	if tx.slot >= 0 {
-		tx.profAt(site).ValAborts++
-	} else {
-		// A read-only invisible section never leased a slot, so it has
-		// no buffered profile deltas; charge the aggregate directly.
-		atomic.AddUint64(&rt.sites.at(site).n.ValAborts, 1)
-	}
+	atomic.AddUint64(&rt.sites.at(site).n.ValAborts, 1)
 	if rt.wantsEvent(EvValidationAbort) {
 		rt.event(Event{Kind: EvValidationAbort, TxID: tx.vid, Ticket: tx.ticket})
 	}
 	tx.selfAbort("invisible-read validation failed")
 }
 
-// chargeInvisRead records a sampled invisible read in the per-site
-// profile, scaled back up to the sampling period. Out of line for the
-// same reason as chargeAcquire.
-//
-//go:noinline
-func (tx *Tx) chargeInvisRead(site int32) {
-	n := tx.rt.profMask + 1
-	if tx.slot >= 0 {
-		tx.profAt(site).InvisReads += n
-	} else {
-		atomic.AddUint64(&tx.rt.sites.at(site).n.InvisReads, n)
-	}
-}
-
-// stampVersion publishes the new version of a written word, called by
-// releaseLocks on the commit path BEFORE the release CAS clears the
-// write lock — the ordering validation depends on. Words whose slab
-// never grew a version array (no reader ever went invisible there)
-// cost one pointer load and a not-taken branch.
-func (tx *Tx) stampVersion(slab *lockSlab, lockID int32) {
-	vp := slab.vers.Load()
+// stampVersion publishes the new version of a held word if this
+// transaction wrote it, called by releaseLocks on the commit path BEFORE
+// any release CAS clears a lock of the commit — the ordering validation
+// depends on. Words whose slab never grew a version array (no reader
+// ever went invisible there) cost one pointer load and a not-taken
+// branch; the lock word itself is loaded only for a versioned slab.
+func (tx *Tx) stampVersion(e *lockLogEntry) {
+	vp := e.slab.vers.Load()
 	if vp == nil {
+		return
+	}
+	if w := atomic.LoadUint64(&e.slab.words[e.lockID]); !wordIsWrite(w) || w&tx.mask == 0 {
 		return
 	}
 	if tx.wv == 0 {
 		tx.wv = tx.rt.vc.tick() // one clock bump per stamping commit
 	}
 	tx.rt.yield(PointVersionStamp)
-	atomic.StoreUint64(&(*vp)[lockID], tx.wv)
+	atomic.StoreUint64(&(*vp)[e.lockID], tx.wv)
 }

@@ -23,13 +23,8 @@ type Runtime struct {
 	// lease blocks (vidLeaseBlock IDs at a time) off it so the counter
 	// is touched once per block, not once per Begin.
 	vidNext atomic.Uint64
-	// ended counts transactions retired through endTx. The number begun
-	// is the ticket counter's value, so the active count is derived as
-	// ticket-ended rather than paid for with a dedicated atomic add in
-	// Begin. Purely informational; nothing is bounded by it.
-	ended atomic.Uint64
-	det   *detector
-	stats Stats
+	det     *detector
+	stats   Stats
 	// txBySlot maps a leased lock-word slot to the section holding it;
 	// the invariant sweeps resolve holder bits through it. nil for
 	// unleased slots. Maintained only when trackSlots is set — nothing
@@ -48,8 +43,8 @@ type Runtime struct {
 	hooks Hooks
 	// sites is the per-lock-site table (site.go): each cell holds the
 	// site's policy word — which of the four read modes serves it, and
-	// the scores behind that choice — and its contention counters, fed
-	// by per-transaction delta buffers at Commit/Reset (profile.go).
+	// the scores behind that choice — and its contention counters, each
+	// charged where its event happens (profile.go).
 	sites siteTable
 	// bias holds the distributed reader-slot lines biased readers
 	// publish visibility through (bias.go).
@@ -60,12 +55,6 @@ type Runtime struct {
 	// profMask gates the sampled per-site acquire counter: a lock acquire
 	// is charged to its site when (Tx.n.Acquire+ticket)&profMask == 0.
 	profMask uint64
-	// profBufs holds the per-slot site-delta buffers, indexed by the
-	// leased lock-word slot (see profAt): the buffer is exclusively
-	// owned by the section holding the slot, and keeping the buffers
-	// here lets their capacity survive slot reuse without growing the
-	// Tx struct. Flushed before the slot is released.
-	profBufs [MaxTxns][]siteDelta
 	// waiterSlots holds the reusable per-slot waiter objects (see
 	// Tx.slowAcquire): the entry is exclusively owned by the section
 	// holding the slot, so a slow-path block allocates nothing in
@@ -128,7 +117,7 @@ type Options struct {
 	// ProfileSampleRate is the sampling period of the per-site acquire
 	// counter and of per-site block time: one in every ProfileSampleRate
 	// lock acquires (and parked blocks) is charged to its site, scaled
-	// back up at flush, so the reported totals stay unbiased estimates.
+	// up by the period, so the reported totals stay unbiased estimates.
 	// 0 means DefaultProfileSampleRate; 1 counts every acquire and block
 	// exactly; other values are rounded up to a power of two. The other
 	// contention counters (contended, CAS failures, upgrades, deadlocks)
@@ -262,7 +251,7 @@ func (rt *Runtime) acquireSlot(tx *Tx) {
 
 // releaseSlot returns tx's slot lease to the pool (possibly handing it
 // directly to an overflow-tier waiter). The caller must have released
-// all lock words and flushed the per-slot profile buffer first.
+// all lock words first.
 func (rt *Runtime) releaseSlot(tx *Tx) {
 	slot := tx.slot
 	tx.slot = -1
@@ -282,18 +271,7 @@ func (rt *Runtime) endTx(tx *Tx) {
 	if tx.slot >= 0 {
 		rt.releaseSlot(tx)
 	}
-	rt.ended.Add(1)
 	rt.txPool.Put(tx)
-}
-
-// ActiveTxns returns the number of transactions begun and not yet
-// ended. Unlike the pre-virtual-ID runtime this is not bounded by
-// MaxConcurrentTxns — only sections holding locks occupy slots.
-// Begun is the ticket counter; loading ended first keeps the racy
-// difference non-negative (every retired transaction has a ticket).
-func (rt *Runtime) ActiveTxns() int {
-	ended := rt.ended.Load()
-	return int(rt.ticket.Load() - ended)
 }
 
 // LeasedSlots returns the number of lock-word slots currently out on

@@ -209,11 +209,11 @@ func next(p policy, ev siteEvent) policy {
 // siteCell is one site's entry in the site table. The policy word has a
 // cache line to itself: it is loaded by every fresh read of the site and
 // stored rarely (a saturated score costs no store at all), while the
-// counters behind it take an atomic add from every committing
-// transaction that touched the site — sharing a line would make each
-// commit invalidate the word every reader is about to load. The trailing
-// pad keeps a cell a whole number of lines, so neighbouring cells of one
-// chunk do not share either.
+// counters behind it take an atomic add at each per-site event (a
+// slow-path one, a sampled one, or a promotion) — sharing a line would
+// make each add invalidate the word every reader is about to load. The
+// trailing pad keeps a cell a whole number of lines, so neighbouring
+// cells of one chunk do not share either.
 type siteCell struct {
 	policy atomic.Uint64
 	_      [56]byte

@@ -13,6 +13,12 @@ import (
 // derived from this list by index, so adding a counter is this one
 // field plus the `++` that feeds it.
 //
+// Every counter reaches Stats through tx.n (tx.n.X++, flushed at Commit
+// or AbandonAfterReset) except three added at the event: Aborts and
+// Deadlocks, which must show while a section still retries (that is
+// how AbortRate reads a livelock as +Inf), and ModeFlips, which
+// Runtime.noteSite charges with no transaction at hand.
+//
 // The tags are the counter's exposition. prom is its Prometheus series
 // — a fixed label makes consecutive fields one family — and an empty
 // prom keeps the counter out of /metrics: it appears only in the
@@ -72,16 +78,15 @@ type StatsSnapshot struct {
 
 	// Memory accounting (Table 8). Byte figures are estimates derived
 	// from entry counts, mirroring the paper's "largest contributors"
-	// reporting: bytes of lock slabs allocated, then sums over measured
-	// transactions (every attempt counts as one) of R-W set bytes (locks
-	// held + old values), undo-log entries, transactional I/O buffer
-	// bytes reported by resources, and init-log entries.
-	LockBytes    uint64 `prom:""`
-	RWSetBytes   uint64 `prom:""`
-	UndoEntries  uint64 `prom:""`
-	BufferBytes  uint64 `prom:""`
-	InitEntries  uint64 `prom:""`
-	TxnsMeasured uint64 `prom:""`
+	// reporting: bytes of lock slabs allocated, then sums over every
+	// attempt (Commits + Aborts of them) of R-W set bytes (locks held +
+	// old values), undo-log entries, transactional I/O buffer bytes
+	// reported by resources, and init-log entries.
+	LockBytes   uint64 `prom:""`
+	RWSetBytes  uint64 `prom:""`
+	UndoEntries uint64 `prom:""`
+	BufferBytes uint64 `prom:""`
+	InitEntries uint64 `prom:""`
 }
 
 // numCounters is the length of the [n]uint64 view every derived

@@ -1,9 +1,12 @@
 package stm
 
 import (
+	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCounterDeclarationComplete drives every derived operation from a
@@ -75,25 +78,21 @@ func checkTags(t *testing.T, typ reflect.Type) {
 }
 
 // TestSiteCounterDeclarationComplete is the per-site counterpart: a
-// delta whose field j holds j+1 must reach Profile.Snapshot through
-// flushProfile in every field, add on a second flush, and be zeroed by
-// Reset.
+// cell whose field j took an add of j+1 must show it in every field of
+// Profile.Snapshot, a second round must add to it, and Reset must zero
+// the cell.
 func TestSiteCounterDeclarationComplete(t *testing.T) {
 	typ := reflect.TypeOf(SiteCounters{})
 	if typ.NumField() != numSiteCounters {
 		t.Fatalf("SiteCounters has %d fields but %d words: every counter must be 8 bytes", typ.NumField(), numSiteCounters)
 	}
 	c := NewClass("SiteDecl", FieldSpec{Name: "v", Kind: KindWord})
-	site := c.fields[c.Field("v")].siteID
 	rt := NewRuntime()
-	tx := rt.Begin()
-	tx.ensureSlot()
+	cell := &rt.sites.at(c.fields[c.Field("v")].siteID).n
 	for round := uint64(1); round <= 2; round++ {
-		d := tx.profAt(site)
-		for j := range d.words() {
-			d.words()[j] = uint64(j + 1)
+		for j := range cell.words() {
+			atomic.AddUint64(&cell.words()[j], uint64(j+1))
 		}
-		tx.flushProfile()
 		rows := rt.Profile().Snapshot()
 		if len(rows) != 1 {
 			t.Fatalf("round %d: %d profile rows, want 1", round, len(rows))
@@ -108,5 +107,68 @@ func TestSiteCounterDeclarationComplete(t *testing.T) {
 	if rows := rt.Profile().Snapshot(); len(rows) != 0 {
 		t.Errorf("Reset left %d rows with counts: %+v", len(rows), rows)
 	}
+}
+
+// TestSiteCountersChargedAtEvent pins the per-site route: an event is
+// in its site's cell as soon as it happens, not when its section
+// commits. Every acquire is sampled (ProfileSampleRate 1); the upgrade
+// parks behind a second reader, so it is both contended and an upgrade.
+func TestSiteCountersChargedAtEvent(t *testing.T) {
+	rt := NewRuntimeOpts(Options{ProfileSampleRate: 1})
+	c := NewClass("SiteAtEvent", FieldSpec{Name: "v", Kind: KindWord})
+	v := c.Field("v")
+	o := NewCommitted(c)
+	row := func() SiteCounters {
+		for _, r := range rt.Profile().Snapshot() {
+			if r.Site.Class == "SiteAtEvent" {
+				return r.SiteCounters
+			}
+		}
+		return SiteCounters{}
+	}
+
+	upgrader, reader := rt.Begin(), rt.Begin()
+	upgrader.ReadWord(o, v)
+	if got := row().Acquires; got != 1 {
+		t.Fatalf("sampled acquire: Acquires = %d before commit, want 1", got)
+	}
+	reader.ReadWord(o, v)
+	done := make(chan struct{})
+	go func() {
+		upgrader.WriteWord(o, v, 1) // parks: reader still holds the word
+		close(done)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for r := row(); r.Contended == 0 || r.Upgrades == 0; r = row() {
+		if time.Now().After(deadline) {
+			t.Fatalf("parked upgrade not charged before commit: %+v", r)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	reader.Commit()
+	<-done
+	upgrader.Commit()
+	if r := row(); r.Acquires != 3 || r.Contended != 1 || r.Upgrades != 1 {
+		t.Errorf("after both commits: %+v, want Acquires 3, Contended 1, Upgrades 1", r)
+	}
+}
+
+// TestAbortsVisibleWhileRetrying pins the one exception AbortRate rests
+// on: a section that has reset and not yet committed already shows its
+// abort, so a livelocked runtime reads +Inf, not 0.
+func TestAbortsVisibleWhileRetrying(t *testing.T) {
+	rt := NewRuntime()
+	c := NewClass("AbortVisible", FieldSpec{Name: "v", Kind: KindWord})
+	o := NewCommitted(c)
+	tx := rt.Begin()
+	tx.WriteWord(o, c.Field("v"), 1)
+	tx.Reset()
+	s := rt.Stats().Snapshot()
+	if s.Aborts != 1 || s.Commits != 0 || !math.IsInf(s.AbortRate(), 1) {
+		t.Fatalf("mid-retry: Aborts %d, Commits %d, AbortRate %v; want 1, 0, +Inf", s.Aborts, s.Commits, s.AbortRate())
+	}
 	tx.Commit()
+	if s := rt.Stats().Snapshot(); s.Aborts != 1 || s.Commits != 1 {
+		t.Fatalf("after commit: Aborts %d, Commits %d; want 1, 1", s.Aborts, s.Commits)
+	}
 }

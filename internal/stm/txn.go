@@ -135,8 +135,8 @@ type Tx struct {
 	// accumulates across Reset and flushes only at Commit or
 	// AbandonAfterReset: a transaction that retries under contention would
 	// otherwise pay the full set of shared atomic adds once per attempt.
-	// The Table 8 memory accounting accumulates in it per attempt
-	// (accountMemory) and flushes with the rest.
+	// Every runtime counter but the three of StatsSnapshot's doc comment
+	// goes through it.
 	n StatsSnapshot
 }
 
@@ -207,7 +207,7 @@ func (tx *Tx) BecomeInevitable() {
 	select {
 	case <-tx.rt.inev:
 	default:
-		atomic.AddUint64(&tx.rt.stats.c.InevWaits, 1)
+		tx.n.InevWaits++
 		tx.rt.block(PointInevWait)
 		<-tx.rt.inev
 		tx.rt.unblock(PointInevWait)
@@ -268,7 +268,7 @@ func (tx *Tx) ensureSlab(o *Object) *lockSlab {
 		fresh := &lockSlab{words: make([]uint64, o.numLockSlots())}
 		if o.locks.CompareAndSwap(unallocSlab, fresh) {
 			tx.n.Init++
-			atomic.AddUint64(&tx.rt.stats.c.LockBytes, uint64(len(fresh.words))*8)
+			tx.n.LockBytes += uint64(len(fresh.words)) * 8
 			return fresh
 		}
 		slab = o.locks.Load()
@@ -350,10 +350,12 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 		if tx.tryBiasRead(addr, site) {
 			// Visibility is published through the reader slots — no shared
 			// CAS, no lock log entry; releaseBias clears the slot at commit.
+			tx.revalidate()
 			return
 		}
 	}
 	if tx.acquireWord(addr, w, site, write) == viaSlot {
+		tx.revalidate()
 		return // biasLog owns the read; no lock-log entry
 	}
 	if write && tx.rt.bias.everAny.Load() {
@@ -376,6 +378,7 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 	if write {
 		tx.captureUndo(o, slot, kind)
 	}
+	tx.revalidate()
 }
 
 // acquireWord is step (4) of Figure 5: try to lock with one CAS on the
@@ -722,32 +725,28 @@ func (tx *Tx) releaseLocks() { tx.releaseLockEntries(0) }
 // (the batch fast-path rollback) leaves versions untouched — the
 // released words' committed values were never modified.
 func (tx *Tx) releaseLockEntries(mark int) {
+	if tx.ended {
+		// Commit path: every written word's new version is public before
+		// the first clearing CAS below, so a section that sees any word of
+		// this commit unlocked also sees the clock moved (revalidate) and
+		// every version stamped (readset.go). Reset reaches here with
+		// ended == false and must NOT stamp: the undo log restored the old
+		// value, so the committed version never changed.
+		for i := mark; i < len(tx.lockLog); i++ {
+			tx.stampVersion(&tx.lockLog[i])
+		}
+	}
 	wakes := tx.wakeScratch[:0]
 	for i := mark; i < len(tx.lockLog); i++ {
 		e := &tx.lockLog[i]
 		addr := &e.slab.words[e.lockID]
 		tx.rt.yield(PointReleaseCAS)
-		stamped := false
 		for {
 			w := atomic.LoadUint64(addr)
 			if w&tx.mask == 0 {
 				break // defensive: upgrades no longer duplicate log entries
 			}
-			nw := w &^ tx.mask
-			if wordIsWrite(w) {
-				nw &^= wFlag
-				if tx.ended && !stamped {
-					// Commit path: the word's new version must be public
-					// before the clearing CAS below can succeed, so an
-					// invisible reader that sees the word unlocked always
-					// sees the committed version too (readset.go). Reset
-					// reaches here with ended == false and must NOT stamp:
-					// the undo log restored the old value, so the committed
-					// version never changed.
-					tx.stampVersion(e.slab, e.lockID)
-					stamped = true
-				}
-			}
+			nw := w &^ (tx.mask | wFlag)
 			if tx.rt.casWord(addr, w, nw, PointReleaseCAS) {
 				// The bias marker is not a real queue (wordRealQueue);
 				// waking it would index past the queue table.
@@ -776,7 +775,7 @@ func (tx *Tx) releaseLockEntries(mark int) {
 
 // accountMemory accumulates the Table 8 components of this attempt into
 // the transaction-local accumulators (each attempt — commit or reset —
-// counts as one measured transaction).
+// counts as one measured transaction, so the count is Commits + Aborts).
 func (tx *Tx) accountMemory() {
 	tx.n.RWSetBytes += uint64(len(tx.lockLog))*16 + uint64(len(tx.undo))*40 +
 		uint64(len(tx.readSet))*24
@@ -787,13 +786,12 @@ func (tx *Tx) accountMemory() {
 			tx.n.BufferBytes += uint64(bs.BufferedBytes())
 		}
 	}
-	tx.n.TxnsMeasured++
 }
 
 // flushCounters moves the per-transaction counter block into the runtime
 // aggregate. Zero words are skipped: a shared atomic add costs as much as
 // the acquire itself on Table6AcqRls, and on any given commit all but
-// four or five counters are zero. They are skipped four at a time and a
+// a handful of counters are zero. They are skipped four at a time and a
 // window with something in it is flushed by straight-line code: Go does
 // not unroll loops, and a loop testing one word per iteration measures
 // 3–5 ns per commit slower than this.
@@ -853,13 +851,12 @@ func (tx *Tx) Commit() {
 	deferred := tx.onCommit
 	tx.onCommit = nil
 	tx.clearLogs()
-	atomic.AddUint64(&tx.rt.stats.c.Commits, 1)
+	tx.n.Commits++
 	if tx.rt.wantsEvent(EvCommit) {
 		tx.rt.event(Event{Kind: EvCommit, TxID: tx.vid, Ticket: tx.ticket})
 	}
 	tx.flushPromo() // before flushCounters: scoring bumps PromoWasted
 	tx.flushCounters()
-	tx.flushProfile() // before endTx: the profile buffer is per-slot
 	tx.rt.endTx(tx)
 	for _, f := range deferred {
 		f()
@@ -871,8 +868,7 @@ func (tx *Tx) Commit() {
 // reverse, locks are released, deferred actions are dropped. The
 // transaction keeps its virtual ID, its slot lease, and its start
 // ticket (so it ages toward being the oldest, which guarantees
-// progress). Keeping the slot across a retry also keeps the buffered
-// per-slot profile deltas owned by this section until they flush.
+// progress).
 func (tx *Tx) Reset() {
 	if tx.ended {
 		panic("stm: Reset on ended transaction")
@@ -910,14 +906,14 @@ func (tx *Tx) Reset() {
 	// written is unknown.
 	tx.promoLog = tx.promoLog[:0]
 	tx.victim.Store(false)
+	// Charged now, not through tx.n: a section that keeps retrying must
+	// show its aborts (AbortRate +Inf is how a livelock reads).
 	atomic.AddUint64(&tx.rt.stats.c.Aborts, 1)
 	if tx.rt.wantsEvent(EvReset) {
 		tx.rt.event(Event{Kind: EvReset, TxID: tx.vid, Ticket: tx.ticket})
 	}
-	// Counters, memory accounting, and the profile deltas stay buffered in
-	// the transaction across the retry; Commit (or AbandonAfterReset)
-	// flushes them once, keeping the contended retry loop free of shared
-	// atomic adds.
+	// The other counters stay in tx.n across the retry; Commit (or
+	// AbandonAfterReset) flushes them once.
 }
 
 // AbandonAfterReset retires a reset transaction that will not be
@@ -929,7 +925,6 @@ func (tx *Tx) AbandonAfterReset() {
 	tx.ended = true
 	tx.flushPromo()
 	tx.flushCounters()
-	tx.flushProfile()
 	tx.rt.endTx(tx)
 }
 
