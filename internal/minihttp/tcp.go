@@ -21,15 +21,17 @@ type Stream interface {
 // NetConn adapts a real net.Conn to the Stream interface. The kernel
 // socket has no WaitReadable, so the adapter buffers: WaitReadable
 // performs one (possibly blocking) read into an internal buffer, and
-// Read serves that buffer before touching the socket again. Close may be
-// called from another goroutine (the server's drain path); it unblocks a
-// pending WaitReadable via the usual closed-socket read error.
+// Read serves that buffer before touching the socket again. One goroutine
+// at a time may call WaitReadable and Read. Close may be called from
+// another goroutine (the server's drain path); it unblocks a pending
+// WaitReadable via the usual closed-socket read error.
 type NetConn struct {
 	raw net.Conn
 
-	mu  sync.Mutex
-	buf []byte
-	err error // sticky read-side error (io.EOF after a clean peer close)
+	mu   sync.Mutex
+	buf  []byte // what WaitReadable read and Read has not served, within rbuf
+	err  error  // sticky read-side error (io.EOF after a clean peer close)
+	rbuf [4096]byte
 }
 
 // NewNetConn wraps a connected socket.
@@ -52,12 +54,12 @@ func (c *NetConn) WaitReadable() bool {
 	}
 	c.mu.Unlock()
 
-	tmp := make([]byte, 4096)
-	n, err := c.raw.Read(tmp)
+	// buf is empty, so nothing in rbuf is left to serve.
+	n, err := c.raw.Read(c.rbuf[:])
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.buf = append(c.buf, tmp[:n]...)
+	c.buf = c.rbuf[:n]
 	if err != nil && c.err == nil {
 		c.err = err
 	}

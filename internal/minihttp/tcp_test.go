@@ -83,6 +83,49 @@ func TestNetConnCloseUnblocksWaitReadable(t *testing.T) {
 	}
 }
 
+// TestNetConnWaitReadableAllocatesNothing: a serving thread parks in
+// WaitReadable once per request, so a steady-state park-and-read cycle
+// over a real socket must not allocate.
+func TestNetConnWaitReadableAllocatesNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := NewNetConn(server)
+	defer nc.Close()
+
+	req, buf := []byte("GET /browse\n"), make([]byte, 64)
+	cycle := func() {
+		if _, err := client.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if !nc.WaitReadable() {
+			t.Fatal("WaitReadable false on a live connection")
+		}
+		for got := 0; got < len(req); {
+			n, err := nc.Read(buf[got:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	}
+	cycle() // let the poller register the sockets
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("WaitReadable + Read allocated %.1f times per request", allocs)
+	}
+}
+
 func TestNetConnWritePassesThrough(t *testing.T) {
 	local, peer := net.Pipe()
 	nc := NewNetConn(local)

@@ -688,6 +688,12 @@ func (tx *Tx) Register(r Resource) {
 	tx.resources = append(tx.resources, r)
 }
 
+// Resources returns the resources registered on the current attempt, in
+// registration order: a wrapper finds its per-transaction state here
+// instead of keeping a table of its own. The slice belongs to the
+// transaction; callers must not modify or retain it.
+func (tx *Tx) Resources() []Resource { return tx.resources }
+
 // OnCommit defers f until the transaction commits, the mechanism behind
 // the paper's deferred thread starts and deferred signals (§3.5). The
 // deferred functions run after all locks are released; they are dropped
@@ -829,8 +835,11 @@ func (tx *Tx) Commit() {
 	}
 	tx.ended = true
 	tx.accountMemory()
-	for _, r := range tx.resources {
+	// Each entry is zeroed as it ends, here and in Reset, so a pooled Tx
+	// keeps no wrapper's per-transaction state alive.
+	for i, r := range tx.resources {
 		r.Commit()
+		tx.resources[i] = nil
 	}
 	for _, o := range tx.initLog {
 		o.locks.Store(unallocSlab)
@@ -877,6 +886,7 @@ func (tx *Tx) Reset() {
 	tx.accountMemory()
 	for i := len(tx.resources) - 1; i >= 0; i-- {
 		tx.resources[i].Rollback()
+		tx.resources[i] = nil
 	}
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		e := &tx.undo[i]

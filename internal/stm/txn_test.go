@@ -379,6 +379,32 @@ func TestResourceLifecycle(t *testing.T) {
 	}
 }
 
+// TestEndedAttemptDropsResources: a pooled Tx must not keep a wrapper's
+// per-transaction state alive, so ending an attempt zeroes the whole
+// backing array of the resource log.
+func TestEndedAttemptDropsResources(t *testing.T) {
+	rt := NewRuntime()
+	tx := rt.Begin()
+	check := func(after string) {
+		t.Helper()
+		for i, r := range tx.resources[:cap(tx.resources)] {
+			if r != nil {
+				t.Fatalf("after %s: resources[%d] still holds %T", after, i, r)
+			}
+		}
+	}
+	tx.Register(&fakeResource{})
+	tx.Register(&fakeResource{})
+	tx.Reset()
+	check("Reset")
+	tx.Register(&fakeResource{})
+	if got := tx.Resources(); len(got) != 1 {
+		t.Fatalf("Resources() = %d entries after one Register, want 1", len(got))
+	}
+	tx.Commit()
+	check("Commit")
+}
+
 func TestLocalObjectsSkipLocking(t *testing.T) {
 	rt := NewRuntime()
 	c := NewClass("TL", FieldSpec{Name: "v", Kind: KindWord})

@@ -1,58 +1,49 @@
 package txio
 
 import (
+	"bytes"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/stm"
 )
 
 // Conn is the transactional wrapper for a bidirectional byte stream (a
-// network connection). It implements the scheme of paper §4.4 verbatim:
+// network connection), after the scheme of paper §4.4:
 //
 //   - Writes go to a per-transaction buffer B_W and reach the device only
 //     on commit; an abort discards B_W.
-//   - Reads consume from the device but are recorded; an abort pushes the
-//     consumed bytes into the connection's replay buffer B_R, and
-//     subsequent reads are served from B_R until it drains. On commit the
-//     record is discarded.
+//   - Reads advance a cursor over one input buffer, which refills from
+//     the device in chunks. Commit trims the consumed prefix; an abort
+//     rewinds the cursor, so the retry re-reads exactly what the aborted
+//     attempt saw. The paper's replay buffer B_R is the unconsumed tail of
+//     the input buffer, not a copy.
 //
-// A connection is used by one transaction at a time (the usual shape for
-// client and per-connection server threads); the wrapper serializes
-// overlapping use defensively but provides no fairness.
+// Any number of transactions may write at once. One at a time may read
+// (the usual shape: one client or per-connection server thread); a
+// transaction that reads while another's reads are uncommitted panics.
 type Conn struct {
+	raw io.ReadWriter
+
 	mu     sync.Mutex
-	raw    io.ReadWriter
-	replay []byte // B_R: bytes an aborted transaction had consumed
-	states map[*stm.Tx]*connTx
+	in     []byte  // input read from raw that no commit has consumed
+	reader *connTx // the transaction whose reads are uncommitted, or nil
 }
 
 type connTx struct {
-	c        *Conn
-	tx       *stm.Tx
-	wbuf     []byte // B_W
-	consumed []byte // read record for building B_R on abort
-	active   bool
+	c    *Conn
+	wbuf []byte // B_W
+	cur  int    // read cursor into c.in, moved only while this is c.reader
 }
+
+func (s *connTx) owner() any { return s.c }
 
 // NewConn wraps a raw stream.
-func NewConn(raw io.ReadWriter) *Conn {
-	return &Conn{raw: raw, states: make(map[*stm.Tx]*connTx)}
-}
+func NewConn(raw io.ReadWriter) *Conn { return &Conn{raw: raw} }
 
 func (c *Conn) stateFor(tx *stm.Tx) *connTx {
-	c.mu.Lock()
-	s := c.states[tx]
-	if s == nil {
-		s = &connTx{c: c, tx: tx}
-		c.states[tx] = s
-	}
-	c.mu.Unlock()
-	if !s.active {
-		s.active = true
-		tx.Register(s)
-	}
-	return s
+	return stateOn(tx, c, func() *connTx { return &connTx{c: c} })
 }
 
 // Write defers p until tx commits.
@@ -62,57 +53,87 @@ func (c *Conn) Write(tx *stm.Tx, p []byte) (int, error) {
 	return len(p), nil
 }
 
-// WriteString defers s until tx commits.
+// WriteString defers str until tx commits.
 func (c *Conn) WriteString(tx *stm.Tx, str string) (int, error) {
-	return c.Write(tx, []byte(str))
+	s := c.stateFor(tx)
+	s.wbuf = append(s.wbuf, str...)
+	return len(str), nil
 }
 
-// HasReplay reports whether the replay buffer B_R holds bytes; callers
-// that park on the raw device's readability must treat a non-empty B_R
-// as readable too.
+// HasReplay reports whether input that no commit has consumed is
+// buffered: an aborted attempt's bytes or read-ahead of later ones.
+// Callers that park on the raw device's readability must treat it as
+// readable too.
 func (c *Conn) HasReplay() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.replay) > 0
+	return len(c.in) > 0
 }
 
-// Read fills p, serving the replay buffer B_R first and the raw stream
-// after it drains. Every byte handed out is recorded so an abort can
-// reconstruct B_R.
-func (c *Conn) Read(tx *stm.Tx, p []byte) (int, error) {
+// lockReader takes c.mu for a read by tx and makes tx the reader. Two
+// cursors over one buffer cannot both be committed, so a second reader
+// panics.
+func (c *Conn) lockReader(tx *stm.Tx) *connTx {
 	s := c.stateFor(tx)
 	c.mu.Lock()
-	n := copy(p, c.replay)
-	c.replay = c.replay[n:]
+	if c.reader != nil && c.reader != s {
+		c.mu.Unlock()
+		panic("txio: a second transaction read a Conn whose reads are uncommitted")
+	}
+	c.reader = s
+	return s
+}
+
+// fill appends the next chunk of the raw stream to the input buffer. The
+// caller holds c.mu and is the reader, the only one who moves the buffer,
+// so the raw Read runs unlocked: it writes only past len(c.in).
+func (c *Conn) fill() error {
+	if len(c.in) == cap(c.in) {
+		c.in = slices.Grow(c.in, 1024)
+	}
+	free := c.in[len(c.in):cap(c.in)]
 	c.mu.Unlock()
-	if n == 0 && len(p) > 0 {
-		var err error
-		n, err = c.raw.Read(p)
-		if err != nil {
-			return n, err
+	n, err := c.raw.Read(free)
+	c.mu.Lock()
+	c.in = c.in[:len(c.in)+n]
+	return err
+}
+
+// Read fills p from the input buffer, refilling it from the raw stream
+// only when every buffered byte has been consumed.
+func (c *Conn) Read(tx *stm.Tx, p []byte) (int, error) {
+	s := c.lockReader(tx)
+	defer c.mu.Unlock()
+	if s.cur == len(c.in) && len(p) > 0 {
+		if err := c.fill(); s.cur == len(c.in) {
+			return 0, err
 		}
 	}
-	s.consumed = append(s.consumed, p[:n]...)
+	n := copy(p, c.in[s.cur:])
+	s.cur += n
 	return n, nil
 }
 
 // ReadLine reads up to and including '\n' and returns the line without
-// the terminator. It is the unit the minihttp protocol parser consumes.
+// the terminator; if the stream fails first, it returns what it read. It
+// is the unit the minihttp protocol parser consumes.
 func (c *Conn) ReadLine(tx *stm.Tx) (string, error) {
-	var line []byte
-	buf := make([]byte, 1)
-	for {
-		n, err := c.Read(tx, buf)
+	s := c.lockReader(tx)
+	defer c.mu.Unlock()
+	var err error
+	for scanned := s.cur; ; {
+		if i := bytes.IndexByte(c.in[scanned:], '\n'); i >= 0 {
+			line := string(c.in[s.cur : scanned+i])
+			s.cur = scanned + i + 1
+			return line, nil
+		}
 		if err != nil {
-			return string(line), err
+			line := string(c.in[s.cur:])
+			s.cur = len(c.in)
+			return line, err
 		}
-		if n == 0 {
-			continue
-		}
-		if buf[0] == '\n' {
-			return string(line), nil
-		}
-		line = append(line, buf[0])
+		scanned = len(c.in)
+		err = c.fill()
 	}
 }
 
@@ -129,32 +150,32 @@ func (c *Conn) ReadFull(tx *stm.Tx, p []byte) error {
 	return nil
 }
 
-// Commit flushes B_W and forgets the read record.
+// release ends s's claim on the input if it read. A commit trims the
+// consumed prefix; after an abort the next reader's cursor starts at the
+// front again, which is the rewind.
+func (s *connTx) release(consumed bool) {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.reader == s {
+		if consumed {
+			c.in = c.in[:copy(c.in, c.in[s.cur:])]
+		}
+		c.reader = nil
+	}
+}
+
+// Commit consumes what the transaction read and flushes B_W.
 func (s *connTx) Commit() {
-	s.c.mu.Lock()
-	wbuf := s.wbuf
-	delete(s.c.states, s.tx)
-	s.c.mu.Unlock()
-	if len(wbuf) > 0 {
-		s.c.raw.Write(wbuf) //nolint:errcheck // peer teardown races are benign at commit
+	s.release(true)
+	if len(s.wbuf) > 0 {
+		s.c.raw.Write(s.wbuf) //nolint:errcheck // peer teardown races are benign at commit
 	}
-	s.wbuf, s.consumed, s.active = nil, nil, false
 }
 
-// Rollback discards B_W and prepends the consumed bytes to B_R so the
-// retry re-reads exactly what the aborted attempt saw.
-func (s *connTx) Rollback() {
-	s.c.mu.Lock()
-	if len(s.consumed) > 0 {
-		nr := make([]byte, 0, len(s.consumed)+len(s.c.replay))
-		nr = append(nr, s.consumed...)
-		nr = append(nr, s.c.replay...)
-		s.c.replay = nr
-	}
-	delete(s.c.states, s.tx)
-	s.c.mu.Unlock()
-	s.wbuf, s.consumed, s.active = nil, nil, false
-}
+// Rollback discards B_W and rewinds the input.
+func (s *connTx) Rollback() { s.release(false) }
 
-// BufferedBytes reports B_W plus the read record (Table 8 accounting).
-func (s *connTx) BufferedBytes() int { return len(s.wbuf) + len(s.consumed) }
+// BufferedBytes reports B_W plus the input consumed so far (Table 8
+// accounting).
+func (s *connTx) BufferedBytes() int { return len(s.wbuf) + s.cur }

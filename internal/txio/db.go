@@ -1,8 +1,6 @@
 package txio
 
 import (
-	"sync"
-
 	"repro/internal/memdb"
 	"repro/internal/stm"
 )
@@ -12,21 +10,18 @@ import (
 // own, each STM transaction maps to one database transaction whose
 // commit and rollback are driven by the STM transaction's end.
 type DBSession struct {
-	mu     sync.Mutex
-	db     *memdb.DB
-	states map[*stm.Tx]*dbTx
+	db *memdb.DB
 }
 
 type dbTx struct {
 	s   *DBSession
-	tx  *stm.Tx
 	txn *memdb.Txn
 }
 
+func (d *dbTx) owner() any { return d.s }
+
 // NewDBSession wraps db.
-func NewDBSession(db *memdb.DB) *DBSession {
-	return &DBSession{db: db, states: make(map[*stm.Tx]*dbTx)}
-}
+func NewDBSession(db *memdb.DB) *DBSession { return &DBSession{db: db} }
 
 // DB returns the underlying engine (for setup and verification).
 func (s *DBSession) DB() *memdb.DB { return s.db }
@@ -34,29 +29,15 @@ func (s *DBSession) DB() *memdb.DB { return s.db }
 // Txn returns the database transaction bound to tx, beginning one on
 // first use.
 func (s *DBSession) Txn(tx *stm.Tx) *memdb.Txn {
-	s.mu.Lock()
-	st := s.states[tx]
-	if st == nil {
-		st = &dbTx{s: s, tx: tx, txn: s.db.Begin()}
-		s.states[tx] = st
-	}
-	s.mu.Unlock()
-	tx.Register(st)
-	return st.txn
+	return stateOn(tx, s, func() *dbTx { return &dbTx{s: s, txn: s.db.Begin()} }).txn
 }
 
 // Commit commits the bound database transaction.
 func (d *dbTx) Commit() {
-	d.txn.Commit() //nolint:errcheck // double-end is guarded by the state map
-	d.s.mu.Lock()
-	delete(d.s.states, d.tx)
-	d.s.mu.Unlock()
+	d.txn.Commit() //nolint:errcheck // ErrEnded only; the Tx ends each attempt's state once
 }
 
 // Rollback rolls the bound database transaction back.
 func (d *dbTx) Rollback() {
-	d.txn.Rollback() //nolint:errcheck
-	d.s.mu.Lock()
-	delete(d.s.states, d.tx)
-	d.s.mu.Unlock()
+	d.txn.Rollback() //nolint:errcheck // ErrEnded only, as for Commit
 }

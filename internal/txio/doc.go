@@ -18,13 +18,19 @@
 //   - Writer defers all output in a per-transaction buffer B_W and flushes
 //     it atomically at commit — this is also the "aggregate output to
 //     console per transaction" modification of paper Table 4.
-//   - Conn wraps a bidirectional stream: writes are deferred (B_W), reads
-//     are recorded and, after an abort, pushed into a replay buffer B_R
-//     that satisfies subsequent reads until it drains — exactly the
-//     network-device behaviour the paper describes.
+//   - Conn wraps a bidirectional stream: writes are deferred (B_W), and
+//     reads advance a cursor over one input buffer that refills from the
+//     device in chunks. Commit trims what was consumed; an abort rewinds
+//     the cursor, so the unconsumed tail of the buffer is the paper's
+//     replay buffer B_R and the retry re-reads exactly the aborted
+//     attempt's bytes. One transaction at a time may read a Conn.
 //   - FileSystem wraps memfs: Open snapshots the file (reads are
 //     trivially repeatable), Create buffers the new content and writes it
 //     at commit.
+//
+// A wrapper's per-transaction state is a Resource registered on the
+// stm.Tx, found again through Tx.Resources: no wrapper keeps a table of
+// transactions.
 //
 // Two consequences for programs, noted in the paper, hold here too: an
 // observer sees output only after the producing section ends (so even

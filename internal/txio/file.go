@@ -31,7 +31,6 @@ type File struct {
 	pos     int
 	wbuf    []byte // B_W for writers
 	writing bool
-	done    bool
 }
 
 // Open returns a read handle on name, snapshotting its current content.
@@ -104,10 +103,6 @@ func (f *File) WriteString(s string) (int, error) { return f.Write([]byte(s)) }
 
 // Commit publishes the buffered content.
 func (f *File) Commit() {
-	if f.done {
-		return
-	}
-	f.done = true
 	if f.writing {
 		f.fs.fs.WriteFile(f.name, f.wbuf)
 		f.wbuf = nil
@@ -115,13 +110,7 @@ func (f *File) Commit() {
 }
 
 // Rollback discards the buffered content.
-func (f *File) Rollback() {
-	if f.done {
-		return
-	}
-	f.done = true
-	f.wbuf = nil
-}
+func (f *File) Rollback() { f.wbuf = nil }
 
 // BufferedBytes reports the B_W size (Table 8 accounting).
 func (f *File) BufferedBytes() int { return len(f.wbuf) }

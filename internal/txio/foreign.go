@@ -1,10 +1,6 @@
 package txio
 
-import (
-	"sync"
-
-	"repro/internal/stm"
-)
+import "repro/internal/stm"
 
 // Foreign is the transactional wrapper for non-transactional library
 // operations (paper Table 2, "Foreign code execution": use a wrapper to
@@ -21,33 +17,23 @@ import (
 // program order respectively, interleaved correctly with the other
 // resources of the transaction.
 type Foreign struct {
-	mu     sync.Mutex
-	states map[*stm.Tx]*foreignTx
+	_ byte // distinct instances need distinct addresses: they own distinct state
 }
 
 type foreignTx struct {
 	f             *Foreign
-	tx            *stm.Tx
 	deferred      []func()
 	compensations []func()
 }
 
+func (s *foreignTx) owner() any { return s.f }
+
 // NewForeign creates a wrapper instance; one per foreign library (or per
 // foreign object) keeps commit ordering local to that library.
-func NewForeign() *Foreign {
-	return &Foreign{states: make(map[*stm.Tx]*foreignTx)}
-}
+func NewForeign() *Foreign { return &Foreign{} }
 
 func (f *Foreign) stateFor(tx *stm.Tx) *foreignTx {
-	f.mu.Lock()
-	s := f.states[tx]
-	if s == nil {
-		s = &foreignTx{f: f, tx: tx}
-		f.states[tx] = s
-	}
-	f.mu.Unlock()
-	tx.Register(s)
-	return s
+	return stateOn(tx, f, func() *foreignTx { return &foreignTx{f: f} })
 }
 
 // Defer schedules op to run when tx commits; aborted sections drop it.
@@ -67,23 +53,15 @@ func (f *Foreign) Do(tx *stm.Tx, op func(), compensate func()) {
 // Commit applies the deferred operations in order and forgets the
 // compensations.
 func (s *foreignTx) Commit() {
-	s.f.mu.Lock()
-	delete(s.f.states, s.tx)
-	s.f.mu.Unlock()
 	for _, op := range s.deferred {
 		op()
 	}
-	s.deferred, s.compensations = nil, nil
 }
 
 // Rollback runs the compensations in reverse order and drops the
 // deferred operations.
 func (s *foreignTx) Rollback() {
-	s.f.mu.Lock()
-	delete(s.f.states, s.tx)
-	s.f.mu.Unlock()
 	for i := len(s.compensations) - 1; i >= 0; i-- {
 		s.compensations[i]()
 	}
-	s.deferred, s.compensations = nil, nil
 }

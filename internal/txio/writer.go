@@ -16,35 +16,23 @@ import (
 // scalability argument for wrappers over inevitable transactions
 // (paper §3.4).
 type Writer struct {
-	mu      sync.Mutex
 	dst     io.Writer
-	pending map[*stm.Tx]*writerTx
+	mu      sync.Mutex // serializes flushes to dst
 	flushes int
 }
 
 type writerTx struct {
 	w   *Writer
-	tx  *stm.Tx
 	buf []byte
 }
 
+func (s *writerTx) owner() any { return s.w }
+
 // NewWriter wraps dst.
-func NewWriter(dst io.Writer) *Writer {
-	return &Writer{dst: dst, pending: make(map[*stm.Tx]*writerTx)}
-}
+func NewWriter(dst io.Writer) *Writer { return &Writer{dst: dst} }
 
 func (w *Writer) stateFor(tx *stm.Tx) *writerTx {
-	w.mu.Lock()
-	s := w.pending[tx]
-	if s == nil {
-		s = &writerTx{w: w, tx: tx}
-		w.pending[tx] = s
-	}
-	w.mu.Unlock()
-	if s.buf == nil {
-		tx.Register(s)
-	}
-	return s
+	return stateOn(tx, w, func() *writerTx { return &writerTx{w: w} })
 }
 
 // Write buffers p for transaction tx.
@@ -69,23 +57,16 @@ func (w *Writer) Flushes() int {
 
 // Commit flushes the transaction's buffer to the device atomically.
 func (s *writerTx) Commit() {
-	s.w.mu.Lock()
 	if len(s.buf) > 0 {
+		s.w.mu.Lock()
 		s.w.dst.Write(s.buf) //nolint:errcheck // sink errors are not recoverable at commit
 		s.w.flushes++
+		s.w.mu.Unlock()
 	}
-	delete(s.w.pending, s.tx)
-	s.w.mu.Unlock()
-	s.buf = nil
 }
 
-// Rollback discards the buffer.
-func (s *writerTx) Rollback() {
-	s.w.mu.Lock()
-	delete(s.w.pending, s.tx)
-	s.w.mu.Unlock()
-	s.buf = nil
-}
+// Rollback discards the buffer, which goes with the aborted attempt.
+func (s *writerTx) Rollback() {}
 
 // BufferedBytes reports the B_W size for memory accounting (Table 8).
 func (s *writerTx) BufferedBytes() int { return len(s.buf) }
