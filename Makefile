@@ -100,15 +100,13 @@ ablation-golden:
 	mkdir -p bench
 	$(GO) run ./cmd/sbdc -ablate > bench/ablation.golden
 
-# Regenerate every table and figure of the paper's evaluation into results/.
+# Regenerate every table and figure of the paper's evaluation into
+# results/: one sbd-bench run, which measures the Table 9 sweep once for
+# both Table 9 and Figure 7.
 tables:
 	mkdir -p results
-	$(GO) run ./cmd/sbd-effort             | tee results/table5.txt
-	$(GO) run ./cmd/sbd-micro              | tee results/table6.txt
-	$(GO) run ./cmd/sbd-stats              | tee results/tables78.txt
-	$(GO) run ./cmd/sbd-bench              | tee results/table9.txt
-	$(GO) run ./cmd/sbd-bench -figure7     | tee results/figure7.txt
-	$(GO) run ./cmd/sbdc -ablate           | tee results/ablation.txt
+	$(GO) run ./cmd/sbd-bench    | tee results/tables.txt
+	$(GO) run ./cmd/sbdc -ablate | tee results/ablation.txt
 
 examples:
 	$(GO) run ./examples/quickstart

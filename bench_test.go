@@ -1,17 +1,15 @@
 package repro_test
 
-// One benchmark per table and figure of the paper's evaluation (§5),
-// plus ablation benchmarks for the design choices DESIGN.md calls out.
+// The fast-path gate and the ablation benchmarks for the design choices
+// DESIGN.md calls out. The paper's tables and figure (§5) are printed by
+// cmd/sbd-bench, once each.
 //
-//	Table 5  — static, regenerated by cmd/sbd-effort (no timing; see
-//	           TestTable5 in internal/workloads via the Effort records)
-//	Table 6  — BenchmarkTable6* (lock-operation effects)
-//	Table 7  — BenchmarkTable7LockOps (reports ops/s metrics)
-//	Table 8  — BenchmarkTable8Memory (reports bytes metrics)
-//	Table 9  — BenchmarkTable9 (baseline vs SBD per thread count)
-//	Figure 7 — BenchmarkFigure7 (same sweep, speedup-oriented metrics)
-//	Ablation — BenchmarkAblation* (final fields, isEmpty flag, compiler
-//	           passes)
+//	Table 6  — BenchmarkTable6* (lock-operation effects on one hot
+//	           object; Table6AcqRls* is the CI fast-path gate)
+//	Batching — BenchmarkAcquireBatch (one sorted multi-word acquire vs.
+//	           k single-word acquires)
+//	Ablation — BenchmarkAblation* (final fields, isEmpty flag, string
+//	           cache, inevitable transactions, compiler passes)
 
 import (
 	"fmt"
@@ -186,111 +184,6 @@ func BenchmarkAcquireBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(seqNs)/float64(batNs), "seq/batch")
 		})
-	}
-}
-
-// ---- Tables 7 & 8: per-workload stats (reported as custom metrics) ----
-
-func BenchmarkTable7LockOps(b *testing.B) {
-	for _, w := range workloads.All() {
-		w := w
-		b.Run(w.Name, func(b *testing.B) {
-			in := w.Prepare(1)
-			threads := w.Threads(1)
-			var snap stm.StatsSnapshot
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt := core.New()
-				w.SBD(rt, in, threads)
-				snap = rt.Stats().Snapshot()
-			}
-			b.ReportMetric(float64(snap.Init), "init/run")
-			b.ReportMetric(float64(snap.CheckNew), "checknew/run")
-			b.ReportMetric(float64(snap.CheckOwned), "checkowned/run")
-			b.ReportMetric(float64(snap.Acquire), "acquire/run")
-		})
-	}
-}
-
-func BenchmarkTable8Memory(b *testing.B) {
-	for _, w := range workloads.All() {
-		w := w
-		b.Run(w.Name, func(b *testing.B) {
-			in := w.Prepare(1)
-			threads := w.Threads(1)
-			var snap stm.StatsSnapshot
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt := core.New()
-				w.SBD(rt, in, threads)
-				snap = rt.Stats().Snapshot()
-			}
-			b.ReportMetric(float64(snap.LockBytes), "lockB/run")
-			b.ReportMetric(float64(snap.RWSetBytes), "rwsetB/run")
-			b.ReportMetric(float64(snap.BufferBytes), "bufB/run")
-			b.ReportMetric(float64(snap.InitEntries), "initlog/run")
-		})
-	}
-}
-
-// ---- Table 9 / Figure 7: overhead and scalability sweep ----
-
-var benchThreadCounts = []int{1, 2, 4, 8, 16, 32}
-
-func BenchmarkTable9(b *testing.B) {
-	for _, w := range workloads.All() {
-		w := w
-		in := w.Prepare(1)
-		for _, tc := range benchThreadCounts {
-			tc := tc
-			if w.FixedThreads > 0 && tc != 1 {
-				continue
-			}
-			n := w.Threads(tc)
-			b.Run(fmt.Sprintf("%s/threads=%d/baseline", w.Name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					w.Baseline(in, n)
-				}
-			})
-			b.Run(fmt.Sprintf("%s/threads=%d/sbd", w.Name, n), func(b *testing.B) {
-				var snap stm.StatsSnapshot
-				for i := 0; i < b.N; i++ {
-					rt := core.New()
-					w.SBD(rt, in, n)
-					snap = rt.Stats().Snapshot()
-				}
-				b.ReportMetric(snap.AbortRate()*100, "abort%")
-				b.ReportMetric(float64(snap.Contended), "contended/run")
-				b.ReportMetric(float64(snap.CASFail), "casfail/run")
-			})
-		}
-	}
-}
-
-// BenchmarkFigure7 runs the same sweep as BenchmarkTable9; the speedup
-// curves of Figure 7 are the reciprocal normalization of its times
-// (cmd/sbd-bench -figure7 prints them directly).
-func BenchmarkFigure7(b *testing.B) {
-	for _, name := range []string{"sunflow", "pmd"} { // representative curves
-		w, err := workloads.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := w.Prepare(1)
-		for _, tc := range []int{1, 2, 4, 8} {
-			n := w.Threads(tc)
-			b.Run(fmt.Sprintf("%s/threads=%d/baseline", name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					w.Baseline(in, n)
-				}
-			})
-			b.Run(fmt.Sprintf("%s/threads=%d/sbd", name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rt := core.New()
-					w.SBD(rt, in, n)
-				}
-			})
-		}
 	}
 }
 

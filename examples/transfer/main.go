@@ -20,10 +20,12 @@ import (
 	"repro/internal/txio"
 )
 
-// -debug enables the runtime's §6 debug mode: every blocked thread,
-// lock grant, and deadlock resolution is logged, which is how an SBD
-// programmer locates the contention worth splitting around.
-var debug = flag.Bool("debug", false, "log blocked threads and deadlock resolutions")
+// -debug is the runtime's §6 debug mode, served by the flight recorder:
+// each deadlock resolution dumps the protocol history that led to it,
+// and the recorder's blocked threads and lock grants are dumped at exit,
+// which is how an SBD programmer locates the contention worth splitting
+// around.
+var debug = flag.Bool("debug", false, "dump blocked threads and deadlock resolutions to stderr")
 
 var accountClass = stm.NewClass("Account",
 	stm.FieldSpec{Name: "owner", Kind: stm.KindStr, Final: true},
@@ -39,7 +41,7 @@ func main() {
 	flag.Parse()
 	opts := stm.Options{}
 	if *debug {
-		opts.DebugLog = os.Stderr
+		opts.DeadlockDump = os.Stderr
 	}
 	rt := core.NewOpts(opts)
 	console := txio.NewWriter(os.Stdout)
@@ -90,4 +92,7 @@ func main() {
 	s := rt.Stats().Snapshot()
 	fmt.Printf("sections committed=%d, deadlocks resolved=%d, aborts replayed=%d\n",
 		s.Commits, s.Deadlocks, s.Aborts)
+	if *debug {
+		rt.STM().Recorder().Dump(os.Stderr) //nolint:errcheck
+	}
 }

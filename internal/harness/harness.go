@@ -5,8 +5,8 @@
 // variation over a trailing window falls below a threshold (steady
 // state); if the threshold is never reached, the last window is used.
 // The paper uses a window of 30 iterations, CoV ≤ 0.01, and a cap of 60;
-// the defaults here are scaled down so the full table sweep finishes in
-// CI time, and every knob is configurable.
+// cmd/sbd-bench's defaults are scaled down so the full table sweep
+// finishes in minutes, and every knob is one of its flags.
 package harness
 
 import (
@@ -26,17 +26,6 @@ type Config struct {
 	MaxCoV float64
 	// MaxIters caps the iterations per invocation (paper: 60).
 	MaxIters int
-}
-
-// DefaultConfig returns a scaled-down configuration suitable for test
-// and bench runs.
-func DefaultConfig() Config {
-	return Config{Window: 5, MaxCoV: 0.05, MaxIters: 12}
-}
-
-// PaperConfig returns the exact parameters of paper §5.1.
-func PaperConfig() Config {
-	return Config{Window: 30, MaxCoV: 0.01, MaxIters: 60}
 }
 
 // Result summarizes one steady-state measurement.
@@ -94,9 +83,6 @@ func meanCoV(ts []time.Duration) (time.Duration, float64) {
 	}
 	return time.Duration(mean), cov
 }
-
-// MeanCoV exposes the window statistic for tests and reporting.
-func MeanCoV(ts []time.Duration) (time.Duration, float64) { return meanCoV(ts) }
 
 // OverheadPercent returns the Table 9 overhead column: how much slower
 // sbd is than base, in percent.

@@ -47,11 +47,11 @@ func TestMeasureClampsDegenerateConfig(t *testing.T) {
 }
 
 func TestMeanCoV(t *testing.T) {
-	mean, cov := MeanCoV([]time.Duration{100, 100, 100})
+	mean, cov := meanCoV([]time.Duration{100, 100, 100})
 	if mean != 100 || cov != 0 {
 		t.Fatalf("constant series: mean=%v cov=%v", mean, cov)
 	}
-	_, cov = MeanCoV([]time.Duration{100, 200})
+	_, cov = meanCoV([]time.Duration{100, 200})
 	if cov <= 0 {
 		t.Fatal("varying series has zero CoV")
 	}

@@ -1,6 +1,8 @@
 package instrument
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/stm"
@@ -69,8 +71,7 @@ func TestParseProgramWebshop(t *testing.T) {
 	}
 }
 
-func TestParseProgramConstructorAndArrays(t *testing.T) {
-	src := `
+const ctorArraysIR = `
 class Node { key, next }
 constructor Node.init(this Node) {
   write this.key
@@ -90,7 +91,9 @@ method fill(arr) {
   }
 }
 `
-	p, err := ParseProgram(src)
+
+func TestParseProgramConstructorAndArrays(t *testing.T) {
+	p, err := ParseProgram(ctorArraysIR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,21 +119,23 @@ method fill(arr) {
 	}
 }
 
+var badIR = []string{
+	"bogus",
+	"class C {",
+	"method m( {",
+	"method m() { read x }",
+	"method m() { write x , }",
+	"method m() { loop x { } }",
+	"method m() { newarray a x }",
+	"method m() { call f( }",
+	"method m() { explode }",
+	"constructor broken() { }",
+	"constructor C.init() canSplit { }",
+	"method m() { split }", // split without canSplit: caught by Check
+}
+
 func TestParseProgramErrors(t *testing.T) {
-	for _, bad := range []string{
-		"bogus",
-		"class C {",
-		"method m( {",
-		"method m() { read x }",
-		"method m() { write x , }",
-		"method m() { loop x { } }",
-		"method m() { newarray a x }",
-		"method m() { call f( }",
-		"method m() { explode }",
-		"constructor broken() { }",
-		"constructor C.init() canSplit { }",
-		"method m() { split }", // split without canSplit: caught by Check
-	} {
+	for _, bad := range badIR {
 		p, err := ParseProgram(bad)
 		if err == nil {
 			err = p.Check()
@@ -179,4 +184,26 @@ func TestParsedProgramRunsInInterpreter(t *testing.T) {
 	if stats.RawWord(in.ClassOf("Stats").Field("processed")) == 0 {
 		t.Fatal("field writes lost")
 	}
+}
+
+// FuzzParseProgram: ParseProgram, and Check on whatever it accepts,
+// return errors for malformed IR and never panic. Seeded from the
+// inputs above and every example program.
+func FuzzParseProgram(f *testing.F) {
+	for _, src := range append([]string{webshopIR, ctorArraysIR}, badIR...) {
+		f.Add(src)
+	}
+	files, _ := filepath.Glob("../../examples/*/*.ir")
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if p, err := ParseProgram(src); err == nil {
+			p.Check() //nolint:errcheck
+		}
+	})
 }

@@ -2,13 +2,13 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/minihttp"
 	"repro/internal/stm"
 )
 
@@ -115,15 +115,43 @@ func TestProfileTableRendering(t *testing.T) {
 	}
 }
 
+// serveLoopback serves srv on a loopback TCP port and returns a client
+// that GETs one path and returns the body of a 200 response. Like
+// TestServerOverTCP it skips the test when it cannot bind.
+func serveLoopback(t *testing.T, srv *Server) func(path string) (string, error) {
+	t.Helper()
+	addr, err := srv.ServeTCP("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot bind TCP: %v", err)
+	}
+	return func(path string) (string, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return "", err
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "GET %s HTTP/1.0\r\n\r\n", path)
+		resp, err := io.ReadAll(conn)
+		if err != nil {
+			return "", err
+		}
+		head, body, _ := strings.Cut(string(resp), "\r\n\r\n")
+		if status, _, _ := strings.Cut(head, "\r\n"); status != "HTTP/1.0 200 OK" {
+			return "", fmt.Errorf("%s: %s: %s", path, status, strings.TrimSpace(body))
+		}
+		return body, nil
+	}
+}
+
+// TestServerOverMinihttp scrapes every endpoint, and one unknown path,
+// through minihttp's request parser behind ServeTCP. TestServerOverTCP
+// sends a real client's request, headers and all, to one endpoint.
 func TestServerOverMinihttp(t *testing.T) {
 	rt := exactRT()
 	contend(t, rt, "ObsServe")
+	get := serveLoopback(t, NewServer(rt))
 
-	l := minihttp.Listen(4)
-	defer l.Close()
-	go NewServer(rt).ServeListener(l)
-
-	metrics, err := Get(l, "/metrics")
+	metrics, err := get("/metrics")
 	if err != nil {
 		t.Fatalf("/metrics: %v", err)
 	}
@@ -131,7 +159,7 @@ func TestServerOverMinihttp(t *testing.T) {
 		t.Fatalf("/metrics missing site series:\n%s", metrics)
 	}
 
-	profile, err := Get(l, "/profile")
+	profile, err := get("/profile")
 	if err != nil {
 		t.Fatalf("/profile: %v", err)
 	}
@@ -139,7 +167,7 @@ func TestServerOverMinihttp(t *testing.T) {
 		t.Fatalf("/profile missing site:\n%s", profile)
 	}
 
-	events, err := Get(l, "/events")
+	events, err := get("/events")
 	if err != nil {
 		t.Fatalf("/events: %v", err)
 	}
@@ -147,7 +175,7 @@ func TestServerOverMinihttp(t *testing.T) {
 		t.Fatalf("/events missing block/grant history:\n%s", events)
 	}
 
-	if _, err := Get(l, "/nope"); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := get("/nope"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown path error = %v, want 404", err)
 	}
 }
@@ -168,21 +196,35 @@ func TestServerOverTCP(t *testing.T) {
 	defer conn.Close()
 	// A real HTTP client request line, with headers, CRLF line endings.
 	fmt.Fprintf(conn, "GET /metrics HTTP/1.1\r\nHost: %s\r\nUser-Agent: curl/8\r\n\r\n", addr)
-	buf := make([]byte, 64<<10)
-	var resp []byte
-	for {
-		n, err := conn.Read(buf)
-		resp = append(resp, buf[:n]...)
-		if err != nil {
-			break
-		}
-	}
+	resp, _ := io.ReadAll(conn)
 	text := string(resp)
 	if !strings.HasPrefix(text, "HTTP/1.0 200 OK\r\n") {
 		t.Fatalf("bad status line:\n%s", text)
 	}
 	if !strings.Contains(text, `sbd_site_acquires_total{site="ObsTCP.v"}`) {
 		t.Fatalf("TCP /metrics missing site series:\n%s", text)
+	}
+}
+
+// A request line that arrives in two TCP segments is one request line:
+// the server must not parse the first segment alone (which would answer
+// 404 for "/met").
+func TestServerReadsSplitRequestLine(t *testing.T) {
+	addr, err := NewServer(exactRT()).ServeTCP("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot bind TCP: %v", err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	io.WriteString(conn, "GET /met")
+	time.Sleep(50 * time.Millisecond)
+	io.WriteString(conn, "rics HTTP/1.1\r\nHost: x\r\n\r\n")
+	resp, _ := io.ReadAll(conn)
+	if text := string(resp); !strings.HasPrefix(text, "HTTP/1.0 200 OK\r\n") {
+		t.Fatalf("split request line misread:\n%s", text)
 	}
 }
 
@@ -193,12 +235,9 @@ func TestDynamicServerFollowsRuntime(t *testing.T) {
 
 	var cur atomic.Pointer[stm.Runtime]
 	cur.Store(rt1)
-	srv := NewDynamicServer(func() *stm.Runtime { return cur.Load() })
-	l := minihttp.Listen(1)
-	defer l.Close()
-	go srv.ServeListener(l)
+	get := serveLoopback(t, NewDynamicServer(func() *stm.Runtime { return cur.Load() }))
 
-	before, err := Get(l, "/profile")
+	before, err := get("/profile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +245,7 @@ func TestDynamicServerFollowsRuntime(t *testing.T) {
 		t.Fatalf("idle runtime already shows ObsDyn:\n%s", before)
 	}
 	cur.Store(rt2)
-	after, err := Get(l, "/profile")
+	after, err := get("/profile")
 	if err != nil {
 		t.Fatal(err)
 	}

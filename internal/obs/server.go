@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -17,9 +18,8 @@ import (
 //	/stats    stm.StatsSnapshot as JSON (machine-readable deltas:
 //	          cmd/sbd-load scrapes it before/after a load cell)
 //
-// It speaks the minihttp wire format over in-memory listeners (the same
-// substrate the Tomcat workload uses) and plain HTTP/1.0 over TCP, so
-// both a test and a real curl can scrape a live run.
+// It speaks plain HTTP/1.0 over TCP, so a test, curl or Prometheus can
+// scrape a live run.
 type Server struct {
 	src func() *stm.Runtime
 }
@@ -52,72 +52,6 @@ func (s *Server) handle(path string) (status int, body string) {
 	}
 }
 
-// ServeListener accepts and serves connections until the listener
-// closes. Run it on its own goroutine.
-func (s *Server) ServeListener(l *minihttp.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go s.serveConn(conn)
-	}
-}
-
-// serveConn serves minihttp requests on one connection until EOF.
-func (s *Server) serveConn(conn *minihttp.Conn) {
-	defer conn.Close()
-	for {
-		line, err := conn.ReadLine()
-		if err != nil {
-			return
-		}
-		req, err := minihttp.ParseRequest(line)
-		if err != nil {
-			conn.Write([]byte(minihttp.FormatResponse(400, err.Error()+"\n")))
-			return
-		}
-		status, body := s.handle(req.Path)
-		if _, err := conn.Write([]byte(minihttp.FormatResponse(status, body))); err != nil {
-			return
-		}
-	}
-}
-
-// Get performs one request against a listener served by ServeListener
-// and returns the response body. It is the client half tests and the
-// CLI tools use.
-func Get(l *minihttp.Listener, path string) (string, error) {
-	conn, err := l.Dial()
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(minihttp.FormatRequest("GET", path, nil))); err != nil {
-		return "", err
-	}
-	header, err := conn.ReadLine()
-	if err != nil {
-		return "", err
-	}
-	status, length, err := minihttp.ParseResponseHeader(header)
-	if err != nil {
-		return "", err
-	}
-	body := make([]byte, length)
-	for got := 0; got < length; {
-		n, err := conn.Read(body[got:])
-		if err != nil {
-			return "", err
-		}
-		got += n
-	}
-	if status != 200 {
-		return "", fmt.Errorf("obs: %s returned %d: %s", path, status, strings.TrimSpace(string(body)))
-	}
-	return string(body), nil
-}
-
 // ServeTCP binds addr (e.g. "127.0.0.1:0"), serves real HTTP/1.0 on it,
 // and returns the bound address. Each scrape is one-shot: request,
 // response, close — exactly what curl and Prometheus do by default.
@@ -138,18 +72,19 @@ func (s *Server) ServeTCP(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// serveTCPConn answers one real-HTTP request. It parses the request
-// line leniently (the " HTTP/1.x" suffix and any headers are ignored)
-// and writes a minimal HTTP/1.0 response.
+// serveTCPConn answers one real-HTTP request. It reads up to the first
+// '\n' or 4 KiB, whichever comes first, however many segments the line
+// arrives in; parses the request line leniently (the " HTTP/1.x" suffix
+// and any headers are ignored); and writes a minimal HTTP/1.0 response.
 func (s *Server) serveTCPConn(conn net.Conn) {
 	defer conn.Close()
-	buf := make([]byte, 4096)
-	n, err := conn.Read(buf)
-	if err != nil || n == 0 {
+	// The error is dropped on purpose: a line cut short by EOF or by the
+	// 4 KiB bound is parsed as it stands, and a 400 answers a bad one.
+	raw, _ := bufio.NewReaderSize(conn, 4096).ReadSlice('\n')
+	if len(raw) == 0 {
 		return
 	}
-	line, _, _ := strings.Cut(string(buf[:n]), "\n")
-	line = strings.TrimRight(line, "\r")
+	line := strings.TrimRight(string(raw), "\r\n")
 	if i := strings.LastIndex(line, " HTTP/"); i >= 0 {
 		line = line[:i]
 	}

@@ -72,9 +72,7 @@ func (tx *Tx) AcquireBatch(accs []BatchAccess) {
 	if len(accs) == 0 {
 		return
 	}
-	// batchNoSort (tests only) must exercise the blocking path in program
-	// order, so it skips the non-blocking trylock phase too.
-	if tx.batchNoSort || !tx.tryBatchFast(accs) {
+	if !tx.tryBatchFast(accs) {
 		tx.acquireBatchSorted(accs)
 	}
 	tx.revalidate()
@@ -258,15 +256,13 @@ func (tx *Tx) acquireBatchSorted(accs []BatchAccess) {
 	// One slot-lease check for the whole batch (lockFor performs this
 	// per access).
 	tx.ensureSlot()
-	if !tx.batchNoSort {
-		// Insertion sort by word address: batches are small (a basic
-		// block's distinct words), and sort.Slice's closure + reflect-based
-		// swaps would cost more than the whole fast-path CAS loop.
-		for i := 1; i < len(words); i++ {
-			for j := i; j > 0 &&
-				uintptr(unsafe.Pointer(words[j].addr)) < uintptr(unsafe.Pointer(words[j-1].addr)); j-- {
-				words[j], words[j-1] = words[j-1], words[j]
-			}
+	// Insertion sort by word address: batches are small (a basic block's
+	// distinct words), and sort.Slice's closure + reflect-based swaps
+	// would cost more than the whole fast-path CAS loop.
+	for i := 1; i < len(words); i++ {
+		for j := i; j > 0 &&
+			uintptr(unsafe.Pointer(words[j].addr)) < uintptr(unsafe.Pointer(words[j-1].addr)); j-- {
+			words[j], words[j-1] = words[j-1], words[j]
 		}
 	}
 	var fast uint64

@@ -197,17 +197,15 @@ func (h *blockWatcher) awaitBlocked(t *testing.T, txID int, addr *uint64) {
 	t.Fatalf("blocked channel closed waiting for tx %d", txID)
 }
 
-// runBatchSection retries an atomic section built around AcquireBatch
-// until it commits, preserving the no-sort switch across replays. The
-// first attempt's transaction ID is reported on idCh when non-nil.
-func runBatchSection(rt *Runtime, noSort bool, accs []BatchAccess, body func(tx *Tx), idCh chan<- int) {
+// runSection retries an atomic section until it commits. The first
+// attempt's transaction ID is reported on idCh.
+func runSection(rt *Runtime, body func(tx *Tx), idCh chan<- int) {
 	for {
 		tx := rt.Begin()
 		if idCh != nil {
 			idCh <- tx.ID()
 			idCh = nil
 		}
-		tx.batchNoSort = noSort
 		ok := func() (committed bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -215,10 +213,8 @@ func runBatchSection(rt *Runtime, noSort bool, accs []BatchAccess, body func(tx 
 						panic(r)
 					}
 					tx.Reset()
-					tx.batchNoSort = noSort
 				}
 			}()
-			tx.AcquireBatch(accs)
 			body(tx)
 			tx.Commit()
 			return true
@@ -230,20 +226,44 @@ func runBatchSection(rt *Runtime, noSort bool, accs []BatchAccess, body func(tx 
 }
 
 // TestBatchSortedOrderPreventsDeadlock is the directed two-transaction
-// duel of the batch path. Two batches name the same two array elements
-// in opposite program orders. With the address sort disabled the
+// duel of the batch path. Two sections name the same two array elements
+// in opposite program orders. As plain writes in program order, the
 // choreography below drives them into a genuine cycle — A holds elem 0
 // and waits for elem 2, B holds elem 2 and waits for elem 0 — which only
-// the deadlock detector resolves (Deadlocks > 0). With the sort enabled
-// (production behavior) the identical choreography degenerates to a
-// queue on the common first word and the detector never fires.
+// the deadlock detector resolves (Deadlocks > 0). As batches, whose
+// address sort is production behavior, the identical choreography
+// degenerates to a queue on the common first word and the detector never
+// fires.
 func TestBatchSortedOrderPreventsDeadlock(t *testing.T) {
-	run := func(noSort bool) uint64 {
+	// plain and batched return the body of a section that writes
+	// elements first and second, in that program order.
+	plain := func(arr *Object, first, second int) func(tx *Tx) {
+		return func(tx *Tx) {
+			tx.WriteElem(arr, first, 3)
+			tx.WriteElem(arr, second, 3)
+		}
+	}
+	batched := func(arr *Object, first, second int) func(tx *Tx) {
+		accs := []BatchAccess{
+			{Obj: arr, Index: first, IsElem: true, Write: true},
+			{Obj: arr, Index: second, IsElem: true, Write: true},
+		}
+		return func(tx *Tx) {
+			tx.AcquireBatch(accs)
+			arr.SetRawElem(0, arr.RawElem(0)+1)
+			arr.SetRawElem(2, arr.RawElem(2)+1)
+		}
+	}
+	run := func(batch bool) uint64 {
+		sec := plain
+		if batch {
+			sec = batched
+		}
 		h := newBlockWatcher()
 		rt := NewRuntimeOpts(Options{Hooks: h})
 		arr := NewCommittedArray(KindWord, 4)
 
-		// Seed holders so both batchers block on their first word with
+		// Seed holders so both sections block on their first word with
 		// nothing else held: C holds elem 0, D holds elem 2.
 		cHeld, dHeld := make(chan int, 1), make(chan int, 1)
 		cGo, dGo := make(chan struct{}), make(chan struct{})
@@ -270,33 +290,21 @@ func TestBatchSortedOrderPreventsDeadlock(t *testing.T) {
 		addr0 := &arr.locks.Load().words[0]
 		addr2 := &arr.locks.Load().words[2]
 
-		batchA := []BatchAccess{ // program order 0, 2
-			{Obj: arr, Index: 0, IsElem: true, Write: true},
-			{Obj: arr, Index: 2, IsElem: true, Write: true},
-		}
-		batchB := []BatchAccess{ // program order 2, 0
-			{Obj: arr, Index: 2, IsElem: true, Write: true},
-			{Obj: arr, Index: 0, IsElem: true, Write: true},
-		}
-		bump := func(tx *Tx) {
-			arr.SetRawElem(0, arr.RawElem(0)+1)
-			arr.SetRawElem(2, arr.RawElem(2)+1)
-		}
 		aID := make(chan int, 1)
 		go func() {
 			defer wg.Done()
-			runBatchSection(rt, noSort, batchA, bump, aID)
+			runSection(rt, sec(arr, 0, 2), aID)
 		}()
 		a := <-aID
-		// A's first word is 0 unsorted and 0 sorted: blocked on elem 0.
+		// A's first word is 0 in program order and sorted: blocked on elem 0.
 		h.awaitBlocked(t, a, addr0)
 		bID := make(chan int, 1)
 		go func() {
 			defer wg.Done()
-			runBatchSection(rt, noSort, batchB, bump, bID)
+			runSection(rt, sec(arr, 2, 0), bID)
 		}()
 		b := <-bID
-		if noSort {
+		if !batch {
 			// B blocks on its program-order first word, elem 2.
 			h.awaitBlocked(t, b, addr2)
 			// D commits: B takes elem 2, marches on to elem 0, blocks.
@@ -312,16 +320,18 @@ func TestBatchSortedOrderPreventsDeadlock(t *testing.T) {
 			close(cGo)
 		}
 		wg.Wait()
+		// Plain sections store 3; two batched increments over C's and
+		// D's 1 reach 3 too.
 		if got0, got2 := arr.RawElem(0), arr.RawElem(2); got0 != 3 || got2 != 3 {
-			t.Fatalf("noSort=%v: elems = %d/%d, want 3/3", noSort, got0, got2)
+			t.Fatalf("batch=%v: elems = %d/%d, want 3/3", batch, got0, got2)
 		}
 		return rt.Stats().Snapshot().Deadlocks
 	}
 
-	if d := run(true); d == 0 {
-		t.Fatal("unsorted opposite-order batches did not deadlock; the directed schedule lost its teeth")
+	if d := run(false); d == 0 {
+		t.Fatal("opposite-order plain writes did not deadlock; the directed schedule lost its teeth")
 	}
-	if d := run(false); d != 0 {
+	if d := run(true); d != 0 {
 		t.Fatalf("sorted batches hit %d deadlocks; address order should prevent the cycle", d)
 	}
 }

@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -108,60 +107,6 @@ func TestInevitableNeverDeadlockVictim(t *testing.T) {
 	case <-youngerDone:
 	case <-time.After(2 * time.Second):
 		t.Fatal("inevitable transaction did not complete")
-	}
-}
-
-func TestDebugModeLogsEvents(t *testing.T) {
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	rt := NewRuntimeOpts(Options{DebugLog: w})
-	c := NewClass("C", FieldSpec{Name: "v", Kind: KindWord})
-	a, b := NewCommitted(c), NewCommitted(c)
-	v := c.Field("v")
-
-	// Produce a block + grant.
-	holder := rt.Begin()
-	holder.WriteInt(a, v, 1)
-	released := make(chan struct{})
-	go func() {
-		retryLoop(rt, func(tx *Tx) { tx.WriteInt(a, v, 2) })
-		close(released)
-	}()
-	time.Sleep(50 * time.Millisecond)
-	holder.Commit()
-	<-released
-
-	// Produce a deadlock.
-	older := rt.Begin()
-	younger := rt.Begin()
-	older.WriteInt(a, v, 1)
-	younger.WriteInt(b, v, 2)
-	olderDone := make(chan struct{})
-	go func() {
-		older.WriteInt(b, v, 3)
-		older.Commit()
-		close(olderDone)
-	}()
-	time.Sleep(50 * time.Millisecond)
-	if ab := runAborting(t, func() { younger.WriteInt(a, v, 4) }); ab == nil {
-		t.Fatal("no deadlock produced")
-	}
-	younger.Reset()
-	younger.Commit()
-	<-olderDone
-
-	mu.Lock()
-	log := buf.String()
-	mu.Unlock()
-	for _, want := range []string{"blocked for write", "granted write", "deadlock cycle", "aborting youngest"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("debug log missing %q; log:\n%s", want, log)
-		}
 	}
 }
 

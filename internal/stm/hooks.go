@@ -276,9 +276,9 @@ func (rt *Runtime) event(ev Event) {
 		r.record(&ev)
 		if ev.Kind == EvDeadlock && rt.dumpOnDeadlock != nil {
 			// Best-effort post-mortem: the recorder holds the protocol
-			// history that led here. Like the §6 debug log, this writes
-			// while the detector works; use it for diagnosis, not in
-			// latency-sensitive production.
+			// history that led here. This writes while the detector
+			// works; use it for diagnosis, not in latency-sensitive
+			// production.
 			r.Dump(rt.dumpOnDeadlock)
 		}
 	}

@@ -112,7 +112,6 @@ type detector struct {
 	// lock-free digest pre-check reports a potential cycle.
 	cycleMu      sync.Mutex
 	redelivering atomic.Bool
-	debug        *debugLog
 }
 
 func newDetector() *detector {
@@ -379,7 +378,6 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		// An inevitable transaction (§3.4) must never abort, so it always
 		// survives.
 		if tx.inevitable || (!other.tx.inevitable && tx.ticket < other.tx.ticket) {
-			d.debug.duel(other.tx, tx)
 			if d.wantsEvent(EvDuel) {
 				d.event(Event{Kind: EvDuel, TxID: other.tx.vid, VictimID: other.tx.vid, OtherID: tx.vid, Addr: addr, Inev: tx.inevitable})
 			}
@@ -392,7 +390,6 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			}
 			break
 		}
-		d.debug.duel(tx, other.tx)
 		if d.wantsEvent(EvDuel) {
 			d.event(Event{Kind: EvDuel, TxID: tx.vid, VictimID: tx.vid, OtherID: other.tx.vid, Addr: addr, Inev: other.tx.inevitable})
 		}
@@ -429,9 +426,6 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	d.blocked[tx.slot].Store(wt)
 	if upgrader {
 		setWordFlag(d, addr, uFlag)
-	}
-	if d.debug != nil {
-		d.debug.blocked(tx, addr, write, wordHolders(atomic.LoadUint64(addr)), q)
 	}
 	if d.wantsEvent(EvBlocked) {
 		d.event(Event{Kind: EvBlocked, TxID: tx.vid, Ticket: tx.ticket, Addr: addr, QID: q.qid, Write: write, Upgrader: upgrader})
@@ -626,7 +620,6 @@ func (d *detector) grantScanLocked(q *lockQueue) {
 		q.waiters = q.waiters[1:]
 		d.blocked[head.tx.slot].Store(nil)
 		head.granted = true
-		d.debug.granted(head.tx, q.addr, head.write)
 		if d.wantsEvent(EvGranted) {
 			d.event(Event{Kind: EvGranted, TxID: head.tx.vid, Ticket: head.tx.ticket, Addr: q.addr, QID: q.qid, Write: head.write, Upgrader: head.upgrader})
 		}
@@ -885,7 +878,6 @@ func (d *detector) exactVictim(wt *waiter) (victim *waiter, vq *lockQueue, epoch
 	if victim == nil {
 		return nil, nil, 0
 	}
-	d.debug.deadlock(members, victim)
 	if d.rt != nil && d.rt.wantsEvent(EvDeadlock) {
 		ev := Event{Kind: EvDeadlock, VictimID: victim.tx.vid, TxID: wt.tx.vid}
 		for _, m := range members {

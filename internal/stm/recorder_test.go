@@ -107,6 +107,16 @@ func TestRecorderCapturesDeadlockAndDumps(t *testing.T) {
 	if !strings.Contains(text, "deadlock") || !strings.Contains(text, "blocked") {
 		t.Fatalf("DeadlockDump missing protocol history:\n%s", text)
 	}
+	// The survivor's queued grant follows the resolution, so it shows in
+	// a dump taken afterwards (what examples/transfer -debug prints at
+	// exit), not in the one written at the deadlock.
+	var exit bytes.Buffer
+	if err := rt.Recorder().Dump(&exit); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(exit.String(), "granted") {
+		t.Fatalf("recorder dump missing the survivor's grant:\n%s", exit.String())
+	}
 }
 
 func TestRecorderWrapAround(t *testing.T) {

@@ -32,12 +32,10 @@ type Runtime struct {
 	// stores per transaction are measurable on the uncontended gate.
 	txBySlot [MaxTxns]atomic.Pointer[Tx]
 	// trackSlots enables txBySlot maintenance: set when a schedule
-	// harness or the debug log is attached (the contexts that run
-	// invariant sweeps). The sweeps skip holder-resolution checks when
-	// unset.
+	// harness is attached (the context that runs invariant sweeps). The
+	// sweeps skip holder-resolution checks when unset.
 	trackSlots bool
 	maxSlots   int
-	debug      *debugLog
 	// hooks, when non-nil, routes slow-path decision points to a
 	// schedule-exploration harness (internal/sched). nil in production.
 	hooks Hooks
@@ -91,9 +89,6 @@ type Options struct {
 	// reproduces the Tomcat-at-32-client+32-server-threads saturation
 	// the paper reports (§5.4) once those threads contend on locks.
 	MaxConcurrentTxns int
-	// DebugLog, when non-nil, enables the §6 debug mode: one line per
-	// blocked thread, grant, deadlock resolution, and dueling upgrade.
-	DebugLog io.Writer
 	// Hooks, when non-nil, attaches a schedule-exploration and
 	// fault-injection harness to the runtime's slow paths (see
 	// hooks.go). Production runtimes leave it nil; the only residual
@@ -158,11 +153,7 @@ func NewRuntimeOpts(opts Options) *Runtime {
 	rt.slots.rt = rt
 	rt.det.rt = rt
 	rt.vc.init()
-	if opts.DebugLog != nil {
-		rt.debug = &debugLog{w: opts.DebugLog}
-		rt.det.debug = rt.debug
-	}
-	rt.trackSlots = rt.hooks != nil || rt.debug != nil
+	rt.trackSlots = rt.hooks != nil
 	return rt
 }
 
@@ -208,9 +199,6 @@ func (rt *Runtime) Begin() *Tx {
 	// noInvis deliberately survives Reset (the replay of an aborted
 	// section must stay visible) but not reuse for a new section.
 	tx.noInvis = false
-	// batchNoSort is a per-section test switch; never leak it through
-	// the pool into an unrelated section.
-	tx.batchNoSort = false
 	// Guard the Event construction, not just its delivery: with the
 	// default recorder mask, lifecycle events are unwanted and the guard
 	// lets the compiler drop the struct build from the fast path.

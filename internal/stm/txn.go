@@ -125,10 +125,7 @@ type Tx struct {
 	// Reset deliberately; cleared at Begin.
 	noInvis bool
 	// batchScratch is AcquireBatch's reusable resolved-word buffer.
-	// batchNoSort disables the address sort (tests only: it exists to
-	// demonstrate the deadlock the sort prevents).
 	batchScratch []batchWord
-	batchNoSort  bool
 
 	// n is the per-transaction counter block, flushed to Runtime.Stats at
 	// end to keep the access fast path free of shared atomics. It
