@@ -41,26 +41,17 @@ stress:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-bin/sbd-serve: FORCE
-	@mkdir -p bin
-	$(GO) build -o $@ ./cmd/sbd-serve
-
-bin/sbd-load: FORCE
-	@mkdir -p bin
-	$(GO) build -o $@ ./cmd/sbd-load
-
-FORCE:
-
-# The serving smoke CI runs on every push/PR: boot a real sbd-serve,
-# drive a short deterministic open-loop burst against it, and fail on
-# any request error, non-2xx response, empty latency histogram, or
-# unclean SIGTERM drain. The burst uses uniform keys (-zipf=1): on a
-# non-conflicting workload the smoke additionally asserts zero
-# commit-time validation aborts — the invisible-read tier must not
-# turn optimism on where it loses.
-serve-smoke: bin/sbd-serve bin/sbd-load
-	./bin/sbd-load -spawn=bin/sbd-serve -seed=1 -conns=32 \
-		-rates=400 -duration=5s -zipf=1 -smoke
+# The serving smoke CI runs on every push/PR: the benchmark's two
+# serving workloads, 5 s each, against a freshly built sbd-serve over
+# TCP. The benchmark exits 1 on a failed or non-2xx request, a
+# per-session reply tally or stock mismatch, a served=/orders= count the
+# server disagrees on, or a shutdown that did not drain cleanly.
+# serve-checkout drives the hot-row checkout path, deadlock resolution
+# included. That uniform keys cause no validation aborts is
+# internal/shop's TestUniformMixHasNoValidationAborts.
+serve-smoke:
+	bash benchmark/run.sh --workload serve-mixed --seed 1 --seconds 5 --trace 0
+	bash benchmark/run.sh --workload serve-checkout --seed 1 --seconds 5 --trace 0
 
 # Compare the uncontended fast path (Table6AcqRls*) at head against a
 # base git ref (default main), benchstat-style via the stdlib-only
@@ -115,8 +106,8 @@ examples:
 	$(GO) run ./examples/transfer
 	$(GO) run ./examples/pingpong
 
-# Only what this Makefile generates and git ignores: results/ holds
-# committed tables.
+# Only what this Makefile and benchmark/run.sh generate and git ignores:
+# results/ holds committed tables.
 clean:
-	rm -rf bin .bench_build .benchcmp-base stress-failure.txt \
+	rm -rf bin .bench_build benchmark/out .benchcmp-base stress-failure.txt \
 		bench-base.txt bench-head.txt bench-compare.txt

@@ -27,7 +27,8 @@
 //	sbd-serve: listening on <addr>
 //	sbd-serve: metrics on <addr>
 //
-// are a stable interface: cmd/sbd-load -spawn parses them.
+// and the final served=/orders= and "drained cleanly" lines are a
+// stable interface: benchmark/server.go parses them.
 package main
 
 import (

@@ -11,10 +11,10 @@ import (
 )
 
 // A client may SIGTERM the server the moment it has read an announcement
-// line (benchmark/server.go and sbd-load -spawn both parse them). The
-// server must already be handling the signal by then: drain, print the
-// final lines, exit 0 — not die to the default handler with a connection
-// table it never closed.
+// line (benchmark/server.go parses them). The server must already be
+// handling the signal by then: drain, print the final lines, exit 0 —
+// not die to the default handler with a connection table it never
+// closed.
 func TestEarlySIGTERMDrains(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "sbd-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {

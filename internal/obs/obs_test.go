@@ -143,10 +143,10 @@ func serveLoopback(t *testing.T, srv *Server) func(path string) (string, error) 
 	}
 }
 
-// TestServerOverMinihttp scrapes every endpoint, and one unknown path,
-// through minihttp's request parser behind ServeTCP. TestServerOverTCP
-// sends a real client's request, headers and all, to one endpoint.
-func TestServerOverMinihttp(t *testing.T) {
+// TestServerEndpoints scrapes /metrics, /profile and /events, and one
+// unknown path, over loopback TCP. TestServerOverTCP sends a real
+// client's request, headers and all, to one endpoint.
+func TestServerEndpoints(t *testing.T) {
 	rt := exactRT()
 	contend(t, rt, "ObsServe")
 	get := serveLoopback(t, NewServer(rt))

@@ -16,7 +16,7 @@ import (
 //	/profile  per-site contention table, hottest first
 //	/events   flight-recorder dump, oldest first
 //	/stats    stm.StatsSnapshot as JSON (machine-readable deltas:
-//	          cmd/sbd-load scrapes it before/after a load cell)
+//	          the benchmark scrapes it before/after a serving run)
 //
 // It speaks plain HTTP/1.0 over TCP, so a test, curl or Prometheus can
 // scrape a live run.

@@ -33,7 +33,8 @@ func (s *Shop) ServeConn(w *core.Thread, conn minihttp.Stream, slot int, drainin
 		w.Atomic(func(tx *stm.Tx) {
 			line, readErr := tc.ReadLine(tx)
 			if readErr != nil {
-				// Clean close or a dead peer mid-line: nothing to answer.
+				// Clean close, a dead peer mid-line, or a line past
+				// txio's 64 KiB bound: nothing to answer.
 				closed = true
 				return
 			}

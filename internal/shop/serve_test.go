@@ -1,6 +1,7 @@
 package shop_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -114,5 +115,45 @@ func TestServerServesTCPAndDrains(t *testing.T) {
 	}
 	if served != 4 {
 		t.Fatalf("served = %d, want 4", served)
+	}
+}
+
+// TestLongRequestLineClosesConn: a peer that sends a megabyte without a
+// newline gets its connection closed once the line passes the
+// connection's bound, instead of growing the server's input buffer for
+// as long as it keeps sending.
+func TestLongRequestLineClosesConn(t *testing.T) {
+	rt := core.New()
+	sh, err := shop.New(rt, shop.Config{Items: 2, Stock: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := shop.NewServer(rt, sh)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(time.Second) //nolint:errcheck
+
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The write fails or stalls once the server hangs up; only the read
+	// side says whether it did. Closing c ends a stalled write.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		c.Write([]byte("GET /" + strings.Repeat("x", 1<<20))) //nolint:errcheck
+	}()
+	defer func() { c.Close(); <-wrote }()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	n, err := c.Read(make([]byte, 1))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open 5s after a 1 MiB line without a newline")
+	}
+	if err == nil {
+		t.Fatalf("server answered %d bytes to an unterminated line instead of closing", n)
 	}
 }

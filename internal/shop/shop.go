@@ -3,6 +3,7 @@ package shop
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -228,7 +229,9 @@ func (s *Shop) handleAdd(tx *stm.Tx, req *minihttp.Request) (int, string) {
 	lines, err := txn.Get(s.carts, sess)
 	switch {
 	case err == nil:
-		lines = mergeCartLine(lines, id, qty)
+		if lines, ok = mergeCartLine(lines, id, qty); !ok {
+			return 400, "bad qty\n"
+		}
 		if err := txn.Update(s.carts, sess, lines); err != nil {
 			return dbStatus(err)
 		}
@@ -323,15 +326,19 @@ func parseCartLine(line string) (item int, qty int64, ok bool) {
 }
 
 // mergeCartLine adds qty of item into the cart lines, merging with an
-// existing line for the same item.
-func mergeCartLine(lines []string, item int, qty int64) []string {
+// existing line for the same item. It reports false, and the caller
+// keeps the cart as it was, when the merged quantity would overflow.
+func mergeCartLine(lines []string, item int, qty int64) ([]string, bool) {
 	out := append([]string(nil), lines...)
 	for i, line := range out {
 		id, q, ok := parseCartLine(line)
 		if ok && id == item {
+			if q > math.MaxInt64-qty {
+				return nil, false
+			}
 			out[i] = cartLine(item, q+qty)
-			return out
+			return out, true
 		}
 	}
-	return append(out, cartLine(item, qty))
+	return append(out, cartLine(item, qty)), true
 }

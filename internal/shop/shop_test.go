@@ -2,6 +2,7 @@ package shop_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -420,5 +421,86 @@ func TestConcurrentAddSharedSession(t *testing.T) {
 	}
 	if n, _ := strconv.ParseInt(qty, 10, 64); n != ok.Load() {
 		t.Fatalf("cart qty %d != successful adds %d (lost or phantom update)", n, ok.Load())
+	}
+}
+
+// TestAddOverflowRejected: an add whose merged quantity would overflow
+// int64 answers 400 and leaves the cart as it was, so the session can
+// still check out. A stored overflow would read back as a negative
+// quantity, which checkout can only answer 500.
+func TestAddOverflowRejected(t *testing.T) {
+	rt := core.New()
+	sh, err := shop.New(rt, shop.Config{Items: 2, Stock: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, done := serveOne(sh, rt)
+
+	if st, body := get(t, client, "/add?session=1&item=0&qty=9223372036854775807"); st != 200 {
+		t.Fatalf("first add: %d %q", st, body)
+	}
+	if st, body := get(t, client, "/add?session=1&item=0&qty=1"); st != 400 || body != "bad qty\n" {
+		t.Errorf("overflowing add: %d %q, want 400 \"bad qty\\n\"", st, body)
+	}
+	if st, body := get(t, client, "/checkout?session=1"); st != 409 || body != "item 0 out of stock\n" {
+		t.Fatalf("checkout after rejected add: %d %q, want 409 out of stock", st, body)
+	}
+	client.Close()
+	<-done
+
+	carts, err := sh.DB().Table("carts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := sh.DB().Begin()
+	lines, err := check.Get(carts, 1)
+	check.Rollback() //nolint:errcheck
+	if err != nil || len(lines) != 1 || lines[0] != "0:9223372036854775807" {
+		t.Fatalf("cart after rejected add = %v, %v; want the first add's line", lines, err)
+	}
+}
+
+// TestUniformMixHasNoValidationAborts drives the serving mix (70 %
+// browse, 20 % add, 10 % checkout over uniformly chosen items and a few
+// sessions) through ServeConn one request at a time. The invisible-read
+// tier must turn on, and with nothing overlapping every validation abort
+// is spurious: optimism switched on where it can only lose.
+func TestUniformMixHasNoValidationAborts(t *testing.T) {
+	const (
+		requests = 2000
+		sessions = 8
+	)
+	rt := core.New()
+	sh, err := shop.New(rt, shop.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, done := serveOne(sh, rt)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < requests; i++ {
+		var path string
+		switch sess, item, r := rng.Intn(sessions), rng.Intn(sh.Items()), rng.Intn(100); {
+		case r < 70:
+			path = fmt.Sprintf("/browse?item=%d", item)
+		case r < 90:
+			path = fmt.Sprintf("/add?session=%d&item=%d&qty=1", sess, item)
+		default:
+			path = fmt.Sprintf("/checkout?session=%d", sess)
+		}
+		if st, body := get(t, client, path); st/100 != 2 {
+			t.Fatalf("request %d %s: %d %q", i, path, st, body)
+		}
+	}
+	client.Close()
+	<-done
+
+	s := rt.Stats().Snapshot()
+	t.Logf("%d invisible reads, %d validation aborts", s.InvisReads, s.ValidationAborts)
+	if s.InvisReads == 0 {
+		t.Fatal("no invisible reads: the check below would be vacuous")
+	}
+	if s.ValidationAborts != 0 {
+		t.Fatalf("%d validation aborts over %d invisible reads with one request in flight",
+			s.ValidationAborts, s.InvisReads)
 	}
 }

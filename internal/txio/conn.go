@@ -2,6 +2,7 @@ package txio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"slices"
 	"sync"
@@ -114,9 +115,19 @@ func (c *Conn) Read(tx *stm.Tx, p []byte) (int, error) {
 	return n, nil
 }
 
+// maxLineLen bounds how much ReadLine buffers while it looks for '\n',
+// so a peer that never sends one cannot grow the input without limit.
+const maxLineLen = 64 << 10
+
+// ErrLineTooLong is ReadLine's error once more than 64 KiB arrived
+// without a '\n'.
+var ErrLineTooLong = errors.New("txio: line too long")
+
 // ReadLine reads up to and including '\n' and returns the line without
-// the terminator; if the stream fails first, it returns what it read. It
-// is the unit the minihttp protocol parser consumes.
+// the terminator; if the stream fails first, it returns what it read.
+// Once more than 64 KiB are buffered without a '\n', it consumes them and
+// returns ErrLineTooLong. It is the unit the minihttp protocol parser
+// consumes.
 func (c *Conn) ReadLine(tx *stm.Tx) (string, error) {
 	s := c.lockReader(tx)
 	defer c.mu.Unlock()
@@ -131,6 +142,10 @@ func (c *Conn) ReadLine(tx *stm.Tx) (string, error) {
 			line := string(c.in[s.cur:])
 			s.cur = len(c.in)
 			return line, err
+		}
+		if len(c.in)-s.cur > maxLineLen {
+			s.cur = len(c.in)
+			return "", ErrLineTooLong
 		}
 		scanned = len(c.in)
 		err = c.fill()

@@ -2,6 +2,7 @@ package txio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -73,6 +74,27 @@ func TestConnReadLineBufferedAllocsOnlyTheLine(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("buffered ReadLine allocated %.1f times, want at most the line", allocs)
+	}
+}
+
+// TestConnReadLineBound: a line of exactly maxLineLen bytes reads whole;
+// a longer one without a newline ends in ErrLineTooLong long before the
+// peer runs out of bytes to send.
+func TestConnReadLineBound(t *testing.T) {
+	rt := stm.NewRuntime()
+	full := strings.Repeat("x", maxLineLen)
+	raw := &chunkedStream{data: []byte(full + "\n" + strings.Repeat("y", 4*maxLineLen))}
+	c := NewConn(raw)
+	tx := rt.Begin()
+	defer tx.Commit()
+	if line, err := c.ReadLine(tx); err != nil || line != full {
+		t.Fatalf("ReadLine of a %d-byte line = %d bytes, %v", maxLineLen, len(line), err)
+	}
+	if line, err := c.ReadLine(tx); !errors.Is(err, ErrLineTooLong) || line != "" {
+		t.Fatalf("ReadLine of an unterminated line = %d bytes, %v; want ErrLineTooLong", len(line), err)
+	}
+	if unterminated := raw.off - (maxLineLen + 1); unterminated >= 3*maxLineLen {
+		t.Fatalf("read %d bytes of the unterminated line before giving up", unterminated)
 	}
 }
 
