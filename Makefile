@@ -22,12 +22,12 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The gate CI runs on every push/PR: formatting, build, vet, tests, a
-# short deterministic stress smoke (see cmd/sbd-stress), and the
-# benchmark module — a module of its own (benchmark/go.mod), so ./...
+# The gate CI runs on every push/PR: formatting, build, vet, tests, the
+# ablation table diff, a short deterministic stress smoke (see
+# cmd/sbd-stress), and the benchmark module — a module of its own (benchmark/go.mod), so ./...
 # at the root never compiles it and an API rename here would otherwise
 # break `bash benchmark/run.sh` silently.
-ci: fmt-check build vet test
+ci: fmt-check build vet test ablation
 	$(GO) run ./cmd/sbd-stress -rounds=5 -seed=1
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
@@ -77,19 +77,16 @@ bench-compare:
 			-benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) . > bench-head.txt
 	$(GO) run ./cmd/sbd-benchcmp -gate 'Table6AcqRls' -threshold 5 bench-base.txt bench-head.txt
 
-# Deterministic per-pass ablation table. The target creates results/
-# itself (it used to rely on `tables` having run first) and diffs the
-# output against the committed golden so a pass regression shows up as
-# a one-line textual diff in CI. Regenerate the golden with
-# `make ablation-golden` after an intentional pass change.
+# Deterministic per-pass ablation table (static op counts, no timing):
+# fresh `sbdc -ablate` output is diffed against the committed
+# results/ablation.txt, which `make tables` also writes, so a pass
+# regression shows up as a one-line textual diff. Regenerate that file
+# with `make ablation-golden` after an intentional pass change.
 ablation:
-	mkdir -p results
-	$(GO) run ./cmd/sbdc -ablate | tee results/ablation.txt
-	diff -u bench/ablation.golden results/ablation.txt
+	$(GO) run ./cmd/sbdc -ablate | diff -u results/ablation.txt -
 
 ablation-golden:
-	mkdir -p bench
-	$(GO) run ./cmd/sbdc -ablate > bench/ablation.golden
+	$(GO) run ./cmd/sbdc -ablate > results/ablation.txt
 
 # Regenerate every table and figure of the paper's evaluation into
 # results/: one sbd-bench run, which measures the Table 9 sweep once for

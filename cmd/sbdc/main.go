@@ -28,7 +28,7 @@ var (
 
 // suite builds the demo programs: the paper's Figure 2 web-shop shape,
 // a constructor-heavy program for final inference, a loop-heavy program
-// for hoisting/batching, and a nested-loop program for deep hoisting.
+// for hoisting, and a nested-loop program for deep hoisting.
 func suite() map[string]func() *instrument.Program {
 	return map[string]func() *instrument.Program{
 		"webshop":   webshop,
@@ -97,8 +97,8 @@ func loops() *instrument.Program {
 		Name: "sum", Params: []string{"acc", "arr", "weights"}, ParamClasses: []string{"Acc", "", ""},
 		Body: &instrument.Block{Stmts: []instrument.Stmt{
 			&instrument.Loop{Count: 200, IdxVar: "i", Body: &instrument.Block{Stmts: []instrument.Stmt{
-				// Two distinct varying words per iteration: un-hoistable,
-				// but batchable into one sorted traversal.
+				// Two distinct varying words per iteration: un-hoistable
+				// reads, which the runtime serves from its read tiers.
 				&instrument.Access{Var: "arr", IsArray: true, Index: "i"},
 				&instrument.Access{Var: "weights", IsArray: true, Index: "i"},
 				&instrument.Access{Var: "acc", Field: "total", Write: true},
@@ -156,7 +156,7 @@ func main() {
 		fmt.Println("sbdc: transformation summary (all optimizations)")
 		fmt.Println()
 		tbl := harness.NewTable("Program", "Inlined", "FinalsInf", "Hoisted", "ChecksRem",
-			"NewMerged", "Batches", "OpsBatched", "IntentInf", "FullOps", "NewOnly", "RawOps")
+			"NewMerged", "IntentInf", "FullOps", "NewOnly", "RawOps")
 		for _, name := range []string{"webshop", "ctorheavy", "loops", "nested"} {
 			build := suite()[name]
 			p := build()
@@ -166,8 +166,7 @@ func main() {
 			}
 			full, newOnly, raw := p.MethodOps(entries[name])
 			tbl.Row(name, st.CallsInlined, st.FinalsInferred, st.LocksHoisted,
-				st.ChecksRemoved, st.NewChecksMerged, st.BatchesFormed, st.OpsBatched,
-				st.IntentInferred, full, newOnly, raw)
+				st.ChecksRemoved, st.NewChecksMerged, st.IntentInferred, full, newOnly, raw)
 		}
 		fmt.Print(tbl.String())
 		return
@@ -209,11 +208,6 @@ func main() {
 		{"all-hoistdeep", func() instrument.Options {
 			o := instrument.AllOptimizations()
 			o.HoistDeep = false
-			return o
-		}()},
-		{"all-batch", func() instrument.Options {
-			o := instrument.AllOptimizations()
-			o.Batch = false
 			return o
 		}()},
 		{"all-intent", func() instrument.Options {
@@ -280,7 +274,6 @@ func transformFile(path string) {
 	fmt.Printf("  locks hoisted:        %d\n", st.LocksHoisted)
 	fmt.Printf("  checks eliminated:    %d\n", st.ChecksRemoved)
 	fmt.Printf("  new-checks combined:  %d\n", st.NewChecksMerged)
-	fmt.Printf("  batches formed:       %d (%d ops)\n", st.BatchesFormed, st.OpsBatched)
 	fmt.Printf("  intent inferred:      %d\n", st.IntentInferred)
 	fmt.Println()
 	tbl := harness.NewTable("Method", "FullOps", "NewOnly", "RawOps")

@@ -186,15 +186,6 @@ func (p *Program) expand(callee *Method, args []string, site int) []Stmt {
 					Var: rename(st.Var), Field: st.Field, IsArray: st.IsArray,
 					Index: renameIdx(st.Index, sub, prefix), Write: st.Write,
 				})
-			case *BatchAcquire:
-				nops := make([]BatchOp, len(st.Ops))
-				for i, op := range st.Ops {
-					nops[i] = BatchOp{
-						Var: rename(op.Var), Field: op.Field, IsArray: op.IsArray,
-						Index: renameIdx(op.Index, sub, prefix), Write: op.Write,
-					}
-				}
-				nb.Stmts = append(nb.Stmts, &BatchAcquire{Ops: nops})
 			default:
 				panic(fmt.Sprintf("instrument: expand: unknown stmt %T", s))
 			}

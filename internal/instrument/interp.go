@@ -158,10 +158,6 @@ func (in *Interp) execBlock(b *Block, e *env, txp **stm.Tx, noSplit bool) error 
 			if err := in.execHoisted(st, e, *txp); err != nil {
 				return err
 			}
-		case *BatchAcquire:
-			if err := in.execBatch(st, e, *txp); err != nil {
-				return err
-			}
 		case *Access:
 			if err := in.execAccess(st, e, *txp); err != nil {
 				return err
@@ -206,39 +202,6 @@ func (in *Interp) execHoisted(h *HoistedLock, e *env, tx *stm.Tx) error {
 	} else {
 		tx.ReadWord(o, f)
 	}
-	return nil
-}
-
-// execBatch performs a BatchAcquire through the runtime's sorted
-// multi-word acquire path; the covered accesses that follow then run
-// raw.
-func (in *Interp) execBatch(ba *BatchAcquire, e *env, tx *stm.Tx) error {
-	if ba.Elided {
-		return nil
-	}
-	accs := make([]stm.BatchAccess, 0, len(ba.Ops))
-	for _, op := range ba.Ops {
-		o := e.objs[op.Var]
-		if o == nil {
-			return fmt.Errorf("instrument: batch op on unbound var %s", op.Var)
-		}
-		if op.IsArray {
-			accs = append(accs, stm.BatchAccess{
-				Obj: o, Index: in.index(e, op.Index), IsElem: true, Write: op.Write,
-			})
-			continue
-		}
-		fm, ok := in.fields[e.cls[op.Var]]
-		if !ok {
-			return fmt.Errorf("instrument: batch op %s.%s: unknown class %q", op.Var, op.Field, e.cls[op.Var])
-		}
-		f, ok := fm[op.Field]
-		if !ok {
-			return fmt.Errorf("instrument: class %s has no field %s", e.cls[op.Var], op.Field)
-		}
-		accs = append(accs, stm.BatchAccess{Obj: o, Field: f, Write: op.Write})
-	}
-	tx.AcquireBatch(accs)
 	return nil
 }
 

@@ -103,10 +103,6 @@ type Access struct {
 	// so the upgrade — and any write-upgrade duel it could lose — never
 	// happens.
 	WriteIntent bool
-	// Batched marks an access whose lock operation was absorbed into a
-	// preceding BatchAcquire of the same block; the access itself runs
-	// raw.
-	Batched bool
 }
 
 func (*Access) stmt() {}
@@ -192,28 +188,6 @@ type HoistedLock struct {
 }
 
 func (*HoistedLock) stmt() {}
-
-// BatchOp is one lock operation of a BatchAcquire.
-type BatchOp struct {
-	Var     string
-	Field   string
-	IsArray bool
-	Index   string
-	Write   bool
-}
-
-// BatchAcquire is inserted by the batching pass in front of a
-// straight-line run of accesses on ≥2 distinct locations: it performs
-// all of the run's lock operations in one sorted traversal
-// (stm.Tx.AcquireBatch), and the covered accesses run raw. The
-// annotation pass marks it Elided when every operation resolves to a
-// final field or a location already locked on entry.
-type BatchAcquire struct {
-	Ops    []BatchOp
-	Elided bool
-}
-
-func (*BatchAcquire) stmt() {}
 
 // NewProgram creates an empty program.
 func NewProgram() *Program {

@@ -53,6 +53,17 @@ func ParseProgram(src string) (*Program, error) {
 		}
 		return nil
 	}
+	// count reads the non-negative Int operand of a loop or newarray.
+	count := func(what string) (int, error) {
+		n, err := strconv.Atoi(next())
+		if err == nil && n < 0 {
+			err = fmt.Errorf("%d is negative", n)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("instrument: parse: %s: %v", what, err)
+		}
+		return n, nil
+	}
 
 	var parseBlock func() (*Block, error)
 	parseAccess := func(write bool) (Stmt, error) {
@@ -93,9 +104,9 @@ func ParseProgram(src string) (*Program, error) {
 			return &New{Dst: dst, Class: cls}, nil
 		case "newarray":
 			dst := next()
-			n, err := strconv.Atoi(next())
+			n, err := count("newarray " + dst + " size")
 			if err != nil {
-				return nil, fmt.Errorf("instrument: parse: newarray size: %v", err)
+				return nil, err
 			}
 			return &NewArray{Dst: dst, Size: n}, nil
 		case "assign":
@@ -135,9 +146,9 @@ func ParseProgram(src string) (*Program, error) {
 			}
 			return &NoSplit{Body: body}, nil
 		case "loop":
-			n, err := strconv.Atoi(next())
+			n, err := count("loop count")
 			if err != nil {
-				return nil, fmt.Errorf("instrument: parse: loop count: %v", err)
+				return nil, err
 			}
 			idx := ""
 			if peek() != "{" {

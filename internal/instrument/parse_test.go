@@ -127,6 +127,8 @@ var badIR = []string{
 	"method m() { write x , }",
 	"method m() { loop x { } }",
 	"method m() { newarray a x }",
+	"class A { f0 }\nmethod m(a A) { loop -5 { write a.f0 } }",
+	"method m() { newarray x -3 }",
 	"method m() { call f( }",
 	"method m() { explode }",
 	"constructor broken() { }",

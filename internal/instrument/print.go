@@ -115,24 +115,6 @@ func printBlock(b *strings.Builder, blk *Block, depth int) {
 				note = "elided (final or already locked)"
 			}
 			fmt.Fprintf(b, "%slock %s %s  # %s\n", indent, op, target, note)
-		case *BatchAcquire:
-			parts := make([]string, len(st.Ops))
-			for i, opn := range st.Ops {
-				mode := "read"
-				if opn.Write {
-					mode = "write"
-				}
-				target := opn.Var + "." + opn.Field
-				if opn.IsArray {
-					target = opn.Var + "[" + opn.Index + "]"
-				}
-				parts[i] = mode + " " + target
-			}
-			note := fmt.Sprintf("%d words, one sorted traversal", len(st.Ops))
-			if st.Elided {
-				note = "elided (all words final or already locked)"
-			}
-			fmt.Fprintf(b, "%sbatch [%s]  # %s\n", indent, strings.Join(parts, ", "), note)
 		case *New:
 			fmt.Fprintf(b, "%snew %s %s\n", indent, st.Dst, st.Class)
 		case *NewArray:
@@ -183,8 +165,6 @@ func accessNote(a *Access) string {
 		return "  # final: no synchronization"
 	case a.Hoisted:
 		return "  # elided: lock hoisted"
-	case a.Batched:
-		return "  # elided: acquired by batch"
 	case !a.NeedsLockOp && !a.NeedsNewCheck:
 		return "  # elided: already locked"
 	case !a.NeedsLockOp && a.NeedsNewCheck:

@@ -38,9 +38,7 @@ func TestPrintProgramShowsAnnotations(t *testing.T) {
 	for _, want := range []string{
 		"# final: no synchronization", // read a.price
 		"# elided: lock hoisted",      // in-loop article accesses
-		"batch [",                     // hoisted locks coalesced per block
-		"one sorted traversal",        // BatchAcquire note
-		"# elided: acquired by batch", // straight-line accesses covered
+		"lock write art.available",    // the hoisted lock itself
 		"# full",                      // stats.processed write
 	} {
 		if !strings.Contains(text, want) {

@@ -18,10 +18,6 @@ type Options struct {
 	// stopping at the immediate loop body — acquisitions that crossed an
 	// inlined call boundary keep bubbling up. Requires Hoist.
 	HoistDeep bool
-	// Batch coalesces a straight-line run of accesses on ≥2 distinct
-	// locations into one BatchAcquire pseudo-op, executed by the
-	// runtime's sorted multi-word acquire path (stm.Tx.AcquireBatch).
-	Batch bool
 	// InferIntent marks reads that are provably upgraded by a later
 	// write in the same straight-line block; they acquire in write mode
 	// up front (Tx.ReadWordForWrite) so the upgrade duel never happens.
@@ -33,7 +29,7 @@ func AllOptimizations() Options {
 	return Options{
 		InferFinals: true, Inline: true, InlineBudget: 16,
 		Hoist: true, EliminateRedun: true, CombineNew: true,
-		HoistDeep: true, Batch: true, InferIntent: true,
+		HoistDeep: true, InferIntent: true,
 	}
 }
 
@@ -50,13 +46,8 @@ type Stats struct {
 	ChecksRemoved   int // redundant lock ops eliminated by dataflow
 	NewChecksMerged int
 	IntentInferred  int // reads marked WriteIntent by intent inference
-	BatchesFormed   int // BatchAcquire pseudo-ops inserted
-	OpsBatched      int // lock operations absorbed into batches
 
-	// Weighted dynamic-estimate counts over all methods. A non-elided
-	// BatchAcquire counts as ONE FullOp regardless of its width: the
-	// batch performs a single sorted traversal with one stats flush and
-	// one slot-lease check, which is the cost the metric models.
+	// Weighted dynamic-estimate counts over all methods.
 	FullOps      int // accesses performing the full Figure 5 operation
 	NewCheckOnly int // accesses needing only the is-new check
 	RawOps       int // accesses with no synchronization at all
@@ -89,16 +80,11 @@ func (p *Program) Transform(opts Options) (Stats, error) {
 			st.LocksHoisted += p.hoistLoops(m.Body, opts.HoistDeep)
 		}
 	}
-	if opts.Batch {
-		for _, m := range p.Methods {
-			p.batchBlocks(m.Body, &st)
-		}
-	}
 	for _, m := range p.Methods {
 		p.annotate(m, &st, opts)
 	}
 	for _, m := range p.Methods {
-		countOps(m.Body, 1, &st)
+		p.countOps(m.Body, 1, &st, nil)
 	}
 	return st, nil
 }
@@ -338,43 +324,6 @@ func (p *Program) annotateBlock(m *Method, b *Block, f *flow, st *Stats, opts Op
 				f.locks[key] = mode
 			}
 			f.newOK[stmt.Var] = true
-		case *BatchAcquire:
-			// Each operation of the batch establishes its lock mode and
-			// is-new fact; the batch itself is elided only when EVERY
-			// operation resolves to a final field or a location already
-			// locked on entry (the runtime per-word owned-check makes a
-			// partially redundant batch cheap, a fully redundant one free).
-			live := 0
-			pruned := stmt.Ops[:0:0]
-			for _, op := range stmt.Ops {
-				if !op.IsArray {
-					if cls := p.Classes[f.types[op.Var]]; cls != nil {
-						if fd := cls.Field(op.Field); fd != nil && fd.Final {
-							// Final field: no lock exists; drop the op at
-							// record time (finality contributes no flow
-							// facts, so pruning cannot perturb the fixpoint).
-							continue
-						}
-					}
-				}
-				pruned = append(pruned, op)
-				key := lockKey{op.Var, accessField(op.Field, op.IsArray, op.Index)}
-				mode := uint8(1)
-				if op.Write {
-					mode = 2
-				}
-				if !(opts.EliminateRedun && f.locks[key] >= mode) {
-					live++
-				}
-				if f.locks[key] < mode {
-					f.locks[key] = mode
-				}
-				f.newOK[op.Var] = true
-			}
-			if record {
-				stmt.Ops = pruned
-				stmt.Elided = live == 0
-			}
 		case *Access:
 			p.annotateAccess(m, stmt, f, st, opts, record)
 		case *Loop:
@@ -437,7 +386,7 @@ func (p *Program) annotateAccess(m *Method, a *Access, f *flow, st *Stats, opts 
 		// write mode up front.
 		mode = 2
 	}
-	haveLock := (opts.EliminateRedun && f.locks[key] >= mode) || a.Hoisted || a.Batched
+	haveLock := (opts.EliminateRedun && f.locks[key] >= mode) || a.Hoisted
 	haveNew := opts.CombineNew && f.newOK[a.Var]
 
 	if record {
@@ -599,11 +548,14 @@ func (p *Program) MethodOps(name string) (full, newOnly, raw int) {
 		return 0, 0, 0
 	}
 	var st Stats
-	p.countDynamic(m.Body, 1, &st, map[string]bool{name: true})
+	p.countOps(m.Body, 1, &st, map[string]bool{name: true})
 	return st.FullOps, st.NewCheckOnly, st.RawOps
 }
 
-func (p *Program) countDynamic(b *Block, weight int, st *Stats, stack map[string]bool) {
+// countOps tallies the weighted operation counts of b. With stack
+// non-nil it follows calls (non-recursively) into their callees; with
+// stack nil it counts b's own statements only (Transform's totals).
+func (p *Program) countOps(b *Block, weight int, st *Stats, stack map[string]bool) {
 	if b == nil {
 		return
 	}
@@ -619,62 +571,23 @@ func (p *Program) countDynamic(b *Block, weight int, st *Stats, stack map[string
 				st.NewCheckOnly += weight
 			}
 		case *HoistedLock:
-			if !stmt.Elided {
-				st.FullOps += weight
-			}
-		case *BatchAcquire:
 			if !stmt.Elided {
 				st.FullOps += weight
 			}
 		case *Call:
 			callee, ok := p.Methods[stmt.Method]
-			if ok && !stack[stmt.Method] {
+			if ok && stack != nil && !stack[stmt.Method] {
 				stack[stmt.Method] = true
-				p.countDynamic(callee.Body, weight, st, stack)
+				p.countOps(callee.Body, weight, st, stack)
 				delete(stack, stmt.Method)
 			}
 		case *Loop:
-			p.countDynamic(stmt.Body, weight*stmt.Count, st, stack)
+			p.countOps(stmt.Body, weight*stmt.Count, st, stack)
 		case *If:
-			p.countDynamic(stmt.Then, weight, st, stack)
-			p.countDynamic(stmt.Else, weight, st, stack)
+			p.countOps(stmt.Then, weight, st, stack)
+			p.countOps(stmt.Else, weight, st, stack)
 		case *NoSplit:
-			p.countDynamic(stmt.Body, weight, st, stack)
-		}
-	}
-}
-
-// countOps tallies the weighted static operation counts.
-func countOps(b *Block, weight int, st *Stats) {
-	if b == nil {
-		return
-	}
-	for _, s := range b.Stmts {
-		switch stmt := s.(type) {
-		case *Access:
-			switch {
-			case stmt.FinalAccess || (!stmt.NeedsLockOp && !stmt.NeedsNewCheck):
-				st.RawOps += weight
-			case stmt.NeedsLockOp:
-				st.FullOps += weight
-			default:
-				st.NewCheckOnly += weight
-			}
-		case *HoistedLock:
-			if !stmt.Elided {
-				st.FullOps += weight
-			}
-		case *BatchAcquire:
-			if !stmt.Elided {
-				st.FullOps += weight
-			}
-		case *Loop:
-			countOps(stmt.Body, weight*stmt.Count, st)
-		case *If:
-			countOps(stmt.Then, weight, st)
-			countOps(stmt.Else, weight, st)
-		case *NoSplit:
-			countOps(stmt.Body, weight, st)
+			p.countOps(stmt.Body, weight, st, stack)
 		}
 	}
 }

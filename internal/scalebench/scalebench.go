@@ -258,7 +258,7 @@ type Result struct {
 	InvisReads       uint64
 	ValidationAborts uint64
 	ModeFlips        uint64
-	// Compiler-directed fast-path counters (batch.go): BatchAcquires are
+	// Caller-directed fast-path counters (batch.go): BatchAcquires are
 	// multi-word AcquireBatch calls, BatchWords the distinct lock words
 	// they covered, IntentHints the reads carrying declared write intent.
 	BatchAcquires uint64

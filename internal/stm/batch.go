@@ -5,10 +5,9 @@ import (
 	"unsafe"
 )
 
-// Batched multi-word acquisition: the runtime target of the compiler's
-// basic-block batching pass (internal/instrument). A BatchAcquire takes
-// every distinct lock word a straight-line block will touch and acquires
-// them in one traversal, in two phases:
+// Multi-word batch acquisition: a caller that knows every distinct
+// lock word a step will touch hands them to AcquireBatch, which takes
+// them all in one traversal, in two phases:
 //
 //  1. An optimistic program-order trylock pass (tryBatchFast): resolve
 //     each access and CAS its lock word directly, with no intermediate
@@ -33,11 +32,12 @@ import (
 // lockFor maintains, and the deadlock detector sees at most one
 // outstanding wait per batching transaction. (Locks already held from
 // before the batch are not reordered, so cycles through pre-held locks
-// remain possible; those are the detector's job, as ever.)
+// remain possible; those are the detector's job, as ever.) A batch
+// never reads invisibly: phase 1 CASes read locks into the word, and
+// the fallback pins the invisible tier off.
 
-// BatchAccess names one access of a compiler-emitted BatchAcquire: a
-// word field of an object, or a word element of an array. Mirrors the
-// information one Access statement of the instrument IR carries.
+// BatchAccess names one access of an AcquireBatch call: a word field
+// of an object, or a word element of an array.
 type BatchAccess struct {
 	Obj    *Object
 	Field  FieldID // field accessed when !IsElem
@@ -65,9 +65,8 @@ type batchWord struct {
 // (new instances, thread-local memory, final fields) are resolved
 // exactly as the single-word path would resolve them.
 //
-// Only word-kind storage can be batched; that is all the compiler's IR
-// emits. A write access to a final field panics at the actual access,
-// not here, matching fieldAccess.
+// Only word-kind storage can be batched. A write access to a final
+// field panics at the actual access, not here, matching fieldAccess.
 func (tx *Tx) AcquireBatch(accs []BatchAccess) {
 	if len(accs) == 0 {
 		return
@@ -189,7 +188,7 @@ func (tx *Tx) tryBatchFast(accs []BatchAccess) bool {
 			return false
 		}
 	}
-	// Single batched accounting for the whole block. A batch with no lock
+	// Single batched accounting for the whole batch. A batch with no lock
 	// words at all (everything local, new, or final) is not counted — it
 	// never reached the locking machinery, matching the sorted phase.
 	if words > 0 {
@@ -198,7 +197,7 @@ func (tx *Tx) tryBatchFast(accs []BatchAccess) bool {
 		tx.n.BatchWords += words
 		if fast > 0 && (tx.n.Acquire+tx.ticket)&tx.rt.profMask == 0 {
 			// One sampled profile charge per batch, attributed to the first
-			// fast-path word's site: the batch is one compiler-chosen program
+			// fast-path word's site: the batch is one caller-chosen program
 			// point, not N independent adaptive sites.
 			tx.chargeAcquire(firstSite)
 		}
@@ -256,7 +255,7 @@ func (tx *Tx) acquireBatchSorted(accs []BatchAccess) {
 	// One slot-lease check for the whole batch (lockFor performs this
 	// per access).
 	tx.ensureSlot()
-	// Insertion sort by word address: batches are small (a basic block's
+	// Insertion sort by word address: batches are small (a few
 	// distinct words), and sort.Slice's closure + reflect-based swaps
 	// would cost more than the whole fast-path CAS loop.
 	for i := 1; i < len(words); i++ {
@@ -296,11 +295,11 @@ func (tx *Tx) acquireBatchSorted(accs []BatchAccess) {
 		}
 		if !acquired {
 			// Contended, queued, biased, or an upgrade: the full pipeline.
-			// Invisible reads are pinned off for the fallback — the block's
-			// subsequent raw accesses assume a held lock, and a parked
-			// invisVal with no accessor to consume it would corrupt the
-			// next ReadWord. A panic unwinding mid-fallback leaves noInvis
-			// set, which is conservative (Begin clears it).
+			// Invisible reads are pinned off for the fallback — the
+			// caller's subsequent raw accesses assume a held lock, and a
+			// parked invisVal with no accessor to consume it would corrupt
+			// the next ReadWord. A panic unwinding mid-fallback leaves
+			// noInvis set, which is conservative (Begin clears it).
 			saved := tx.noInvis
 			tx.noInvis = true
 			tx.lockFor(bw.obj, bw.slot, slotWord, bw.lockID, bw.site, bw.write)
@@ -313,7 +312,7 @@ func (tx *Tx) acquireBatchSorted(accs []BatchAccess) {
 	tx.n.BatchWords += uint64(len(words))
 	if fast > 0 && (tx.n.Acquire+tx.ticket)&tx.rt.profMask == 0 {
 		// One sampled profile charge per batch, attributed to the first
-		// fast-path word's site: the batch is one compiler-chosen program
+		// fast-path word's site: the batch is one caller-chosen program
 		// point, not N independent adaptive sites.
 		tx.chargeAcquire(words[0].site)
 	}

@@ -71,8 +71,8 @@ type StatsSnapshot struct {
 	ValidationAborts uint64 `prom:"sbd_validation_aborts_total" help:"Commit-time read-set validation failures."`
 	ModeFlips        uint64 `prom:"sbd_mode_flips_total" help:"Per-site read-mode threshold crossings (visible<->invisible)."`
 
-	// Compiler-directed fast paths (batch.go, the instrument passes).
-	BatchAcquires uint64 `prom:"sbd_batch_acquires_total" help:"Compiler-batched multi-word acquisitions (one per AcquireBatch)."`
+	// Caller-directed fast paths: AcquireBatch (batch.go) and ReadWordForWrite.
+	BatchAcquires uint64 `prom:"sbd_batch_acquires_total" help:"Multi-word batch acquisitions (one per AcquireBatch)."`
 	BatchWords    uint64 `prom:"sbd_batch_words_total" help:"Distinct lock words covered by batched acquisitions."`
 	IntentHints   uint64 `prom:"sbd_intent_hints_total" help:"Reads carrying compiler-inferred write intent (ReadWordForWrite)."`
 
