@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare tables examples clean ci fmt-check stress serve-smoke ablation ablation-golden
+.PHONY: all build vet test race bench bench-compare tables examples clean ci fmt-check stress smoke ablation ablation-golden
 
 all: build vet test
 
@@ -41,17 +41,21 @@ stress:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The serving smoke CI runs on every push/PR: the benchmark's two
-# serving workloads, 5 s each, against a freshly built sbd-serve over
-# TCP. The benchmark exits 1 on a failed or non-2xx request, a
-# per-session reply tally or stock mismatch, a served=/orders= count the
-# server disagrees on, or a shutdown that did not drain cleanly.
-# serve-checkout drives the hot-row checkout path, deadlock resolution
-# included. That uniform keys cause no validation aborts is
-# internal/shop's TestUniformMixHasNoValidationAborts.
-serve-smoke:
+# The end-to-end smoke CI runs on every push/PR: the benchmark's two
+# serving workloads against a freshly built sbd-serve over TCP, and its
+# in-process dacapo-seq workload, 5 s each. The benchmark exits 1 on a
+# failed or non-2xx request, a per-session reply tally or stock
+# mismatch, a served=/orders= count the server disagrees on, a shutdown
+# that did not drain cleanly, or a program whose SBD checksum differs
+# from its baseline's. serve-checkout drives the hot-row checkout path,
+# deadlock resolution included; dacapo-seq runs h2 at scale 40, where
+# memdb's Scan order and visibility decide the checksum. That uniform
+# keys cause no validation aborts is internal/shop's
+# TestUniformMixHasNoValidationAborts.
+smoke:
 	bash benchmark/run.sh --workload serve-mixed --seed 1 --seconds 5 --trace 0
 	bash benchmark/run.sh --workload serve-checkout --seed 1 --seconds 5 --trace 0
+	bash benchmark/run.sh --workload dacapo-seq --seed 1 --seconds 5 --trace 0
 
 # Compare the uncontended fast path (Table6AcqRls*) at head against a
 # base git ref (default main), benchstat-style via the stdlib-only

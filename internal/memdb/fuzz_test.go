@@ -2,7 +2,8 @@ package memdb
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -12,12 +13,15 @@ import (
 // rules: first-updater-wins row ownership, read committed, and no write
 // after a stale read. Each script byte is one operation: bit 0 picks the
 // transaction, bits 1–3 the operation (Get, Insert, Update, Delete,
-// Commit, Rollback; 6 and 7 wrap to Get and Insert), bits 4–5 the key.
-// Keys 0 and 1 start committed, 2 and 3 absent. A transaction that ended
-// is replaced by a fresh one at its next operation.
+// Commit, Rollback, Scan; 7 wraps to Get), bits 4–5 the key. Keys 0 and
+// 1 start committed, 2 and 3 absent. A transaction that ended is
+// replaced by a fresh one at its next operation. Scan must return the
+// acting transaction's own inserts, updates and deletes over everyone
+// else's committed rows, in key order, so a cached key order that
+// missed a key arriving or leaving fails the script.
 func FuzzMemdb(f *testing.F) {
 	op := func(txn, op, key int) byte { return byte(txn | op<<1 | key<<4) }
-	const get, insert, update, del, commit, rollback = 0, 1, 2, 3, 4, 5
+	const get, insert, update, del, commit, rollback, scan = 0, 1, 2, 3, 4, 5, 6
 	f.Add([]byte{})
 	// A write after a stale read conflicts.
 	f.Add([]byte{op(0, get, 0), op(1, update, 0), op(1, commit, 0), op(0, update, 0), op(0, commit, 0)})
@@ -29,6 +33,12 @@ func FuzzMemdb(f *testing.F) {
 	// revived by its owner.
 	f.Add([]byte{op(0, insert, 2), op(1, get, 2), op(1, insert, 2), op(1, update, 2), op(0, del, 2),
 		op(0, insert, 2), op(0, get, 2), op(0, commit, 0), op(1, get, 2), op(1, insert, 3), op(1, rollback, 0)})
+	// Scans before and after an insert that rolls back, a committed
+	// delete, and a delete and re-insert in one transaction.
+	f.Add([]byte{op(1, scan, 0), op(0, insert, 2), op(0, scan, 0), op(1, scan, 0), op(0, rollback, 0), op(1, scan, 0)})
+	f.Add([]byte{op(0, scan, 0), op(0, del, 1), op(0, scan, 0), op(0, commit, 0), op(1, scan, 0)})
+	f.Add([]byte{op(0, insert, 3), op(0, commit, 0), op(1, scan, 0), op(1, del, 3), op(1, insert, 3),
+		op(1, scan, 0), op(0, scan, 0), op(1, commit, 0), op(0, scan, 0)})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		db := New()
 		tbl, _ := db.CreateTable("t")
@@ -52,7 +62,7 @@ func FuzzMemdb(f *testing.F) {
 			tx, val := txns[i], strconv.Itoa(step)
 			var got result
 			var name string
-			switch int(b>>1&7) % 6 {
+			switch int(b>>1&7) % 7 {
 			case get:
 				name = "Get"
 				vals, err := tx.Get(tbl, key)
@@ -72,6 +82,9 @@ func FuzzMemdb(f *testing.F) {
 			case rollback:
 				name, got, key = "Rollback", result{err: tx.Rollback()}, -1
 				txns[i] = nil
+			case scan:
+				name, key = "Scan", -1
+				got = result{val: scanRows(tx, tbl)}
 			}
 			if want := m.apply(i, name, key, val); got != want {
 				t.Fatalf("step %d: txn %d %s(%d) = (%q, %v), model says (%q, %v)",
@@ -83,15 +96,20 @@ func FuzzMemdb(f *testing.F) {
 				tx.Rollback()
 			}
 		}
-		var rows []string
-		db.Begin().Scan(tbl, func(k int64, v []string) bool {
-			rows = append(rows, fmt.Sprintf("%d=%s", k, v[0]))
-			return true
-		})
-		if got, want := fmt.Sprint(rows), m.rows(); got != want {
+		if got, want := scanRows(db.Begin(), tbl), m.rows(nil); got != want {
 			t.Fatalf("committed rows %s, model says %s", got, want)
 		}
 	})
+}
+
+// scanRows renders tx's scan of tbl as "[key=val ...]".
+func scanRows(tx *Txn, tbl *Table) string {
+	var rows []string
+	tx.Scan(tbl, func(k int64, v []string) bool {
+		rows = append(rows, fmt.Sprintf("%d=%s", k, v[0]))
+		return true
+	})
+	return fmt.Sprint(rows)
 }
 
 type result struct {
@@ -174,6 +192,8 @@ func (m *model) apply(i int, name string, key int64, val string) result {
 		}
 		me.writes[key] = modelWrite{val: val, deleted: name == "Delete"}
 		return result{}
+	case "Scan":
+		return result{val: m.rows(me)}
 	case "Commit":
 		for k, w := range me.writes {
 			if w.deleted {
@@ -188,15 +208,28 @@ func (m *model) apply(i int, name string, key int64, val string) result {
 	return result{}
 }
 
-func (m *model) rows() string {
-	keys := make([]int64, 0, len(m.committed))
-	for k := range m.committed {
+// rows renders the table as tx sees it, its own writes over the
+// committed rows, in the form scanRows gives. A nil tx sees only
+// committed rows.
+func (m *model) rows(tx *modelTxn) string {
+	view := maps.Clone(m.committed)
+	if tx != nil {
+		for k, w := range tx.writes {
+			if w.deleted {
+				delete(view, k)
+			} else {
+				view[k] = w.val
+			}
+		}
+	}
+	keys := make([]int64, 0, len(view))
+	for k := range view {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	rows := make([]string, 0, len(keys))
 	for _, k := range keys {
-		rows = append(rows, fmt.Sprintf("%d=%s", k, m.committed[k]))
+		rows = append(rows, fmt.Sprintf("%d=%s", k, view[k]))
 	}
 	return fmt.Sprint(rows)
 }

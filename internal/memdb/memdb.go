@@ -17,7 +17,7 @@ package memdb
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -46,6 +46,7 @@ type row struct {
 type Table struct {
 	name string
 	rows map[int64]*row
+	keys []int64 // rows' keys in ascending order; nil after a key came or went
 }
 
 // Stats counts database activity.
@@ -196,6 +197,7 @@ func (tx *Txn) Insert(t *Table, key int64, vals []string) error {
 	}
 	r := &row{pending: cloneVals(vals)}
 	t.rows[key] = r
+	t.keys = nil
 	tx.own(t, key, r, true)
 	return nil
 }
@@ -258,24 +260,27 @@ func (tx *Txn) Delete(t *Table, key int64) error {
 }
 
 // Scan calls fn for every visible row in ascending key order; fn
-// returning false stops the scan.
+// returning false stops the scan. It sorts the table's keys only after
+// a key was added or removed since the last scan.
 func (tx *Txn) Scan(t *Table, fn func(key int64, vals []string) bool) error {
 	if tx.ended {
 		return ErrEnded
 	}
 	tx.db.stats.Reads.Add(1)
 	tx.db.mu.Lock()
-	keys := make([]int64, 0, len(t.rows))
-	for k := range t.rows {
-		keys = append(keys, k)
+	if t.keys == nil {
+		t.keys = make([]int64, 0, len(t.rows))
+		for k := range t.rows {
+			t.keys = append(t.keys, k)
+		}
+		slices.Sort(t.keys)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	type kv struct {
 		k int64
 		v []string
 	}
-	var visible []kv
-	for _, k := range keys {
+	visible := make([]kv, 0, len(t.keys))
+	for _, k := range t.keys {
 		r := t.rows[k]
 		switch {
 		case r.owner == tx:
@@ -305,6 +310,7 @@ func (tx *Txn) Commit() error {
 	for _, o := range tx.owned {
 		if o.r.deleted {
 			delete(o.t.rows, o.key)
+			o.t.keys = nil
 			continue
 		}
 		o.r.committed = o.r.pending
@@ -327,6 +333,7 @@ func (tx *Txn) Rollback() error {
 	for _, o := range tx.owned {
 		if o.wasInsert {
 			delete(o.t.rows, o.key)
+			o.t.keys = nil
 			continue
 		}
 		o.r.pending = nil

@@ -239,6 +239,29 @@ func TestScanEarlyStop(t *testing.T) {
 	tx.Rollback()
 }
 
+// TestScanReusesKeyOrder pins Scan's cost over a table whose keys did
+// not change since the last scan: no re-sort and no per-call key slice,
+// only the transaction and the scan's one result slice. 2 560 rows is
+// the h2 workload's table at the benchmark's scale.
+func TestScanReusesKeyOrder(t *testing.T) {
+	db := New()
+	tbl := mustTable(t, db, "t")
+	seed := db.Begin()
+	for k := int64(0); k < 2560; k++ {
+		seed.Insert(tbl, k, []string{"c"})
+	}
+	seed.Commit()
+	var sum int64
+	allocs := testing.AllocsPerRun(20, func() {
+		tx := db.Begin()
+		tx.Scan(tbl, func(k int64, _ []string) bool { sum += k; return true })
+		tx.Rollback()
+	})
+	if allocs > 2 {
+		t.Fatalf("Begin+Scan+Rollback made %.0f allocations, want at most 2", allocs)
+	}
+}
+
 func TestEndedTxnRejectsOps(t *testing.T) {
 	db := New()
 	tbl := mustTable(t, db, "t")

@@ -260,6 +260,9 @@ func (s *Shop) handleCheckout(tx *stm.Tx, req *minihttp.Request) (int, string) {
 		return dbStatus(err)
 	}
 
+	// Check every line before selling any: a rejected checkout still
+	// commits its section, so it must leave stock and cart as it found
+	// them.
 	var total int64
 	for _, line := range lines {
 		id, qty, ok := parseCartLine(line)
@@ -269,15 +272,23 @@ func (s *Shop) handleCheckout(tx *stm.Tx, req *minihttp.Request) (int, string) {
 		// The cross-request hot row: concurrent checkouts of the same item
 		// serialize on this product's write lock (or duel through the
 		// promotion machinery), never on the database row.
-		if !ProcessPosition(tx, s.products[id], qty) {
+		if tx.ReadIntForWrite(s.products[id], ProductAvailable) < qty {
 			return 409, fmt.Sprintf("item %d out of stock\n", id)
 		}
-		row, err := s.db.Txn(tx).Get(s.catalog, int64(id))
+		row, err := txn.Get(s.catalog, int64(id))
 		if err != nil {
 			return dbStatus(err)
 		}
 		price, _ := strconv.ParseInt(row[1], 10, 64)
 		total += price * qty
+	}
+	if err := txn.Delete(s.carts, sess); err != nil {
+		return dbStatus(err)
+	}
+	// Every line fits: the loop above holds each product's write lock.
+	for _, line := range lines {
+		id, qty, _ := parseCartLine(line)
+		ProcessPosition(tx, s.products[id], qty)
 	}
 
 	// Order-id allocation is a single shared word: every checkout in the
@@ -288,9 +299,6 @@ func (s *Shop) handleCheckout(tx *stm.Tx, req *minihttp.Request) (int, string) {
 
 	vals := append([]string{strconv.FormatInt(sess, 10), strconv.FormatInt(total, 10)}, lines...)
 	if err := txn.Insert(s.orders, id, vals); err != nil {
-		return dbStatus(err)
-	}
-	if err := txn.Delete(s.carts, sess); err != nil {
 		return dbStatus(err)
 	}
 	return 200, fmt.Sprintf("order %d total %d lines %d\n", id, total, len(lines))

@@ -114,7 +114,7 @@ func TestHandlerRoundTrip(t *testing.T) {
 
 // TestOverstockedCheckoutRejected drives a checkout that exceeds stock
 // and verifies nothing committed: the 409 response leaves stock, orders,
-// and the cart exactly as they were (memdb rides the STM transaction,
+// and the cart exactly as they were, also when an earlier cart line fits (memdb rides the STM transaction,
 // but a handler returning 409 still commits — so the handler itself must
 // not have mutated anything beyond the cart read).
 func TestOverstockedCheckoutRejected(t *testing.T) {
@@ -133,6 +133,24 @@ func TestOverstockedCheckoutRejected(t *testing.T) {
 	}
 	if st, body := get(t, client, "/stock?item=0"); st != 200 || body != "1 0\n" {
 		t.Fatalf("stock after rejected checkout: %d %q", st, body)
+	}
+	// A line that fits ahead of one that does not: neither is sold.
+	for _, path := range []string{"/add?session=2&item=0&qty=1", "/add?session=2&item=1&qty=2"} {
+		if st, _ := get(t, client, path); st != 200 {
+			t.Fatalf("%s: %d", path, st)
+		}
+	}
+	if st, body := get(t, client, "/checkout?session=2"); st != 409 {
+		t.Fatalf("two-line overstocked checkout: %d %q", st, body)
+	}
+	for _, item := range []string{"0", "1"} {
+		if st, body := get(t, client, "/stock?item="+item); st != 200 || body != "1 0\n" {
+			t.Fatalf("stock of item %s after rejected two-line checkout: %d %q", item, st, body)
+		}
+	}
+	// The cart is still in place: one more unit of item 0 merges into it.
+	if st, body := get(t, client, "/add?session=2&item=0&qty=1"); st != 200 || body != "cart 2 lines\n" {
+		t.Fatalf("cart after rejected checkout: %d %q", st, body)
 	}
 	client.Close()
 	<-done
