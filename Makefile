@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare tables examples clean ci fmt-check stress smoke ablation ablation-golden
+.PHONY: all build vet test race bench bench-compare tables examples clean ci fmt-check stress stress-det smoke ablation ablation-golden
 
 all: build vet test
 
@@ -23,12 +23,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The gate CI runs on every push/PR: formatting, build, vet, tests, the
-# ablation table diff, a short deterministic stress smoke (see
-# cmd/sbd-stress), and the benchmark module — a module of its own (benchmark/go.mod), so ./...
+# ablation table diff, the stress determinism gate (below), and the
+# benchmark module — a module of its own (benchmark/go.mod), so ./...
 # at the root never compiles it and an API rename here would otherwise
 # break `bash benchmark/run.sh` silently.
-ci: fmt-check build vet test ablation
-	$(GO) run ./cmd/sbd-stress -rounds=5 -seed=1
+ci: fmt-check build vet test ablation stress-det
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Schedule-exploration stress harness. Seed/rounds overridable:
@@ -37,6 +36,18 @@ STRESS_ROUNDS ?= 100
 STRESS_SEED   ?= 1
 stress:
 	$(GO) run ./cmd/sbd-stress -rounds=$(STRESS_ROUNDS) -seed=$(STRESS_SEED) -artifact=stress-failure.txt
+
+# Determinism gate of the schedule harness: two runs of the same seed
+# must print byte-identical output apart from the elapsed time on the
+# summary line. Either run failing an invariant fails the target too.
+stress-det:
+	mkdir -p bin
+	$(GO) build -o bin/sbd-stress ./cmd/sbd-stress
+	for i in 1 2; do \
+		bin/sbd-stress -rounds=50 -seed=1 -v > bin/stress-det-$$i.out || exit 1; \
+		sed 's/ in [^,]*,/,/' bin/stress-det-$$i.out > bin/stress-det-$$i.txt; \
+	done
+	diff -u bin/stress-det-1.txt bin/stress-det-2.txt
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

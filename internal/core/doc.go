@@ -63,11 +63,12 @@
 //
 // # Contention management
 //
-// When a section aborts, the runtime replays it after a bounded
-// randomized backoff (stm.Tx.RetryBackoff) instead of immediately: the
-// youngest loser of an upgrade duel would otherwise retry straight into
-// the conflict it just lost. Read-modify-write closures can additionally
-// declare write intent up front with the stm.Tx ReadForWrite accessor
+// An aborted section replays at once. The transaction keeps its start
+// ticket across the reset, so the replay queues behind the winner and
+// ages until it is the oldest, which is never a victim; a duel loss has
+// also boosted the site's promotion hint, so the replay usually
+// write-locks up front instead of re-entering the same duel.
+// Read-modify-write closures can additionally declare write intent up front with the stm.Tx ReadForWrite accessor
 // variants (ReadIntForWrite, ReadWordForWrite, ...), which take the
 // write lock on the first read and make the upgrade — and the duel —
 // impossible; sites that are not annotated are promoted adaptively by

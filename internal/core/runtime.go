@@ -101,7 +101,9 @@ func (th *Thread) run() {
 		if r := recover(); r != nil {
 			th.err = r
 			if th.tx != nil {
-				// Unwind cleanly: release locks and the transaction ID.
+				// Unwind cleanly: roll back, then release the locks, the
+				// slot lease and, if the section was inevitable, the
+				// inevitability token.
 				func() {
 					defer func() { recover() }()
 					th.tx.Reset()
@@ -129,7 +131,6 @@ func (th *Thread) endSection() {
 	// replay read visibly, so the loop terminates.
 	for !th.tryCommit() {
 		th.tx.Reset()
-		th.tx.RetryBackoff()
 		th.replayFrom(0)
 	}
 	th.tx = nil
@@ -176,12 +177,11 @@ func (th *Thread) replayFrom(start int) {
 		if th.tryRun(start) {
 			return
 		}
+		// Replay at once: the transaction keeps its start ticket across
+		// Reset, so it ages until it is the oldest, which is never a
+		// victim. After a lost upgrade duel the boosted promotion hint
+		// usually makes the replay write-lock up front.
 		th.tx.Reset()
-		// Randomized exponential backoff before the replay: without it the
-		// youngest loser of an upgrade duel retries straight into the same
-		// conflict it just lost (and loses again — it is still the
-		// youngest).
-		th.tx.RetryBackoff()
 		start = 0
 	}
 }

@@ -240,6 +240,49 @@ func TestJoinPropagatesChildPanic(t *testing.T) {
 	})
 }
 
+// A thread that panics inside an inevitable section must roll back its
+// writes and release its locks, slot and the inevitability token on the
+// way out: afterwards both a plain read of the written word and a new
+// BecomeInevitable proceed instead of blocking forever.
+func TestPanicInInevitableSectionReleases(t *testing.T) {
+	rt := New()
+	o := stm.NewCommitted(counterClass)
+	n := counterClass.Field("n")
+	var joinErr any
+	var got int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Main(func(th *Thread) {
+			th.AtomicSplit(func(tx *stm.Tx) { tx.WriteInt(o, n, 1) })
+			child := th.Go("inevitable", func(th *Thread) {
+				th.Atomic(func(tx *stm.Tx) {
+					tx.WriteInt(o, n, 7)
+					tx.BecomeInevitable()
+					panic("boom")
+				})
+			})
+			func() {
+				defer func() { joinErr = recover() }()
+				th.Join(child)
+			}()
+			th.Atomic(func(tx *stm.Tx) { got = tx.ReadInt(o, n) })
+			th.AtomicSplit(func(tx *stm.Tx) { tx.BecomeInevitable() })
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dead thread's lock or inevitability token was never released")
+	}
+	if joinErr == nil {
+		t.Error("Join did not propagate the child panic")
+	}
+	if got != 1 {
+		t.Errorf("word after the dead thread = %d, want 1 (its write rolled back)", got)
+	}
+}
+
 func TestFetchSplitReturnsCommittedValue(t *testing.T) {
 	rt := New()
 	o := stm.NewCommitted(counterClass)

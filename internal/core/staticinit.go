@@ -30,16 +30,16 @@ func NewStaticInit(init func(tx *stm.Tx)) *StaticInit {
 // Ensure is the guard: it checks the done flag (a shared read lock on
 // the common path) and runs the initializer under the flag's write lock
 // when it is first reached. Two racing guards serialize on the upgrade;
-// the loser re-checks and finds the flag set.
+// the loser aborts, and its replay reads the flag set.
 func (s *StaticInit) Ensure(tx *stm.Tx) {
 	if tx.ReadBool(s.state, staticInitDone) {
 		return
 	}
-	// Upgrade to the write lock, then re-check (another transaction may
-	// have initialized between our read and the upgrade grant — it
-	// cannot have, actually, while we hold the read lock, but the
-	// re-check keeps the guard correct even if callers split between
-	// guards).
+	// No re-check after the upgrade: the read lock is held from the read
+	// through the upgrade grant, so no other transaction can have set
+	// the flag in between, and a rival that read it too loses the duel.
+	// (Were the read served invisibly, commit-time validation would
+	// abort this attempt instead.)
 	tx.WriteBool(s.state, staticInitDone, true)
 	s.init(tx)
 }

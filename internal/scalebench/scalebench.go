@@ -353,6 +353,5 @@ func runMixTxn(rt *stm.Runtime, m Mix, cells []*stm.Object, w, i int) {
 			return
 		}
 		tx.Reset()
-		tx.RetryBackoff()
 	}
 }

@@ -62,10 +62,9 @@ func RunScenario(sc Scenario, pol Policy, cfg Config) Result {
 	}
 }
 
-// Retry runs body as a transaction, resetting and retrying on abort the
-// way the SBD layer does. RetryBackoff between attempts yields exactly
-// once at PointBackoff under the harness, so the policy can interleave
-// the retry and replayed schedules stay deterministic.
+// Retry runs body as a transaction, resetting and replaying it at once
+// on abort the way the SBD layer does. The replay keeps the start
+// ticket, so it ages until it is the oldest, which is never a victim.
 func Retry(s *Scheduler, rt *stm.Runtime, body func(tx *stm.Tx)) {
 	tx := rt.Begin()
 	for {
@@ -89,7 +88,6 @@ func Retry(s *Scheduler, rt *stm.Runtime, body func(tx *stm.Tx)) {
 			return
 		}
 		tx.Reset()
-		tx.RetryBackoff()
 	}
 }
 
@@ -427,9 +425,9 @@ func ScenarioTransfer(seed uint64) Scenario {
 // lock before any upgrade. The first round duels (the checker asserts
 // youngest-victim on every EvDuel it observes), the duel losses boost
 // the site's promotion hint, and later rounds acquire in write mode up
-// front; every abort replays through RetryBackoff's PointBackoff yield,
-// so the whole storm — duels, promotions, backoffs — replays
-// deterministically from a decision trace.
+// front; every abort replays at once, so the whole storm — duels,
+// promotions, replays — replays deterministically from a decision
+// trace.
 func ScenarioUpgradeStorm() Scenario {
 	return Scenario{
 		Name: "upgrade-storm",

@@ -95,12 +95,12 @@ type Scheduler struct {
 	mu    sync.Mutex
 	gs    []*goroutineState
 	byGID map[uint64]*goroutineState
-	// byTx maps a transaction's virtual ID to the worker running it.
-	// Virtual IDs are unbounded, so these are maps, not [MaxTxns] arrays;
-	// entries are dropped when the transaction ends.
+	// byTx maps a transaction's ID to the worker running it. Transaction
+	// IDs are unbounded, so these are maps, not [MaxTxns] arrays; entries
+	// are dropped when the transaction ends.
 	byTx map[int]*goroutineState
-	// blockedTx marks virtual IDs currently enqueued on a lock queue;
-	// slotWaitTx marks virtual IDs parked in the slot pool's overflow
+	// blockedTx marks transaction IDs currently enqueued on a lock queue;
+	// slotWaitTx marks transaction IDs parked in the slot pool's overflow
 	// tier.
 	blockedTx  map[int]bool
 	slotWaitTx map[int]bool
@@ -132,7 +132,6 @@ type Coverage struct {
 	Redeliveries  int // redelivered grant scans
 	SpuriousWakes int // consumed spurious wake-ups
 	Promotions    int // adaptive write-intent promotions (EvPromoted)
-	Backoffs      int // backed-off retries (EvBackoff)
 	BiasGrants    int // biased reader-slot grants (EvBiased)
 	BiasRevokes   int // read-bias revocations by writers (EvBiasRevoke)
 	SlotWaits     int // sections parked in the slot pool's overflow tier (EvSlotWait)
@@ -144,8 +143,8 @@ type Coverage struct {
 }
 
 func (c Coverage) String() string {
-	return fmt.Sprintf("deadlocks=%d duels=%d grants=%d blocked=%d casfail=%d delayed=%d redeliver=%d spurious=%d promoted=%d backoffs=%d biased=%d revoked=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
-		c.Deadlocks, c.Duels, c.Grants, c.Blocked, c.CASFails, c.DelayedGrants, c.Redeliveries, c.SpuriousWakes, c.Promotions, c.Backoffs, c.BiasGrants, c.BiasRevokes, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
+	return fmt.Sprintf("deadlocks=%d duels=%d grants=%d blocked=%d casfail=%d delayed=%d redeliver=%d spurious=%d promoted=%d biased=%d revoked=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
+		c.Deadlocks, c.Duels, c.Grants, c.Blocked, c.CASFails, c.DelayedGrants, c.Redeliveries, c.SpuriousWakes, c.Promotions, c.BiasGrants, c.BiasRevokes, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
 }
 
 // Add accumulates c2 into c.
@@ -159,7 +158,6 @@ func (c *Coverage) Add(c2 Coverage) {
 	c.Redeliveries += c2.Redeliveries
 	c.SpuriousWakes += c2.SpuriousWakes
 	c.Promotions += c2.Promotions
-	c.Backoffs += c2.Backoffs
 	c.BiasGrants += c2.BiasGrants
 	c.BiasRevokes += c2.BiasRevokes
 	c.SlotWaits += c2.SlotWaits
@@ -517,7 +515,7 @@ func (s *Scheduler) Yield(p stm.YieldPoint) {
 		if s.cfg.Policy.Fault(FaultSpurious) {
 			s.mu.Lock()
 			s.recordLocked(Decision{Kind: DecFault, FKind: FaultSpurious, Fault: true})
-			// Deterministic target: the lowest blocked virtual ID (maps
+			// Deterministic target: the lowest blocked transaction ID (maps
 			// iterate in random order, so take the min explicitly).
 			target := -1
 			for id, b := range s.blockedTx {
@@ -696,7 +694,7 @@ func (s *Scheduler) Event(ev stm.Event) {
 		}
 	case stm.EvCommit:
 		s.cov.Commits++
-		// The transaction is over; drop its VID binding (the slot release,
+		// The transaction is over; drop its ID binding (the slot release,
 		// if any, carries its own event and needs no byTx lookup). Keeping
 		// the map bounded matters now that VIDs are unbounded.
 		delete(s.byTx, ev.TxID)
@@ -765,8 +763,6 @@ func (s *Scheduler) Event(ev stm.Event) {
 		s.cov.SpuriousWakes++
 	case stm.EvPromoted:
 		s.cov.Promotions++
-	case stm.EvBackoff:
-		s.cov.Backoffs++
 	case stm.EvBiased:
 		s.cov.BiasGrants++
 	case stm.EvBiasRevoke:

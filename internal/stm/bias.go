@@ -69,14 +69,12 @@ const (
 	// with the marker, so the fallback is always available).
 	biasStripes = 8
 
-	// biasDrainSpinMax bounds how many reschedules a writer spends
-	// waiting for the reader slots to drain — after a write-through
-	// (biasWriteDrain) or while holding an installed empty queue
-	// (slowAcquire) — before it falls back to the queue protocol. W (or
-	// the installed queue) already blocks new publishes, so the cohort
-	// only shrinks; the fallback is reserved for the rare case where a
-	// slot holder is itself blocked and the writer needs
-	// deadlock-detector visibility.
+	// biasDrainSpinMax bounds how many reschedules a write-through
+	// writer spends waiting for the reader slots to drain
+	// (biasWriteDrain) before it falls back to the queue protocol. W
+	// already blocks new publishes, so the cohort only shrinks; the
+	// fallback is reserved for the rare case where a slot holder is
+	// itself blocked and the writer needs deadlock-detector visibility.
 	biasDrainSpinMax = 32
 
 	// biasSpinRounds replaces the spin-before-enqueue budget at a biased
@@ -238,7 +236,7 @@ func (tx *Tx) tryBiasRead(addr *uint64, site int32) bool {
 		atomic.AddUint64(&rt.sites.at(site).n.BiasGrants, rt.profMask+1)
 	}
 	if rt.wantsEvent(EvBiased) {
-		rt.event(Event{Kind: EvBiased, TxID: tx.vid, Ticket: tx.ticket, Addr: addr})
+		rt.event(Event{Kind: EvBiased, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr})
 	}
 	return true
 }
@@ -346,6 +344,6 @@ func (tx *Tx) noteBiasRevoke(addr *uint64, site int32, qid int) {
 		tx.rt.noteSite(site, siteEmptyRevoke)
 	}
 	if tx.rt.wantsEvent(EvBiasRevoke) {
-		tx.rt.event(Event{Kind: EvBiasRevoke, TxID: tx.vid, Ticket: tx.ticket, Addr: addr, QID: qid})
+		tx.rt.event(Event{Kind: EvBiasRevoke, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: qid})
 	}
 }

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +210,86 @@ func TestDeadlockResolutionAbortsYoungest(t *testing.T) {
 	check.Commit()
 }
 
+// The progress rule an aborted section relies on instead of a retry
+// delay: a deadlock victim keeps its start ticket (and with it its ID)
+// across Reset, so its replay is older than any transaction begun since
+// and a later deadlock picks the newcomer, letting the replay commit.
+func TestReplayKeepsTicketAndOutlivesNewerRival(t *testing.T) {
+	rt := NewRuntime()
+	c := NewClass("C", FieldSpec{Name: "v", Kind: KindWord})
+	a, b := NewCommitted(c), NewCommitted(c)
+	v := c.Field("v")
+
+	older := rt.Begin()
+	replay := rt.Begin()
+	ticket, id := replay.Ticket(), replay.ID()
+
+	older.WriteInt(a, v, 1)
+	replay.WriteInt(b, v, 2)
+	olderDone := make(chan struct{})
+	go func() {
+		older.WriteInt(b, v, 3) // blocks on replay
+		older.Commit()
+		close(olderDone)
+	}()
+	waitBlocked(t, rt, older)
+	if ab := runAborting(t, func() { replay.WriteInt(a, v, 4) }); ab == nil || ab.Tx != replay {
+		t.Fatalf("first deadlock: want the younger transaction as victim, got %+v", ab)
+	}
+	replay.Reset()
+	if replay.Ticket() != ticket || replay.ID() != id {
+		t.Fatalf("Reset changed identity: ticket %d -> %d, ID %d -> %d",
+			ticket, replay.Ticket(), id, replay.ID())
+	}
+	select {
+	case <-olderDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("older transaction did not complete after victim release")
+	}
+
+	newer := rt.Begin()
+	if newer.Ticket() <= replay.Ticket() {
+		t.Fatalf("newer ticket %d not after the replay's %d", newer.Ticket(), replay.Ticket())
+	}
+	replay.WriteInt(a, v, 5)
+	newer.WriteInt(b, v, 6)
+	replayDone := make(chan struct{})
+	go func() {
+		replay.WriteInt(b, v, 7) // blocks on newer
+		replay.Commit()
+		close(replayDone)
+	}()
+	waitBlocked(t, rt, replay)
+	if ab := runAborting(t, func() { newer.WriteInt(a, v, 8) }); ab == nil || ab.Tx != newer {
+		t.Fatalf("second deadlock: want the newer transaction as victim, got %+v", ab)
+	}
+	newer.Reset()
+	newer.AbandonAfterReset()
+	select {
+	case <-replayDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the replay did not commit after the newer victim released")
+	}
+
+	check := rt.Begin()
+	if check.ReadInt(a, v) != 5 || check.ReadInt(b, v) != 7 {
+		t.Fatalf("final state a=%d b=%d, want the replay's 5 and 7", check.ReadInt(a, v), check.ReadInt(b, v))
+	}
+	check.Commit()
+}
+
+// waitBlocked waits until tx is enqueued on a lock.
+func waitBlocked(t *testing.T, rt *Runtime, tx *Tx) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !slices.Contains(rt.BlockedTxns(), tx.ID()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("transaction %d never blocked", tx.ID())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestDuelingUpgradeAbortsYounger(t *testing.T) {
 	rt := NewRuntime()
 	c := NewClass("C", FieldSpec{Name: "v", Kind: KindWord})
@@ -361,7 +442,7 @@ func TestConcurrentCounterIsSerializable(t *testing.T) {
 	check.Commit()
 }
 
-// TestSlotLeaseLimit pins the virtual-ID semantics: Begin never blocks
+// TestSlotLeaseLimit pins the identity/slot split: Begin never blocks
 // on the bounded slot pool — only a section's first lock acquisition
 // does, and only while more than MaxConcurrentTxns sections hold locks.
 func TestSlotLeaseLimit(t *testing.T) {

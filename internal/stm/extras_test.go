@@ -123,7 +123,7 @@ func TestSlotPoolNoDuplicatesUnderStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tx := &Tx{vid: g}
+			tx := &Tx{ticket: uint64(g)}
 			for i := 0; i < 500; i++ {
 				slot, _ := p.acquire(tx)
 				mu.Lock()
@@ -147,13 +147,13 @@ func TestSlotPoolNoDuplicatesUnderStress(t *testing.T) {
 
 func TestSlotPoolBlocksWhenEmpty(t *testing.T) {
 	p := newSlotPool(1)
-	slot, waited := p.acquire(&Tx{vid: 0})
+	slot, waited := p.acquire(&Tx{ticket: 0})
 	if waited {
 		t.Fatal("first acquire reported waiting")
 	}
 	got := make(chan int)
 	go func() {
-		slot2, w2 := p.acquire(&Tx{vid: 1})
+		slot2, w2 := p.acquire(&Tx{ticket: 1})
 		if !w2 {
 			t.Error("blocked acquire did not report waiting")
 		}

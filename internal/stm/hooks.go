@@ -50,11 +50,6 @@ const (
 	// PointInevWait marks BecomeInevitable parking on (Block) or
 	// resuming from (Unblock) the inevitability token.
 	PointInevWait
-	// PointBackoff is the dedicated yield point of Tx.RetryBackoff,
-	// between a Reset and the replay of the atomic section. Under a
-	// harness the randomized spin wait is replaced by exactly one yield
-	// here, so backed-off retries replay deterministically.
-	PointBackoff
 	// PointBiasPublish covers the read-bias path (bias.go): the CAS
 	// installing the bias marker, and the yield between a reader's slot
 	// publish and its marker verify — the window a revoking writer
@@ -89,7 +84,6 @@ var pointNames = [...]string{
 	PointSlotWait:     "slot-wait",
 	PointSlotPoolCAS:  "slotpool-cas",
 	PointInevWait:     "inev-wait",
-	PointBackoff:      "backoff",
 	PointBiasPublish:  "bias-publish",
 	PointVersionStamp: "version-stamp",
 	PointValidate:     "validate",
@@ -107,7 +101,7 @@ func (p YieldPoint) String() string {
 type EventKind uint8
 
 const (
-	// EvBegin: a transaction was assigned its virtual ID and started
+	// EvBegin: a transaction was assigned its ID (its ticket) and started
 	// (TxID, Ticket). Begin never blocks on the slot pool.
 	EvBegin EventKind = iota
 	// EvCommit: a transaction committed (TxID).
@@ -136,7 +130,7 @@ const (
 	// (QID); RedeliverDelayedGrants runs the suppressed scans.
 	EvDelayedGrant
 	// EvSlotRelease: a section released its lock-word slot (TxID =
-	// virtual ID, OtherID = slot); emitted after the slot is back in
+	// transaction ID, OtherID = slot); emitted after the slot is back in
 	// the pool or handed off.
 	EvSlotRelease
 	// EvInevRelease: the inevitability token was returned (TxID).
@@ -144,9 +138,6 @@ const (
 	// EvPromoted: a read acquisition was adaptively promoted to a write
 	// acquisition by the per-site write-intent hint table (TxID, Addr).
 	EvPromoted
-	// EvBackoff: a reset transaction entered randomized backoff before
-	// replaying (TxID, Ticket).
-	EvBackoff
 	// EvBiased: a read acquisition published through the distributed
 	// reader slots instead of the shared lock-word CAS (TxID, Addr).
 	EvBiased
@@ -154,10 +145,10 @@ const (
 	// with an installed wait queue (TxID, Addr, QID).
 	EvBiasRevoke
 	// EvSlotWait: a section parked in the slot pool's overflow tier
-	// because all lock-word slots are leased (TxID = virtual ID).
+	// because all lock-word slots are leased (TxID = transaction ID).
 	EvSlotWait
 	// EvSlotGrant: a released slot was handed directly to a queued
-	// section (TxID = recipient's virtual ID, OtherID = slot). Emitted
+	// section (TxID = recipient's transaction ID, OtherID = slot). Emitted
 	// synchronously by the releaser, before the recipient resumes.
 	EvSlotGrant
 	// EvInvisRead: a read was served invisibly — no shared store at all,
@@ -183,7 +174,6 @@ var eventNames = [...]string{
 	EvSlotRelease:     "slot-release",
 	EvInevRelease:     "inev-release",
 	EvPromoted:        "promoted",
-	EvBackoff:         "backoff",
 	EvBiased:          "biased",
 	EvBiasRevoke:      "bias-revoke",
 	EvSlotWait:        "slot-wait",

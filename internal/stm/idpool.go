@@ -9,7 +9,7 @@ import (
 
 // slotPool leases the lock word's bounded slots (bits 0..MaxTxns-1) to
 // sections that hold locks. A transaction's *identity* is its unbounded
-// virtual ID (Runtime.vidNext); a slot is only the visibility resource a
+// start ticket (Tx.ID); a slot is only the visibility resource a
 // section needs while it owns lock words, acquired on the section's
 // first lock acquisition and released at commit/abort. Begin therefore
 // never touches this pool — only >MaxTxns sections holding locks
@@ -46,8 +46,8 @@ type slotPool struct {
 // slotWaiter is one parked section in the overflow tier. ch is
 // buffered so the granting releaser never blocks on the handoff.
 type slotWaiter struct {
-	vid int
-	ch  chan int
+	id int
+	ch chan int
 }
 
 func newSlotPool(n int) *slotPool {
@@ -112,12 +112,12 @@ func (p *slotPool) acquire(tx *Tx) (slot int, waited bool) {
 			return p.took(bitIndex(b)), false
 		}
 	}
-	w := &slotWaiter{vid: tx.vid, ch: make(chan int, 1)}
+	w := &slotWaiter{id: tx.ID(), ch: make(chan int, 1)}
 	p.waiters = append(p.waiters, w)
 	p.mu.Unlock()
 
 	if rt != nil && rt.wantsEvent(EvSlotWait) {
-		rt.event(Event{Kind: EvSlotWait, TxID: tx.vid, Ticket: tx.ticket})
+		rt.event(Event{Kind: EvSlotWait, TxID: tx.ID(), Ticket: tx.ticket})
 	}
 	tx.n.SlotWaits++
 	start := time.Now()
@@ -218,7 +218,7 @@ func (p *slotPool) popLocked() *slotWaiter {
 func (p *slotPool) grantEvent(w *slotWaiter, slot int) {
 	rt := p.rt
 	if rt != nil && rt.wantsEvent(EvSlotGrant) {
-		rt.event(Event{Kind: EvSlotGrant, TxID: w.vid, OtherID: slot})
+		rt.event(Event{Kind: EvSlotGrant, TxID: w.id, OtherID: slot})
 	}
 }
 

@@ -52,21 +52,21 @@ func (rt *Runtime) CheckInvariants() error {
 			holders := wordHolders(w)
 			for _, wt := range q.waiters {
 				if wt.granted {
-					return fmt.Errorf("queue %d: granted waiter txn %d still enqueued", qid, wt.tx.vid)
+					return fmt.Errorf("queue %d: granted waiter txn %d still enqueued", qid, wt.tx.ID())
 				}
 				if wq := int(wt.qid.Load()); wq != qid {
-					return fmt.Errorf("queue %d: waiter txn %d points at queue %d", qid, wt.tx.vid, wq)
+					return fmt.Errorf("queue %d: waiter txn %d points at queue %d", qid, wt.tx.ID(), wq)
 				}
 				if wt.tx.slot < 0 {
-					return fmt.Errorf("queue %d: waiter txn %d has no slot lease", qid, wt.tx.vid)
+					return fmt.Errorf("queue %d: waiter txn %d has no slot lease", qid, wt.tx.ID())
 				}
 				if d.blocked[wt.tx.slot].Load() != wt {
 					return fmt.Errorf("queue %d: waiter txn %d (slot %d) missing from blocked table",
-						qid, wt.tx.vid, wt.tx.slot)
+						qid, wt.tx.ID(), wt.tx.slot)
 				}
 				if holders&wt.tx.mask != 0 && !wt.upgrader {
 					return fmt.Errorf("queue %d: non-upgrader txn %d both holds and waits (%s)",
-						qid, wt.tx.vid, formatWord(w))
+						qid, wt.tx.ID(), formatWord(w))
 				}
 			}
 			// Holder bits must belong to leased slots with live sections.
@@ -98,7 +98,7 @@ func (rt *Runtime) CheckInvariants() error {
 			continue
 		}
 		if wt.tx.slot != slot {
-			return fmt.Errorf("blocked table slot %d holds txn %d leasing slot %d", slot, wt.tx.vid, wt.tx.slot)
+			return fmt.Errorf("blocked table slot %d holds txn %d leasing slot %d", slot, wt.tx.ID(), wt.tx.slot)
 		}
 		q := d.queueOf(wt)
 		q.mu.Lock()
@@ -107,14 +107,14 @@ func (rt *Runtime) CheckInvariants() error {
 				return nil // resolved between the loads
 			}
 			if q.addr == nil {
-				return fmt.Errorf("blocked txn %d waits on uninstalled queue %d", wt.tx.vid, q.qid)
+				return fmt.Errorf("blocked txn %d waits on uninstalled queue %d", wt.tx.ID(), q.qid)
 			}
 			for _, qwt := range q.waiters {
 				if qwt == wt {
 					return nil
 				}
 			}
-			return fmt.Errorf("blocked txn %d not in its queue %d", wt.tx.vid, q.qid)
+			return fmt.Errorf("blocked txn %d not in its queue %d", wt.tx.ID(), q.qid)
 		}()
 		q.mu.Unlock()
 		if err != nil {
@@ -193,30 +193,30 @@ func (rt *Runtime) CheckObjectLocks(o *Object) error {
 	return nil
 }
 
-// BlockedTxns returns the virtual IDs of transactions currently
-// enqueued on a lock, for harness stall diagnosis. The blocked table is
-// slot-keyed (every blocked section holds a slot lease), so this scans
-// the slots and reports the leasing transactions' virtual IDs.
+// BlockedTxns returns the IDs of transactions currently enqueued on a
+// lock, for harness stall diagnosis. The blocked table is slot-keyed
+// (every blocked section holds a slot lease), so this scans the slots
+// and reports the leasing transactions' IDs.
 func (rt *Runtime) BlockedTxns() []int {
 	d := rt.det
 	var ids []int
 	for slot := 0; slot < MaxTxns; slot++ {
 		if wt := d.blocked[slot].Load(); wt != nil {
-			ids = append(ids, wt.tx.vid)
+			ids = append(ids, wt.tx.ID())
 		}
 	}
 	return ids
 }
 
 // InjectSpuriousWake delivers a wake-up signal to the parked waiter of
-// the transaction with virtual ID txID without granting or aborting it
+// the transaction with ID txID without granting or aborting it
 // (fault injection): the waiter re-checks its flags, finds nothing, and
 // re-parks. Reports whether a parked waiter existed.
 func (rt *Runtime) InjectSpuriousWake(txID int) bool {
 	d := rt.det
 	for slot := 0; slot < MaxTxns; slot++ {
 		wt := d.blocked[slot].Load()
-		if wt == nil || wt.tx.vid != txID {
+		if wt == nil || wt.tx.ID() != txID {
 			continue
 		}
 		q := d.queueOf(wt)

@@ -15,13 +15,13 @@ import (
 
 // TestSlotGenerationReuse observes generation counting across lessees:
 // releasing and re-acquiring a slot bumps its generation, so the same
-// physical slot serves a sequence of distinct virtual IDs. Lease k
+// physical slot serves a sequence of distinct transactions. Lease k
 // spans generations [2k-1, 2k] (odd while held, even when returned).
 func TestSlotGenerationReuse(t *testing.T) {
 	p := newSlotPool(1)
 	tx := &Tx{}
 	for i := 1; i <= 5; i++ {
-		tx.vid = i
+		tx.ticket = uint64(i)
 		slot, waited := p.acquire(tx)
 		if slot != 0 {
 			t.Fatalf("lease %d: slot = %d, want 0 (single-slot pool)", i, slot)
@@ -45,7 +45,7 @@ func TestSlotGenerationReuse(t *testing.T) {
 // CAS) barge past the queue head.
 func TestSlotOverflowFIFOFairness(t *testing.T) {
 	p := newSlotPool(1)
-	slot, _ := p.acquire(&Tx{vid: 0})
+	slot, _ := p.acquire(&Tx{ticket: 0})
 
 	const waiters = 4
 	var mu sync.Mutex
@@ -55,7 +55,7 @@ func TestSlotOverflowFIFOFairness(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, waited := p.acquire(&Tx{vid: 100 + i})
+			s, waited := p.acquire(&Tx{ticket: uint64(100 + i)})
 			if !waited {
 				t.Errorf("waiter %d: acquire on an exhausted pool did not report waiting", i)
 			}
@@ -90,7 +90,7 @@ func TestSlotOverflowFIFOFairness(t *testing.T) {
 // double-publish its bit.
 func TestSlotDoubleFreePanics(t *testing.T) {
 	p := newSlotPool(2)
-	slot, _ := p.acquire(&Tx{vid: 1})
+	slot, _ := p.acquire(&Tx{ticket: 1})
 	p.release(slot)
 	defer func() {
 		if recover() == nil {
@@ -107,7 +107,7 @@ func TestSlotDoubleFreePanics(t *testing.T) {
 // waited=false; only a real park counts.
 func TestSlotWaitChargedOnlyOnPark(t *testing.T) {
 	p := newSlotPool(1)
-	slot, _ := p.acquire(&Tx{vid: 1})
+	slot, _ := p.acquire(&Tx{ticket: 1})
 
 	// Hold the pool mutex so the second acquirer, finding the mask
 	// empty, sits at the slow path's entry. Releasing the slot while it
@@ -116,7 +116,7 @@ func TestSlotWaitChargedOnlyOnPark(t *testing.T) {
 	p.mu.Lock()
 	got := make(chan bool)
 	go func() {
-		_, waited := p.acquire(&Tx{vid: 2})
+		_, waited := p.acquire(&Tx{ticket: 2})
 		got <- waited
 	}()
 	time.Sleep(20 * time.Millisecond)

@@ -20,7 +20,7 @@ import (
 //	         wellformed
 //
 // The bits name slots, not transactions: a transaction's identity is
-// its unbounded virtual ID (Tx.vid), and a slot is leased only while a
+// its unbounded start ticket (Tx.ID), and a slot is leased only while a
 // section holds or acquires locks (runtime.go). The slot pool provides
 // the happens-before edge between consecutive lessees of a slot, so a
 // bit never means two different sections at once.

@@ -10,8 +10,8 @@ import (
 // read-modify-write transaction read-locks first, upgrades on the write,
 // and — when another reader upgraded concurrently — loses the dueling
 // write-upgrade (§3.3) and replays immediately into the same duel. On a
-// hot RMW site this turns added threads into lost throughput. Three
-// cooperating mechanisms (none of which appear in the paper; see
+// hot RMW site this turns added threads into lost throughput. Two
+// cooperating mechanisms (neither of which appears in the paper; see
 // DESIGN.md "Divergences") turn the curve around:
 //
 //  1. Write-intent promotion: every duel loss boosts the promotion
@@ -22,17 +22,16 @@ import (
 //     without writing decay the score, so read-mostly phases regain read
 //     sharing. This file keeps the per-attempt promotion log and its
 //     commit-time scoring.
-//  2. Abort backoff: instead of replaying an aborted section immediately,
-//     Tx.RetryBackoff waits a bounded randomized exponentially-growing
-//     number of reschedules, seeded per (ID, ticket) — no global PRNG,
-//     and fully deterministic under a schedule harness, where the spin is
-//     replaced by a single PointBackoff yield.
-//  3. Bounded spin-before-enqueue: a transaction whose fast-path CAS
+//  2. Bounded spin-before-enqueue: a transaction whose fast-path CAS
 //     failed first spins briefly (reschedules, then short sleeps) for
 //     the lock before paying for the queue protocol. The spin only ever
 //     bypasses when NO queue is installed — exactly the fairness rule
 //     of the slow-path re-check — and it is bounded, so a waiter always
 //     becomes visible to the deadlock detector eventually.
+//
+// An aborted section replays at once. Progress rests on the start
+// ticket, which survives Reset: the replay queues behind the winner and
+// ages until it is the oldest, which is never a victim (§3.2).
 
 // promoRec records one adaptive promotion of the current attempt: which
 // lock word was promoted, its site, and whether a write has justified
@@ -52,7 +51,7 @@ func (tx *Tx) notePromoted(addr *uint64, site int32) {
 	tx.n.Promotions++
 	atomic.AddUint64(&tx.rt.sites.at(site).n.Promotions, 1)
 	if tx.rt.wantsEvent(EvPromoted) {
-		tx.rt.event(Event{Kind: EvPromoted, TxID: tx.vid, Ticket: tx.ticket, Addr: addr, Write: true})
+		tx.rt.event(Event{Kind: EvPromoted, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, Write: true})
 	}
 }
 
@@ -108,50 +107,12 @@ func (tx *Tx) flushPromoSlow() {
 	tx.promoLog = tx.promoLog[:0]
 }
 
-// Abort backoff. The spin count doubles per consecutive retry of the
-// same transaction up to 1<<backoffMaxShift reschedules, randomized so
-// symmetric rivals desynchronize.
-const backoffMaxShift = 6
-
-// RetryBackoff waits out a bounded randomized exponential backoff after
-// a Reset, before the caller replays the atomic section. Retry loops
-// (internal/core replay, internal/scalebench, the sched harness's Retry)
-// call it instead of replaying immediately: the youngest loser of a duel
-// otherwise charges straight back into the conflict it just lost.
-//
-// The PRNG is a per-transaction xorshift64 seeded from (ID, ticket) —
-// deterministic given the transaction's identity, no shared state. Under
-// a schedule harness the spin is replaced by a single PointBackoff
-// yield, so schedules stay replayable decision-for-decision.
-func (tx *Tx) RetryBackoff() {
-	tx.retries++
-	tx.n.Backoffs++
-	rt := tx.rt
-	if rt.wantsEvent(EvBackoff) {
-		rt.event(Event{Kind: EvBackoff, TxID: tx.vid, Ticket: tx.ticket})
-	}
-	if rt.hooks != nil {
-		rt.yield(PointBackoff)
-		return
-	}
-	x := tx.nextRand()
-	shift := tx.retries - 1
-	if shift > backoffMaxShift {
-		shift = backoffMaxShift
-	}
-	spins := 1 + int(x%(uint64(1)<<shift))
-	tx.n.BackoffSpins += uint64(spins)
-	for i := 0; i < spins; i++ {
-		runtime.Gosched()
-	}
-}
-
 // nextRand advances the per-transaction xorshift64 PRNG, lazily seeded
-// from (ID, ticket): deterministic given the transaction's identity, no
+// from the ticket: deterministic given the transaction's identity, no
 // shared state.
 func (tx *Tx) nextRand() uint64 {
 	if tx.rng == 0 {
-		tx.rng = uint64(tx.vid+1)<<32 ^ (tx.ticket | 1)
+		tx.rng = tx.ticket*0x9e3779b97f4a7c15 | 1
 	}
 	x := tx.rng
 	x ^= x << 13

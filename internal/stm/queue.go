@@ -3,7 +3,6 @@ package stm
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,7 +296,6 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	var q *lockQueue
 	var upgrader, revoked bool
 	var revokeStart time.Time
-	var drainSpins int
 	for {
 		// Re-check: the lock may have been released between the failed fast
 		// path and here. Bypassing the queue is only fair if no one is
@@ -326,24 +324,11 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			// Queue installed but empty: the bypass is still fair. A write
 			// additionally needs the biased reader slots drained — live
 			// visible readers exclude a writer exactly like holder bits.
+			// Until they are, the write parks in the queue, which blocks
+			// new publishes; the last releaseBias wakes it.
 			w = atomic.LoadUint64(addr)
 			nw, ok := grantWord(w, tx, write)
 			if ok && write && d.rt != nil && !d.rt.bias.drainedExcept(addr, tx.slot) {
-				if rt.hooks == nil && drainSpins < biasDrainSpinMax {
-					// Drain-spin: the slots belong to readers that are past
-					// their reads and only need processor time to commit and
-					// release — the installed queue already blocks new
-					// publishes, so the cohort can only shrink. A few
-					// reschedules are far cheaper than a park/wake pair per
-					// revocation. Bounded: a slot holder that is itself
-					// blocked (a cycle through the biased read) drains
-					// nothing, and the writer must reach the queue — and the
-					// deadlock detector — regardless.
-					drainSpins++
-					q.mu.Unlock()
-					runtime.Gosched()
-					continue
-				}
 				ok = false
 			}
 			if ok {
@@ -379,7 +364,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		// survives.
 		if tx.inevitable || (!other.tx.inevitable && tx.ticket < other.tx.ticket) {
 			if d.wantsEvent(EvDuel) {
-				d.event(Event{Kind: EvDuel, TxID: other.tx.vid, VictimID: other.tx.vid, OtherID: tx.vid, Addr: addr, Inev: tx.inevitable})
+				d.event(Event{Kind: EvDuel, TxID: other.tx.ID(), VictimID: other.tx.ID(), OtherID: tx.ID(), Addr: addr, Inev: tx.inevitable})
 			}
 			d.abortWaiterLocked(q, other)
 			if q.addr == nil {
@@ -391,7 +376,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			break
 		}
 		if d.wantsEvent(EvDuel) {
-			d.event(Event{Kind: EvDuel, TxID: tx.vid, VictimID: tx.vid, OtherID: other.tx.vid, Addr: addr, Inev: other.tx.inevitable})
+			d.event(Event{Kind: EvDuel, TxID: tx.ID(), VictimID: tx.ID(), OtherID: other.tx.ID(), Addr: addr, Inev: other.tx.inevitable})
 		}
 		q.mu.Unlock()
 		atomic.AddUint64(&rt.sites.at(site).n.Deadlocks, 1)
@@ -428,7 +413,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		setWordFlag(d, addr, uFlag)
 	}
 	if d.wantsEvent(EvBlocked) {
-		d.event(Event{Kind: EvBlocked, TxID: tx.vid, Ticket: tx.ticket, Addr: addr, QID: q.qid, Write: write, Upgrader: upgrader})
+		d.event(Event{Kind: EvBlocked, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: q.qid, Write: write, Upgrader: upgrader})
 	}
 
 	// The queue may have become serviceable while we enqueued (e.g. a
@@ -491,7 +476,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		// state changed; re-check and re-park.
 		tx.n.SpuriousWakes++
 		if rt.wantsEvent(EvSpuriousWake) {
-			rt.event(Event{Kind: EvSpuriousWake, TxID: tx.vid, Addr: addr})
+			rt.event(Event{Kind: EvSpuriousWake, TxID: tx.ID(), Addr: addr})
 		}
 	}
 }
@@ -621,7 +606,7 @@ func (d *detector) grantScanLocked(q *lockQueue) {
 		d.blocked[head.tx.slot].Store(nil)
 		head.granted = true
 		if d.wantsEvent(EvGranted) {
-			d.event(Event{Kind: EvGranted, TxID: head.tx.vid, Ticket: head.tx.ticket, Addr: q.addr, QID: q.qid, Write: head.write, Upgrader: head.upgrader})
+			d.event(Event{Kind: EvGranted, TxID: head.tx.ID(), Ticket: head.tx.ticket, Addr: q.addr, QID: q.qid, Write: head.write, Upgrader: head.upgrader})
 		}
 		head.signal()
 		if head.write {
@@ -697,7 +682,7 @@ func (d *detector) abortWaiterLocked(q *lockQueue, wt *waiter) {
 	wt.tx.victim.Store(true)
 	wt.aborted = true
 	if d.wantsEvent(EvAbortWaiter) {
-		d.event(Event{Kind: EvAbortWaiter, TxID: wt.tx.vid, Addr: q.addr})
+		d.event(Event{Kind: EvAbortWaiter, TxID: wt.tx.ID(), Addr: q.addr})
 	}
 	d.removeWaiterLocked(q, wt)
 	wt.signal()
@@ -775,7 +760,7 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 				q.mu.Unlock()
 				continue // granted since the snapshot; re-confirm
 			}
-			d.event(Event{Kind: EvAbortWaiter, TxID: tx.vid, Addr: q.addr})
+			d.event(Event{Kind: EvAbortWaiter, TxID: tx.ID(), Addr: q.addr})
 			d.removeWaiterLocked(q, wt)
 			q.mu.Unlock()
 			d.cycleMu.Unlock()
@@ -879,9 +864,9 @@ func (d *detector) exactVictim(wt *waiter) (victim *waiter, vq *lockQueue, epoch
 		return nil, nil, 0
 	}
 	if d.rt != nil && d.rt.wantsEvent(EvDeadlock) {
-		ev := Event{Kind: EvDeadlock, VictimID: victim.tx.vid, TxID: wt.tx.vid}
+		ev := Event{Kind: EvDeadlock, VictimID: victim.tx.ID(), TxID: wt.tx.ID()}
 		for _, m := range members {
-			ev.CycleIDs = append(ev.CycleIDs, m.tx.vid)
+			ev.CycleIDs = append(ev.CycleIDs, m.tx.ID())
 			ev.CycleTickets = append(ev.CycleTickets, m.tx.ticket)
 			ev.CycleInev = append(ev.CycleInev, m.tx.inevitable)
 		}

@@ -125,7 +125,7 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 		atomic.AddUint64(&rt.sites.at(site).n.InvisReads, rt.profMask+1)
 	}
 	if rt.wantsEvent(EvInvisRead) {
-		rt.event(Event{Kind: EvInvisRead, TxID: tx.vid, Ticket: tx.ticket, Addr: addr})
+		rt.event(Event{Kind: EvInvisRead, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr})
 	}
 	return true
 }
@@ -213,7 +213,7 @@ func (tx *Tx) invisAbort(site int32) {
 	rt.noteSite(site, siteValidationAbort)
 	atomic.AddUint64(&rt.sites.at(site).n.ValAborts, 1)
 	if rt.wantsEvent(EvValidationAbort) {
-		rt.event(Event{Kind: EvValidationAbort, TxID: tx.vid, Ticket: tx.ticket})
+		rt.event(Event{Kind: EvValidationAbort, TxID: tx.ID(), Ticket: tx.ticket})
 	}
 	tx.selfAbort("invisible-read validation failed")
 }

@@ -34,7 +34,7 @@ const DefaultRecorderSize = 1024
 // in production.
 var defaultRecorderKinds = []EventKind{
 	EvBlocked, EvGranted, EvAbortWaiter, EvDeadlock, EvDuel,
-	EvSpuriousWake, EvDelayedGrant, EvInevRelease, EvPromoted, EvBackoff,
+	EvSpuriousWake, EvDelayedGrant, EvInevRelease, EvPromoted,
 	EvBiasRevoke, EvSlotWait, EvSlotGrant, EvValidationAbort,
 }
 

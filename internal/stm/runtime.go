@@ -6,25 +6,22 @@ import (
 	"sync/atomic"
 )
 
-// Runtime owns the lock-word slot pool, the virtual-ID allocator, the
+// Runtime owns the lock-word slot pool, the start-ticket counter, the
 // queue table, the deadlock detector, and the statistics counters. One
 // Runtime corresponds to one SBD program.
 //
 // Identity is split from visibility: a transaction's name is its
-// unbounded virtual ID (vid), drawn from per-Tx lease blocks over the
-// central vidNext counter, while the 56 lock-word bits are slot leases
-// a section acquires on its first lock acquisition and returns at
-// commit/abort. Begin never blocks; only >MaxTxns sections holding
-// locks simultaneously wait (in the slot pool's overflow tier).
+// unbounded start ticket, drawn from the central ticket counter, while
+// the 56 lock-word bits are slot leases a section acquires on its first
+// lock acquisition and returns at commit/abort. Begin never blocks;
+// only >MaxTxns sections holding locks simultaneously wait (in the slot
+// pool's overflow tier).
 type Runtime struct {
-	slots  *slotPool
+	slots *slotPool
+	// ticket hands out start tickets, which are also transaction IDs.
 	ticket atomic.Uint64
-	// vidNext is the central virtual-ID allocator; Tx objects carve
-	// lease blocks (vidLeaseBlock IDs at a time) off it so the counter
-	// is touched once per block, not once per Begin.
-	vidNext atomic.Uint64
-	det     *detector
-	stats   Stats
+	det    *detector
+	stats  Stats
 	// txBySlot maps a leased lock-word slot to the section holding it;
 	// the invariant sweeps resolve holder bits through it. nil for
 	// unleased slots. Maintained only when trackSlots is set — nothing
@@ -59,9 +56,7 @@ type Runtime struct {
 	// steady state.
 	waiterSlots [MaxTxns]*waiter
 	// txPool recycles Tx objects (and their log capacities) across
-	// transactions. The per-P caches double as the per-thread lease
-	// caches for virtual IDs: a recycled Tx usually still holds part of
-	// its vid lease block.
+	// transactions.
 	txPool sync.Pool
 	// rec is the protocol-event flight recorder; nil when disabled via
 	// Options.RecorderSize < 0.
@@ -73,12 +68,6 @@ type Runtime struct {
 	// transaction can be inevitable at any moment.
 	inev chan struct{}
 }
-
-// vidLeaseBlock is the number of virtual IDs a Tx leases from the
-// central counter at once. Under a harness the block size is 1 so vid
-// assignment order is a pure function of the schedule (replays stay
-// deterministic even if the object pool's contents differ run to run).
-const vidLeaseBlock = 64
 
 // Options configures a Runtime.
 type Options struct {
@@ -171,8 +160,8 @@ func (rt *Runtime) Profile() *Profile { return (*Profile)(&rt.sites) }
 // was disabled with Options.RecorderSize < 0.
 func (rt *Runtime) Recorder() *FlightRecorder { return rt.rec }
 
-// Begin starts a new transaction. It never blocks: identity is a
-// virtual ID from an unbounded counter, and the bounded lock-word slot
+// Begin starts a new transaction. It never blocks: identity is the
+// start ticket from an unbounded counter, and the bounded lock-word slot
 // is leased lazily on the section's first lock acquisition (txn.go).
 // The returned Tx is recycled through a pool after Commit or
 // AbandonAfterReset, so a handle must not be touched after either.
@@ -181,10 +170,9 @@ func (rt *Runtime) Begin() *Tx {
 	if tx == nil {
 		tx = &Tx{rt: rt}
 	}
-	tx.vid = rt.nextVID(tx)
+	tx.ticket = rt.ticket.Add(1)
 	tx.slot = -1
 	tx.mask = 0
-	tx.ticket = rt.ticket.Add(1)
 	tx.ended = false
 	tx.inevitable = false
 	// An atomic bool store is a locked exchange on amd64; a recycled Tx
@@ -193,9 +181,8 @@ func (rt *Runtime) Begin() *Tx {
 	if tx.victim.Load() {
 		tx.victim.Store(false)
 	}
-	// Backoff state is per-transaction: a fresh transaction starts with a
-	// zero retry streak and reseeds its PRNG lazily from the new ticket.
-	tx.retries, tx.rng = 0, 0
+	// A fresh transaction reseeds its PRNG lazily from the new ticket.
+	tx.rng = 0
 	// noInvis deliberately survives Reset (the replay of an aborted
 	// section must stay visible) but not reuse for a new section.
 	tx.noInvis = false
@@ -203,25 +190,9 @@ func (rt *Runtime) Begin() *Tx {
 	// default recorder mask, lifecycle events are unwanted and the guard
 	// lets the compiler drop the struct build from the fast path.
 	if rt.wantsEvent(EvBegin) {
-		rt.event(Event{Kind: EvBegin, TxID: tx.vid, Ticket: tx.ticket})
+		rt.event(Event{Kind: EvBegin, TxID: tx.ID(), Ticket: tx.ticket})
 	}
 	return tx
-}
-
-// nextVID returns the next virtual ID from the Tx's lease block,
-// refilling the block from the central counter when it is spent.
-func (rt *Runtime) nextVID(tx *Tx) int {
-	if tx.vidNext == tx.vidEnd {
-		block := uint64(vidLeaseBlock)
-		if rt.hooks != nil {
-			block = 1
-		}
-		end := rt.vidNext.Add(block)
-		tx.vidNext, tx.vidEnd = end-block, end
-	}
-	v := tx.vidNext
-	tx.vidNext++
-	return int(v)
 }
 
 // acquireSlot leases a lock-word slot for tx, blocking in the overflow
@@ -249,7 +220,7 @@ func (rt *Runtime) releaseSlot(tx *Tx) {
 	}
 	rt.slots.release(slot)
 	if rt.wantsEvent(EvSlotRelease) {
-		rt.event(Event{Kind: EvSlotRelease, TxID: tx.vid, OtherID: slot})
+		rt.event(Event{Kind: EvSlotRelease, TxID: tx.ID(), OtherID: slot})
 	}
 }
 

@@ -55,8 +55,6 @@ type StatsSnapshot struct {
 	Promotions   uint64 `prom:"sbd_promotions_total" help:"Reads adaptively promoted to write acquisitions."`
 	PromoWasted  uint64 `prom:"sbd_promotions_wasted_total" help:"Promotions committed without a write (hint decay)."`
 	DuelLosses   uint64 `prom:"sbd_duel_losses_total" help:"Upgrade aborts that boosted a promotion hint."`
-	Backoffs     uint64 `prom:"sbd_backoffs_total" help:"Backed-off transaction retries."`
-	BackoffSpins uint64 `prom:"sbd_backoff_spins_total" help:"Reschedules spent in retry backoff."`
 	SpinAcquires uint64 `prom:"sbd_spin_acquires_total" help:"Slow-path acquisitions resolved by bounded spinning."`
 
 	// Read bias (bias.go). The revoke wait is exact, not sampled.

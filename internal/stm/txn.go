@@ -15,7 +15,7 @@ type Aborted struct {
 }
 
 func (a *Aborted) Error() string {
-	return fmt.Sprintf("stm: transaction %d aborted: %s", a.Tx.vid, a.Reason)
+	return fmt.Sprintf("stm: transaction %d aborted: %s", a.Tx.ID(), a.Reason)
 }
 
 // Resource is external state with transactional semantics attached to a
@@ -58,19 +58,16 @@ type lockLogEntry struct {
 // must only ever be used by the goroutine that began it.
 type Tx struct {
 	rt *Runtime
-	// vid is the transaction's unbounded virtual ID — its identity in
-	// events, debug output, and the serving-path accounting. Assigned
-	// at Begin from the Tx's lease block (vidNext..vidEnd) over the
-	// runtime's central counter.
-	vid             int
-	vidNext, vidEnd uint64
 	// slot is the leased lock-word slot (-1 while none): the bounded
 	// visibility resource, acquired on the section's first lock
 	// acquisition and released at commit/abort. mask is txMask(slot)
 	// while a slot is held, 0 otherwise — so ownership tests against
 	// unleased sections are always false.
-	slot   int
-	mask   uint64
+	slot int
+	mask uint64
+	// ticket is the start ticket, drawn at Begin and kept across Reset:
+	// both the transaction's identity (ID) and its age (smaller is
+	// older) for victim selection.
 	ticket uint64
 
 	undo      []undoEntry
@@ -89,11 +86,9 @@ type Tx struct {
 
 	// promoLog records the adaptive write-intent promotions of the current
 	// attempt (promo.go); flushPromo scores them at commit, Reset drops
-	// them. retries counts consecutive Resets of this transaction and
-	// drives the RetryBackoff window; rng is the per-transaction xorshift64
-	// state, lazily seeded from (vid, ticket).
+	// them. rng is the per-transaction xorshift64 state, lazily seeded
+	// from the ticket.
 	promoLog []promoRec
-	retries  uint32
 	rng      uint64
 	// biasLog records the biased reads of the current attempt (bias.go):
 	// words whose visibility this transaction published through its
@@ -137,10 +132,10 @@ type Tx struct {
 	n StatsSnapshot
 }
 
-// ID returns the transaction's virtual ID: unbounded, unique for the
-// lifetime of the runtime, assigned at Begin. It is not the lock-word
-// slot (see Slot).
-func (tx *Tx) ID() int { return tx.vid }
+// ID returns the transaction's identity, its start ticket: unbounded,
+// unique for the lifetime of the runtime, assigned at Begin and kept
+// across Reset. It is not the lock-word slot (see Slot).
+func (tx *Tx) ID() int { return int(tx.ticket) }
 
 // Slot returns the leased lock-word slot (0..MaxTxns-1), or -1 while
 // the section holds none (it has not acquired a lock yet).
@@ -155,8 +150,13 @@ func (tx *Tx) Ticket() uint64 { return tx.ticket }
 func (tx *Tx) Runtime() *Runtime { return tx.rt }
 
 // selfAbort rolls nothing back by itself; it unwinds via panic so the
-// section runner can Reset and replay.
+// section runner can Reset and replay. It is the only source of
+// *Aborted, and it refuses an inevitable transaction, so no retry loop
+// ever resets and replays one.
 func (tx *Tx) selfAbort(reason string) {
+	if tx.inevitable {
+		panic("stm: abort of an inevitable transaction: " + reason)
+	}
 	panic(&Aborted{Tx: tx, Reason: reason})
 }
 
@@ -167,11 +167,8 @@ func (tx *Tx) AbortRequested() bool { return tx.victim.Load() }
 // Abort voluntarily aborts the transaction by unwinding with *Aborted;
 // the section runner rolls back and replays. It exists for failure
 // injection in tests and for application-level retry. An inevitable
-// transaction cannot abort.
+// transaction cannot abort: Abort panics with a plain error instead.
 func (tx *Tx) Abort(reason string) {
-	if tx.inevitable {
-		panic("stm: Abort on an inevitable transaction")
-	}
 	tx.selfAbort("user abort: " + reason)
 }
 
@@ -219,7 +216,7 @@ func (tx *Tx) releaseInevitable() {
 	if tx.inevitable {
 		tx.inevitable = false
 		tx.rt.inev <- struct{}{}
-		tx.rt.event(Event{Kind: EvInevRelease, TxID: tx.vid})
+		tx.rt.event(Event{Kind: EvInevRelease, TxID: tx.ID()})
 	}
 }
 
@@ -854,7 +851,7 @@ func (tx *Tx) Commit() {
 	tx.clearLogs()
 	tx.n.Commits++
 	if tx.rt.wantsEvent(EvCommit) {
-		tx.rt.event(Event{Kind: EvCommit, TxID: tx.vid, Ticket: tx.ticket})
+		tx.rt.event(Event{Kind: EvCommit, TxID: tx.ID(), Ticket: tx.ticket})
 	}
 	tx.flushPromo() // before flushCounters: scoring bumps PromoWasted
 	tx.flushCounters()
@@ -867,18 +864,17 @@ func (tx *Tx) Commit() {
 // Reset rolls the transaction back and prepares it for a retry of the
 // same atomic section: resources roll back, the undo log is applied in
 // reverse, locks are released, deferred actions are dropped. The
-// transaction keeps its virtual ID, its slot lease, and its start
-// ticket (so it ages toward being the oldest, which guarantees
+// transaction keeps its slot lease and its start ticket, which is also
+// its ID (so it ages toward being the oldest, which guarantees
 // progress).
+//
+// An inevitable transaction never unwinds with *Aborted (selfAbort), so
+// a retry loop never resets one; only a dying thread does, to roll back
+// and release before AbandonAfterReset. Reset then also returns the
+// inevitability token.
 func (tx *Tx) Reset() {
 	if tx.ended {
 		panic("stm: Reset on ended transaction")
-	}
-	if tx.inevitable {
-		// Inevitability promises no rollback: the runtime never chooses
-		// an inevitable transaction as a victim, so reaching this point
-		// is a programming error.
-		panic("stm: Reset on an inevitable transaction")
 	}
 	tx.accountMemory()
 	for i := len(tx.resources) - 1; i >= 0; i-- {
@@ -902,6 +898,7 @@ func (tx *Tx) Reset() {
 	if len(tx.biasLog) != 0 {
 		tx.releaseBias()
 	}
+	tx.releaseInevitable()
 	tx.clearLogs()
 	// Promotions of the aborted attempt are dropped unscored: the attempt
 	// never reached commit, so whether the promotion would have been
@@ -912,7 +909,7 @@ func (tx *Tx) Reset() {
 	// show its aborts (AbortRate +Inf is how a livelock reads).
 	atomic.AddUint64(&tx.rt.stats.c.Aborts, 1)
 	if tx.rt.wantsEvent(EvReset) {
-		tx.rt.event(Event{Kind: EvReset, TxID: tx.vid, Ticket: tx.ticket})
+		tx.rt.event(Event{Kind: EvReset, TxID: tx.ID(), Ticket: tx.ticket})
 	}
 	// The other counters stay in tx.n across the retry; Commit (or
 	// AbandonAfterReset) flushes them once.
