@@ -31,12 +31,12 @@ import (
 var (
 	rounds   = flag.Int("rounds", 20, "number of stress rounds (each runs the full scenario suite)")
 	seed     = flag.Uint64("seed", 1, "base seed; round r uses seed+r")
-	maxSteps = flag.Int("maxsteps", 200000, "per-run scheduling decision budget (livelock backstop)")
-	timeout  = flag.Duration("timeout", 30*time.Second, "per-run wall-clock watchdog")
-	shrinkN  = flag.Int("shrink", 200, "replay budget for shrinking a failing schedule (0 disables)")
 	artifact = flag.String("artifact", "", "write failure report to this file (for CI artifact upload)")
 	verbose  = flag.Bool("v", false, "per-round coverage output")
 )
+
+// shrinkRuns is the replay budget for shrinking a failing schedule.
+const shrinkRuns = 200
 
 func main() {
 	flag.Parse()
@@ -47,70 +47,69 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := sched.Config{MaxSteps: *maxSteps, Timeout: *timeout}
-
 	var total sched.Coverage
 	start := time.Now()
 	for r := 0; r < *rounds; r++ {
 		roundSeed := *seed + uint64(r)
-		results, cov, err := sched.RunRound(roundSeed, cfg)
+		results, cov, err := sched.RunRound(roundSeed, sched.Config{})
 		total.Add(cov)
 		if *verbose {
 			fmt.Printf("round %3d seed=%d: %s\n", r, roundSeed, cov)
 		}
 		if err != nil {
-			fail(roundSeed, results, cfg, err)
+			fail(roundSeed, results, err)
 		}
 	}
 	fmt.Printf("sbd-stress: %d rounds in %v, all invariants held\n", *rounds, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("coverage: %s\n", total)
 }
 
-// fail reports a failing round: the scenario, its seed, the violation,
-// the shrunk schedule that reproduces it, and the recent event log —
-// then writes the artifact and exits 1.
-func fail(roundSeed uint64, results []sched.Result, cfg sched.Config, err error) {
-	last := results[len(results)-1]
+// fail reports a failing round (see report), writes the artifact and
+// exits 1.
+func fail(roundSeed uint64, results []sched.Result, err error) {
 	fmt.Fprintf(os.Stderr, "\nFAILURE: %v\n", err)
 	fmt.Fprintf(os.Stderr, "reproduce with: go run ./cmd/sbd-stress -rounds=1 -seed=%d\n", roundSeed)
-	fmt.Fprintf(os.Stderr, "scenario %q coverage: %s\n", last.Scenario, last.Coverage)
-
-	report := fmt.Sprintf("scenario: %s\nround-seed: %d\nscenario-seed: %d\nerror: %v\n",
-		last.Scenario, roundSeed, last.Seed, last.Err)
-
-	shrunk := last.Decisions
-	if *shrinkN > 0 && last.Err != nil {
-		idx := len(results) - 1
-		sc := sched.RoundScenarios(roundSeed)[idx]
-		res := sched.Shrink(last.Decisions, func(dec []sched.Decision) error {
-			return sched.RunScenario(sc, sched.NewReplayPolicy(dec), cfg).Err
-		}, *shrinkN)
-		if res.Err != nil {
-			shrunk = res.Decisions
-			fmt.Fprintf(os.Stderr, "shrunk schedule (%d replays): %d -> %d decisions, %d interesting\n",
-				res.Runs, len(last.Decisions), len(shrunk), sched.InterestingCount(shrunk))
-			report += fmt.Sprintf("shrunk-error: %v\n", res.Err)
-		} else {
-			fmt.Fprintf(os.Stderr, "shrinking did not reproduce the failure (flaky beyond schedule control); keeping full trace\n")
-		}
-	}
-	fmt.Fprintf(os.Stderr, "schedule: %s\n", sched.FormatDecisions(shrunk))
-	report += fmt.Sprintf("decisions: %d\nschedule: %s\n", len(shrunk), sched.FormatDecisions(shrunk))
-
-	if len(last.Events) > 0 {
-		fmt.Fprintf(os.Stderr, "recent events:\n")
-		report += "events:\n"
-		for _, e := range last.Events {
-			fmt.Fprintf(os.Stderr, "  %s\n", e)
-			report += "  " + e + "\n"
-		}
-	}
+	rep := report(roundSeed, results, err)
+	os.Stderr.WriteString(rep)
 	if *artifact != "" {
-		if werr := os.WriteFile(*artifact, []byte(report), 0o644); werr != nil {
+		if werr := os.WriteFile(*artifact, []byte(rep), 0o644); werr != nil {
 			fmt.Fprintf(os.Stderr, "writing artifact %s: %v\n", *artifact, werr)
 		} else {
 			fmt.Fprintf(os.Stderr, "failure report written to %s\n", *artifact)
 		}
 	}
 	os.Exit(1)
+}
+
+// report describes a failing round: its error and seed, and, when one
+// scenario failed, that scenario, the shrunk schedule that reproduces
+// it and the recent event log. A round whose scenarios all passed
+// failed RunRound's coverage floor, which no single scenario owns.
+func report(roundSeed uint64, results []sched.Result, err error) string {
+	rep := fmt.Sprintf("round-seed: %d\nerror: %v\n", roundSeed, err)
+	last := results[len(results)-1]
+	if last.Err == nil {
+		return rep + "scenario: none (every scenario passed; the round's coverage failed its floor)\n"
+	}
+	rep += fmt.Sprintf("scenario: %s\nscenario-seed: %d\ncoverage: %s\n", last.Scenario, last.Seed, last.Coverage)
+	sc := sched.RoundScenarios(roundSeed)[len(results)-1]
+	res := sched.Shrink(last.Decisions, func(dec []sched.Decision) error {
+		return sched.RunScenario(sc, sched.NewReplayPolicy(dec), sched.Config{}).Err
+	}, shrinkRuns)
+	dec := last.Decisions
+	if res.Err != nil {
+		dec = res.Decisions
+		rep += fmt.Sprintf("shrunk: %d replays, %d -> %d decisions, %d interesting\nshrunk-error: %v\n",
+			res.Runs, len(last.Decisions), len(dec), sched.InterestingCount(dec), res.Err)
+	} else {
+		rep += "shrunk: the replays did not reproduce the failure; keeping the full trace\n"
+	}
+	rep += fmt.Sprintf("decisions: %d\nschedule: %s\n", len(dec), sched.FormatDecisions(dec))
+	if len(last.Events) > 0 {
+		rep += "events:\n"
+		for _, e := range last.Events {
+			rep += "  " + e + "\n"
+		}
+	}
+	return rep
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // A run that checked nothing must not report success: -rounds below one
@@ -28,5 +30,21 @@ func TestRoundsMustBePositive(t *testing.T) {
 	out, err := exec.Command(bin, "-rounds=1", "-seed=1").CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "sbd-stress: 1 rounds in ") {
 		t.Errorf("-rounds=1: err %v\n%s", err, out)
+	}
+}
+
+// A round whose scenarios all passed but whose coverage fell below
+// RunRound's floor reports the round's error, not the last scenario's
+// nil one, and names no scenario as the failure.
+func TestReportCoverageFloorFailure(t *testing.T) {
+	results := []sched.Result{{Scenario: "deadlock"}, {Scenario: "batch-acquire"}}
+	rep := report(7, results, errors.New("coverage floor violated: deadlocks=0"))
+	for _, want := range []string{"round-seed: 7\n", "error: coverage floor violated: deadlocks=0\n", "scenario: none"} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("report lacks %q:\n%s", want, rep)
+		}
+	}
+	if strings.Contains(rep, "<nil>") || strings.Contains(rep, "batch-acquire") {
+		t.Errorf("report blames a scenario that passed:\n%s", rep)
 	}
 }

@@ -12,6 +12,15 @@
 // replays the identical schedule; a recorded decision list can be
 // replayed and greedily shrunk (see Shrink) when a run fails.
 //
+// The token holder is the only writer of goroutine state. Every wake a
+// parked goroutine can observe is announced to the scheduler before it
+// is delivered — by its stm.Event, or by the spurious-wake pump, which
+// marks its target runnable before signalling it — so the set of
+// runnable goroutines at each decision is a function of the seed alone.
+// A goroutine that resumes from a park the scheduler still holds
+// blocked fails the run ("unannounced wake") instead of racing the
+// token holder.
+//
 // Invariants are checked two ways: structural sweeps through the
 // runtime's invariant accessors (stm.CheckInvariants/CheckObjectLocks),
 // and online event checkers for FIFO fairness and youngest-victim
@@ -35,12 +44,13 @@ const PointWorkload = stm.YieldPoint(200)
 type gstate uint8
 
 const (
-	gReady    gstate = iota // waiting for the token, runnable
-	gRunning                // holds the token
-	gBlocked                // parked (STM primitive or barrier), not runnable
-	gWakeable               // parked, but its wake-up has been issued
+	gReady   gstate = iota // runnable, waiting for the token
+	gRunning               // holds the token
+	gBlocked               // parked (STM primitive or barrier), not runnable
 	gDone
 )
+
+var gstateNames = [...]string{"ready", "running", "blocked", "done"}
 
 // goroutineState is one worker under the scheduler.
 type goroutineState struct {
@@ -49,10 +59,6 @@ type goroutineState struct {
 	gid   uint64
 	state gstate
 	token chan struct{} // buffered(1) run-token grant
-	// pendingWake records a wake event that arrived while the goroutine
-	// was still running (e.g. it granted its own enqueued waiter); the
-	// next Block converts it straight to gWakeable.
-	pendingWake bool
 	// awaitTx, when >= 0, parks the goroutine until that transaction
 	// enqueues on a lock (AwaitBlocked).
 	awaitTx int
@@ -60,8 +66,8 @@ type goroutineState struct {
 	// enters the slot pool's overflow tier (AwaitSlotBlocked).
 	awaitSlotTx int
 	barrier     string
-	// lastBlock is the yield point of the most recent Block; targeted
-	// wakes (slot pool, inevitability token) match on it.
+	// lastBlock is the yield point of the most recent park; the
+	// inevitability token's release wakes the goroutines parked on it.
 	lastBlock stm.YieldPoint
 }
 
@@ -330,11 +336,7 @@ func (s *Scheduler) Run(workers ...Worker) error {
 func (s *Scheduler) stallDiagnosis() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := ""
-	for _, g := range s.gs {
-		st := [...]string{"ready", "running", "blocked", "wakeable", "done"}[g.state]
-		out += fmt.Sprintf("%s=%s ", g.name, st)
-	}
+	out := s.stallStatesLocked()
 	var blocked []int
 	if s.rt != nil {
 		s.mu.Unlock()
@@ -403,7 +405,7 @@ func (s *Scheduler) exit(g *goroutineState) {
 func (s *Scheduler) candidatesLocked() []int {
 	var cands []int
 	for _, g := range s.gs {
-		if g.state == gReady || g.state == gWakeable {
+		if g.state == gReady {
 			cands = append(cands, g.idx)
 		}
 	}
@@ -428,7 +430,7 @@ func (s *Scheduler) handoffLocked(cur *goroutineState, p stm.YieldPoint) {
 		cands := s.candidatesLocked()
 		if len(cands) > 0 {
 			curIdx := -1
-			if cur != nil && (cur.state == gReady || cur.state == gWakeable) {
+			if cur != nil && cur.state == gReady {
 				curIdx = cur.idx
 			}
 			pick := s.cfg.Policy.PickNext(cands, curIdx, p)
@@ -462,8 +464,7 @@ func (s *Scheduler) handoffLocked(cur *goroutineState, p stm.YieldPoint) {
 func (s *Scheduler) stallStatesLocked() string {
 	out := ""
 	for _, g := range s.gs {
-		st := [...]string{"ready", "running", "blocked", "wakeable", "done"}[g.state]
-		out += fmt.Sprintf("%s=%s ", g.name, st)
+		out += fmt.Sprintf("%s=%s ", g.name, gstateNames[g.state])
 	}
 	return out
 }
@@ -515,26 +516,23 @@ func (s *Scheduler) Yield(p stm.YieldPoint) {
 		if s.cfg.Policy.Fault(FaultSpurious) {
 			s.mu.Lock()
 			s.recordLocked(Decision{Kind: DecFault, FKind: FaultSpurious, Fault: true})
-			// Deterministic target: the lowest blocked transaction ID (maps
-			// iterate in random order, so take the min explicitly).
+			// Deterministic target: the lowest enqueued transaction ID whose
+			// goroutine is parked (maps iterate in random order, so take the
+			// min explicitly). It becomes runnable before the signal is
+			// sent: the wake is announced before the waiter can observe it.
 			target := -1
-			for id, b := range s.blockedTx {
-				if b && (target < 0 || id < target) {
+			for id := range s.blockedTx {
+				if og := s.byTx[id]; og != nil && og.state == gBlocked && (target < 0 || id < target) {
 					target = id
 				}
 			}
+			if target >= 0 {
+				s.byTx[target].state = gReady
+			}
 			s.mu.Unlock()
-			if target >= 0 && rt.InjectSpuriousWake(target) {
-				// The signal is pending in the waiter's channel, which is
-				// exactly the gWakeable contract — making it a candidate
-				// lets the policy schedule the waiter before the real
-				// grant, so the wake is observed as spurious rather than
-				// absorbed.
-				s.mu.Lock()
-				if og := s.byTx[target]; og != nil && og.state == gBlocked {
-					og.state = gWakeable
-				}
-				s.mu.Unlock()
+			if target >= 0 && !rt.InjectSpuriousWake(target) {
+				s.fail(fmt.Errorf("spurious wake: tx %d is parked but has no waiter to signal", target))
+				return
 			}
 		} else {
 			s.mu.Lock()
@@ -612,20 +610,23 @@ func (s *Scheduler) Block(p stm.YieldPoint) {
 		s.mu.Unlock()
 		return
 	}
-	g.lastBlock = p
-	if g.pendingWake {
-		g.pendingWake = false
-		g.state = gWakeable
-	} else {
-		g.state = gBlocked
-	}
-	s.handoffLocked(g, p)
+	s.parkLocked(g, p)
 	s.mu.Unlock()
 }
 
-// Unblock implements stm.Hooks: the caller resumed from a park and must
-// wait to be rescheduled. Covers both scheduler-issued wakes and
-// self-wakes the scheduler did not initiate (idpool re-checks).
+// parkLocked marks the token holder g parked at p and hands the token
+// on. Caller holds s.mu.
+func (s *Scheduler) parkLocked(g *goroutineState, p stm.YieldPoint) {
+	g.lastBlock = p
+	g.state = gBlocked
+	s.handoffLocked(g, p)
+}
+
+// Unblock implements stm.Hooks: the caller resumed from a park and
+// waits for the token. Its wake was announced before it was delivered,
+// so the scheduler already holds it runnable (or running); a goroutine
+// still held blocked observed a wake nobody announced, which fails the
+// run.
 func (s *Scheduler) Unblock(p stm.YieldPoint) {
 	if s.failed.Load() {
 		return
@@ -635,12 +636,10 @@ func (s *Scheduler) Unblock(p stm.YieldPoint) {
 		return
 	}
 	s.mu.Lock()
-	switch g.state {
-	case gRunning:
-		// Already granted the token (scheduler scheduled us before the
-		// physical wake-up); consume it below.
-	case gBlocked, gWakeable:
-		g.state = gWakeable
+	if g.state == gBlocked {
+		s.failLocked(fmt.Errorf("unannounced wake at %v: %s resumed while the scheduler held it blocked", p, g.name))
+		s.mu.Unlock()
+		return
 	}
 	s.mu.Unlock()
 	<-g.token
@@ -700,12 +699,6 @@ func (s *Scheduler) Event(ev stm.Event) {
 		delete(s.byTx, ev.TxID)
 	case stm.EvReset:
 		s.cov.Aborts++
-		// An abort unwind never parks between its wake event and the
-		// reset, so any pending wake recorded for the goroutine is
-		// stale; dropping it keeps the wake accounting exact.
-		if g != nil {
-			g.pendingWake = false
-		}
 	case stm.EvSlotRelease:
 		delete(s.byTx, ev.TxID)
 	case stm.EvSlotWait:
@@ -718,16 +711,16 @@ func (s *Scheduler) Event(ev stm.Event) {
 			}
 		}
 	case stm.EvSlotGrant:
-		// A direct lease handoff: the releaser already placed the slot in
-		// the waiter's channel, so exactly the recipient becomes wakeable
-		// (broadcasting would manufacture spurious wake-ups the policy
-		// never asked for).
+		// A direct lease handoff, announced before the releaser places
+		// the slot in the waiter's channel: exactly the recipient becomes
+		// runnable (broadcasting would manufacture spurious wake-ups the
+		// policy never asked for).
 		s.cov.SlotGrants++
 		delete(s.slotWaitTx, ev.TxID)
 		s.wakeLocked(s.byTx[ev.TxID])
 	case stm.EvInevRelease:
 		for _, og := range s.gs {
-			if og.state == gBlocked && og.blockPointIs(stm.PointInevWait) {
+			if og.lastBlock == stm.PointInevWait {
 				s.wakeLocked(og)
 			}
 		}
@@ -746,13 +739,7 @@ func (s *Scheduler) Event(ev stm.Event) {
 		s.wakeLocked(s.byTx[ev.TxID])
 	case stm.EvAbortWaiter:
 		delete(s.blockedTx, ev.TxID)
-		// A running target is the self-victim path in slowAcquire: the
-		// goroutine dequeues itself and unwinds by panic without ever
-		// parking, so recording a pending wake here would later pair a
-		// Block with a wake signal that was never sent.
-		if og := s.byTx[ev.TxID]; og != nil && og.state != gRunning {
-			s.wakeLocked(og)
-		}
+		s.wakeLocked(s.byTx[ev.TxID])
 	case stm.EvDeadlock:
 		s.cov.Deadlocks++
 	case stm.EvDuel:
@@ -777,25 +764,17 @@ func (s *Scheduler) Event(ev stm.Event) {
 	}
 }
 
-// wakeLocked marks g runnable after a wake event. A nil g (transaction
-// not bound to a registered worker) is ignored. If g is currently
-// running — it issued the wake to its own enqueued waiter — the wake is
-// remembered for its upcoming Block.
+// wakeLocked marks a parked g runnable after its wake event. A nil g
+// (transaction not bound to a registered worker) is ignored, and so is
+// a g that is not parked: a running one woke its own waiter (a grant
+// before it parked, or the self-victim unwind) and does not park for
+// it, and a ready one was already woken (a spurious wake, whose waiter
+// re-reads its flags).
 func (s *Scheduler) wakeLocked(g *goroutineState) {
-	if g == nil {
-		return
-	}
-	switch g.state {
-	case gBlocked:
-		g.state = gWakeable
-	case gRunning, gReady:
-		g.pendingWake = true
+	if g != nil && g.state == gBlocked {
+		g.state = gReady
 	}
 }
-
-// blockPoint bookkeeping: Block stores the point so targeted wakes
-// (ID pool, inevitability token) find their parked goroutines.
-func (g *goroutineState) blockPointIs(p stm.YieldPoint) bool { return g.lastBlock == p }
 
 func formatEvent(ev stm.Event) string {
 	switch ev.Kind {
@@ -822,7 +801,7 @@ func sortInts(a []int) {
 
 // Barrier parks the caller until n workers have reached the tag, then
 // releases them all. Deterministic: the n-th arriver continues running,
-// the others become wakeable and are rescheduled by policy.
+// the others become runnable and are rescheduled by policy.
 func (s *Scheduler) Barrier(tag string, n int) {
 	if s.failed.Load() {
 		return
@@ -846,8 +825,7 @@ func (s *Scheduler) Barrier(tag string, n int) {
 	}
 	s.barriers[tag] = arrived
 	g.barrier = tag
-	g.state = gBlocked
-	s.handoffLocked(g, PointWorkload)
+	s.parkLocked(g, PointWorkload)
 	s.mu.Unlock()
 	<-g.token
 	g.barrier = ""
@@ -870,8 +848,7 @@ func (s *Scheduler) AwaitBlocked(txID int) {
 		return
 	}
 	g.awaitTx = txID
-	g.state = gBlocked
-	s.handoffLocked(g, PointWorkload)
+	s.parkLocked(g, PointWorkload)
 	s.mu.Unlock()
 	<-g.token
 }
@@ -894,8 +871,7 @@ func (s *Scheduler) AwaitSlotBlocked(txID int) {
 		return
 	}
 	g.awaitSlotTx = txID
-	g.state = gBlocked
-	s.handoffLocked(g, PointWorkload)
+	s.parkLocked(g, PointWorkload)
 	s.mu.Unlock()
 	<-g.token
 }

@@ -3,18 +3,41 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stm"
 )
 
 func testConfig() Config {
 	return Config{MaxSteps: 100000, Timeout: 20 * time.Second, CheckEvery: 16}
 }
 
+// sameRun fails t unless two runs of one scenario recorded the same
+// decisions and the same coverage.
+func sameRun(t *testing.T, what string, a, b Result) {
+	t.Helper()
+	if a.Coverage != b.Coverage {
+		t.Fatalf("%s: %s coverage diverged:\n  %s\n  %s", a.Scenario, what, a.Coverage, b.Coverage)
+	}
+	if len(a.Decisions) != len(b.Decisions) {
+		t.Fatalf("%s: %s recorded %d vs %d decisions", a.Scenario, what, len(a.Decisions), len(b.Decisions))
+	}
+	for i := range a.Decisions {
+		if a.Decisions[i] != b.Decisions[i] {
+			t.Fatalf("%s: %s decision %d diverged: %v vs %v", a.Scenario, what, i, a.Decisions[i], b.Decisions[i])
+		}
+	}
+}
+
 // Same seed must produce the identical schedule: decision-for-decision
 // equal traces, equal coverage, across independent executions.
 func TestSameSeedSameSchedule(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42, 12345} {
+	for _, seed := range []uint64{1, 5, 7, 42, 77, 12345, 31337} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			run := func() ([]Result, Coverage) {
@@ -30,16 +53,7 @@ func TestSameSeedSameSchedule(t *testing.T) {
 				t.Fatalf("coverage diverged:\n  run1: %s\n  run2: %s", c1, c2)
 			}
 			for i := range r1 {
-				d1, d2 := r1[i].Decisions, r2[i].Decisions
-				if len(d1) != len(d2) {
-					t.Fatalf("scenario %s: %d vs %d decisions", r1[i].Scenario, len(d1), len(d2))
-				}
-				for j := range d1 {
-					if d1[j] != d2[j] {
-						t.Fatalf("scenario %s: decision %d diverged: %v vs %v",
-							r1[i].Scenario, j, d1[j], d2[j])
-					}
-				}
+				sameRun(t, "rerun", r1[i], r2[i])
 			}
 		})
 	}
@@ -58,34 +72,132 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-// A recorded trace replayed through ReplayPolicy must reproduce the
-// run: same decisions re-recorded, same coverage.
+// reproducible fails t unless sc, run under a policy seed, passes the
+// checker, and a second run with the same seed and a replay of the
+// recorded trace both reproduce it decision for decision, with the same
+// coverage. The checker asserts FIFO fairness and youngest-victim on
+// every event along the way.
+func reproducible(t *testing.T, sc Scenario, seed uint64) {
+	t.Helper()
+	run := func(pol Policy) Result {
+		res := RunScenario(sc, pol, testConfig())
+		if res.Err != nil {
+			t.Fatalf("seed %d: %v\nevents:\n%s", seed, res.Err, strings.Join(res.Events, "\n"))
+		}
+		return res
+	}
+	orig := run(NewRandomPolicy(seed))
+	sameRun(t, fmt.Sprintf("seed %d rerun", seed), orig, run(NewRandomPolicy(seed)))
+	sameRun(t, fmt.Sprintf("seed %d replay", seed), orig, run(NewReplayPolicy(orig.Decisions)))
+}
+
+// reproducibleSeeds runs reproducible once per seed, as subtests.
+func reproducibleSeeds(t *testing.T, sc Scenario, seeds ...uint64) {
+	for _, seed := range seeds {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { reproducible(t, sc, seed) })
+	}
+}
+
+// Every scenario of a round is deterministic end to end.
 func TestReplayReproduces(t *testing.T) {
 	for _, sc := range RoundScenarios(99) {
 		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			orig := RunScenario(sc, NewRandomPolicy(99), testConfig())
-			if orig.Err != nil {
-				t.Fatalf("original run failed: %v", orig.Err)
+		t.Run(sc.Name, func(t *testing.T) { reproducible(t, sc, 99) })
+	}
+}
+
+// The directed scenarios are also reproduced under seeds that cross
+// the upgrade storm's promotions and replayed aborts, bias revocation's
+// publish/verify race, and the invisible tier's stamp/validate window.
+func TestUpgradeStormDeterministic(t *testing.T) {
+	reproducibleSeeds(t, ScenarioUpgradeStorm(), 5, 77, 31337)
+}
+
+func TestBiasRevokeDeterministic(t *testing.T) {
+	reproducibleSeeds(t, ScenarioBiasRevoke(), 5, 77, 31337)
+}
+
+func TestInvisibleValidationDeterministic(t *testing.T) {
+	reproducibleSeeds(t, ScenarioInvisibleValidation(), 3, 99, 4242)
+}
+
+// coverageFloor fails t unless sc, summed over policy seeds
+// 0..seeds-1, reaches floor in every coverage field, and no seed fails.
+func coverageFloor(t *testing.T, sc Scenario, seeds uint64, floor Coverage) {
+	t.Helper()
+	var total Coverage
+	for seed := uint64(0); seed < seeds; seed++ {
+		res := RunScenario(sc, NewRandomPolicy(seed), testConfig())
+		if res.Err != nil {
+			t.Fatalf("seed %d: %v\nevents:\n%s", seed, res.Err, strings.Join(res.Events, "\n"))
+		}
+		total.Add(res.Coverage)
+	}
+	got, want := reflect.ValueOf(total), reflect.ValueOf(floor)
+	for i := 0; i < want.NumField(); i++ {
+		if got.Field(i).Int() < want.Field(i).Int() {
+			t.Errorf("%s = %d over %d seeds, want at least %d", want.Type().Field(i).Name,
+				got.Field(i).Int(), seeds, want.Field(i).Int())
+		}
+	}
+}
+
+// Each directed scenario must keep exercising the machinery it was
+// built for.
+func TestCoverageFloors(t *testing.T) {
+	for _, row := range []struct {
+		sc    Scenario
+		floor Coverage
+	}{
+		// Dueling upgrades, and adaptive promotions fed by the losses.
+		{ScenarioUpgradeStorm(), Coverage{Duels: 1, Promotions: 1, Commits: 1, Aborts: 1}},
+		// Biased reader-slot grants, writer revocations, and a revoking
+		// writer parked behind the readers.
+		{ScenarioBiasRevoke(), Coverage{BiasGrants: 1, BiasRevokes: 1, Grants: 1, Commits: 1}},
+		// The scenario's post-check allows one validation abort per run,
+		// so this floor means exactly one on every seed.
+		{ScenarioInvisibleValidation(), Coverage{InvisReads: 1, ValAborts: 6, Commits: 1}},
+	} {
+		row := row
+		t.Run(row.sc.Name, func(t *testing.T) { coverageFloor(t, row.sc, 6, row.floor) })
+	}
+}
+
+// The inevitable duelist survives the dueling write-upgrade on every
+// schedule, with the inevitable worker first or second: the scenario's
+// post-check fails any run whose inevitable worker aborted. Not every
+// schedule duels (one worker can finish before the other reads), but a
+// 30-seed sweep that never duels means the scenario lost its teeth.
+func TestInevitableDuelistAlwaysSurvives(t *testing.T) {
+	for _, inevSecond := range []bool{false, true} {
+		sc := ScenarioInevDuel(inevSecond)
+		t.Run(sc.Name, func(t *testing.T) { coverageFloor(t, sc, 30, Coverage{Duels: 1}) })
+	}
+}
+
+// Every wake is announced before it is delivered: a worker that
+// resumes from a park no wake event ended fails the run, and the error
+// names the point it parked at.
+func TestUnannouncedWakeFailsRun(t *testing.T) {
+	s := New(Config{Policy: NewRandomPolicy(1), Timeout: 10 * time.Second})
+	p := stm.PointParked
+	var resumed atomic.Bool
+	err := s.Run(
+		Worker{Name: "parker", Body: func() {
+			s.Block(p)
+			s.Unblock(p)
+			resumed.Store(true)
+		}},
+		Worker{Name: "bystander", Body: func() {
+			for !resumed.Load() {
+				s.Step()
+				runtime.Gosched()
 			}
-			replay := RunScenario(sc, NewReplayPolicy(orig.Decisions), testConfig())
-			if replay.Err != nil {
-				t.Fatalf("replay failed: %v", replay.Err)
-			}
-			if replay.Coverage != orig.Coverage {
-				t.Fatalf("replay coverage diverged:\n  orig:   %s\n  replay: %s",
-					orig.Coverage, replay.Coverage)
-			}
-			if len(replay.Decisions) != len(orig.Decisions) {
-				t.Fatalf("replay recorded %d decisions, original %d",
-					len(replay.Decisions), len(orig.Decisions))
-			}
-			for i := range orig.Decisions {
-				if replay.Decisions[i] != orig.Decisions[i] {
-					t.Fatalf("decision %d diverged: %v vs %v", i, orig.Decisions[i], replay.Decisions[i])
-				}
-			}
-		})
+		}},
+	)
+	if err == nil || !strings.Contains(err.Error(), "unannounced wake at "+p.String()) {
+		t.Fatalf("run error = %v, want an unannounced wake at %v", err, p)
 	}
 }
 

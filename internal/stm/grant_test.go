@@ -1,6 +1,8 @@
 package stm
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -101,5 +103,64 @@ func TestPromotedReleaseGrantsQueueHead(t *testing.T) {
 	}
 	if got := CommittedWord(o, v); got != 9 {
 		t.Fatalf("final value = %d, want 9 (the parked waiter's write must land before a later arrival's)", got)
+	}
+}
+
+// selfGrantHooks makes a waiter's own enqueue grant it: on the waiter's
+// EvBlocked (emitted under the queue mutex) it commits holder on
+// another goroutine and returns once holder's release CAS is done —
+// holder's wakeQueue then waits for the queue mutex the waiter still
+// holds, so the grant scan that follows the enqueue hands the waiter
+// the lock. It counts every Block and Unblock.
+type selfGrantHooks struct {
+	holder    *Tx
+	released  chan struct{}
+	release   sync.Once
+	committed chan struct{}
+	parks     atomic.Int32
+}
+
+func (h *selfGrantHooks) Yield(p YieldPoint) {
+	if p == PointWakeQueue {
+		h.release.Do(func() { close(h.released) })
+	}
+}
+func (h *selfGrantHooks) Block(YieldPoint)        { h.parks.Add(1) }
+func (h *selfGrantHooks) Unblock(YieldPoint)      { h.parks.Add(1) }
+func (h *selfGrantHooks) FailCAS(YieldPoint) bool { return false }
+func (h *selfGrantHooks) DelayGrant() bool        { return false }
+func (h *selfGrantHooks) Event(ev Event) {
+	if ev.Kind != EvBlocked {
+		return
+	}
+	go func() {
+		h.holder.Commit()
+		close(h.committed)
+	}()
+	<-h.released
+}
+
+// A waiter granted by the scan of its own enqueue never parks: the
+// grant already signalled its channel, and a harness must not see a
+// park whose wake came before it (every wake is announced before it is
+// delivered; see Hooks).
+func TestSelfGrantedWaiterNeverParks(t *testing.T) {
+	h := &selfGrantHooks{released: make(chan struct{}), committed: make(chan struct{})}
+	rt := NewRuntimeOpts(Options{Hooks: h})
+	c := NewClass("SelfGrant", FieldSpec{Name: "v", Kind: KindWord})
+	o := NewCommitted(c)
+	v := c.Field("v")
+
+	h.holder = rt.Begin()
+	h.holder.WriteWord(o, v, 1)
+	tx := rt.Begin()
+	tx.WriteWord(o, v, 2)
+	tx.Commit()
+	<-h.committed
+	if n := h.parks.Load(); n != 0 {
+		t.Fatalf("the self-granted waiter made %d Block/Unblock calls, want 0", n)
+	}
+	if got := CommittedWord(o, v); got != 2 {
+		t.Fatalf("final value = %d, want 2", got)
 	}
 }

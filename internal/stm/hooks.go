@@ -223,7 +223,9 @@ type Hooks interface {
 	// Block announces that the caller is about to park on a runtime
 	// primitive (queue channel, slot-pool handoff, inevitability token) and
 	// will not run until a matching wake event. It must not park; it
-	// may be called with runtime-internal mutexes held.
+	// may be called with runtime-internal mutexes held. Every wake is
+	// announced before it is delivered: its Event precedes the channel
+	// send, and a waiter woken before its Block does not park.
 	Block(p YieldPoint)
 	// Unblock announces that the caller resumed from a Block. It may
 	// park the calling goroutine (to re-serialize it into a schedule).

@@ -162,8 +162,8 @@ func (p *slotPool) release(slot int) {
 
 // handoff gives slot to the overflow-tier head, reporting false if the
 // tier drained before the mutex was taken. The grant event is emitted
-// synchronously by the releaser so a harness can wake exactly the
-// recipient before the physical channel wake is observable.
+// synchronously by the releaser, before the send, so a harness can wake
+// exactly the recipient before the physical channel wake is observable.
 func (p *slotPool) handoff(slot int) bool {
 	p.mu.Lock()
 	if len(p.waiters) == 0 {
@@ -172,8 +172,8 @@ func (p *slotPool) handoff(slot int) bool {
 	}
 	w := p.popLocked()
 	p.mu.Unlock()
-	w.ch <- slot
 	p.grantEvent(w, slot)
+	w.ch <- slot
 	return true
 }
 
@@ -201,8 +201,8 @@ func (p *slotPool) rescue() {
 		}
 		w := p.popLocked()
 		p.mu.Unlock()
-		w.ch <- bitIndex(b)
 		p.grantEvent(w, bitIndex(b))
+		w.ch <- bitIndex(b)
 	}
 }
 

@@ -417,16 +417,21 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	}
 
 	// The queue may have become serviceable while we enqueued (e.g. a
-	// grant raced with the install); try once before sleeping.
+	// grant raced with the install); try once before sleeping. Granted
+	// here or by resolveDeadlocks, the waiter never parks on that signal.
 	d.grantScanLocked(q)
+	granted := wt.granted
 	q.mu.Unlock()
 
 	// Dreadlocks pre-check (lock-free): a new waits-for edge can only
 	// complete cycles through the waiter that just blocked. Walk the
 	// published digests; only a potential cycle pays for the global
 	// confirmation lock.
-	if d.potentialCycle(wt) {
+	if !granted && d.potentialCycle(wt) {
 		d.resolveDeadlocks(wt, site)
+		q.mu.Lock()
+		granted = wt.granted
+		q.mu.Unlock()
 	}
 
 	// Per-site block time is sampled at the profile sampling period, like
@@ -440,25 +445,14 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	if blockSampled {
 		parkStart = time.Now()
 	}
-	for {
+	for !granted {
 		rt.block(PointParked)
 		<-wt.ch
 		rt.unblock(PointParked)
 		q.mu.Lock()
-		granted, aborted := wt.granted, wt.aborted
+		granted = wt.granted
+		aborted := wt.aborted
 		q.mu.Unlock()
-		if granted {
-			if blockSampled {
-				rt.chargeBlock(site, parkStart)
-			}
-			if revoked {
-				// Revocations are rare and always contended; their wait is
-				// measured exactly (no sampling) so the bias layer's cost
-				// to writers is directly observable.
-				tx.n.BiasRevokeWaitNs += uint64(time.Since(revokeStart))
-			}
-			return viaWord
-		}
 		if aborted {
 			if blockSampled {
 				rt.chargeBlock(site, parkStart)
@@ -472,13 +466,25 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			}
 			tx.selfAbort("aborted while enqueued")
 		}
-		// Injected spurious wake-up (Runtime.InjectSpuriousWake): no
-		// state changed; re-check and re-park.
-		tx.n.SpuriousWakes++
-		if rt.wantsEvent(EvSpuriousWake) {
-			rt.event(Event{Kind: EvSpuriousWake, TxID: tx.ID(), Addr: addr})
+		if !granted {
+			// Injected spurious wake-up (Runtime.InjectSpuriousWake): no
+			// state changed; re-check and re-park.
+			tx.n.SpuriousWakes++
+			if rt.wantsEvent(EvSpuriousWake) {
+				rt.event(Event{Kind: EvSpuriousWake, TxID: tx.ID(), Addr: addr})
+			}
 		}
 	}
+	if blockSampled {
+		rt.chargeBlock(site, parkStart)
+	}
+	if revoked {
+		// Revocations are rare and always contended; their wait is
+		// measured exactly (no sampling) so the bias layer's cost to
+		// writers is directly observable.
+		tx.n.BiasRevokeWaitNs += uint64(time.Since(revokeStart))
+	}
+	return viaWord
 }
 
 // waiterFor returns the reusable waiter object of tx's leased lock-word

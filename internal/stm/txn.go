@@ -215,8 +215,8 @@ func (tx *Tx) Inevitable() bool { return tx.inevitable }
 func (tx *Tx) releaseInevitable() {
 	if tx.inevitable {
 		tx.inevitable = false
-		tx.rt.inev <- struct{}{}
 		tx.rt.event(Event{Kind: EvInevRelease, TxID: tx.ID()})
+		tx.rt.inev <- struct{}{}
 	}
 }
 
