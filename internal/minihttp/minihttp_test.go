@@ -2,6 +2,7 @@ package minihttp
 
 import (
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -118,20 +119,32 @@ func TestParseRequestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if req.Method != "GET" || req.Path != "/shop/item" ||
-		req.Query["id"] != "7" || req.Query["session"] != "abc" {
+		req.Get("id") != "7" || req.Get("session") != "abc" || req.Get("none") != "" {
 		t.Fatalf("parsed %+v", req)
+	}
+}
+
+func TestRequestGetLastWins(t *testing.T) {
+	req, err := ParseRequest("GET /x?a=1&b=&a=2=3&c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]string{"a": "2=3", "b": "", "c": "", "d": ""} {
+		if got := req.Get(k); got != want {
+			t.Errorf("Get(%q) = %q, want %q", k, got, want)
+		}
 	}
 }
 
 func TestParseRequestNoQuery(t *testing.T) {
 	req, err := ParseRequest("GET /")
-	if err != nil || req.Path != "/" || len(req.Query) != 0 {
+	if err != nil || req.Path != "/" || req.RawQuery != "" {
 		t.Fatalf("%+v, %v", req, err)
 	}
 }
 
 func TestParseRequestErrors(t *testing.T) {
-	for _, bad := range []string{"", "GET", "GET nopath", " GET /", "GET /?=v"} {
+	for _, bad := range []string{"", "GET", "GET nopath", " GET /", "GET /?=v", "GET /?a=1&", "GET /?a&&b"} {
 		if _, err := ParseRequest(bad); err == nil {
 			t.Errorf("ParseRequest(%q) succeeded", bad)
 		}
@@ -180,6 +193,33 @@ func TestCompilePageRender(t *testing.T) {
 	// Missing variables render empty.
 	if got := p.Render(nil); got != "<h1>Hello </h1><p>Item  costs .</p>" {
 		t.Fatalf("missing vars: %q", got)
+	}
+}
+
+// TestAppendRenderByNumber: a variable referenced twice is numbered once,
+// values are taken by number, and a missing value renders empty.
+func TestAppendRenderByNumber(t *testing.T) {
+	p := MustCompilePage("{b}-{a}-{b}-{c}")
+	if vars := p.Vars(); !slices.Equal(vars, []string{"b", "a", "c"}) {
+		t.Fatalf("vars %v", vars)
+	}
+	if got := string(p.AppendRender([]byte(">"), "B", "A")); got != ">B-A-B-" {
+		t.Fatalf("AppendRender %q", got)
+	}
+	if got := p.Render(map[string]string{"a": "1", "c": "3"}); got != "-1--3" {
+		t.Fatalf("Render %q", got)
+	}
+}
+
+func TestAppendResponseHeader(t *testing.T) {
+	if got := string(AppendResponseHeader([]byte("x"), 409, 12345)); got != "x409 12345\n" {
+		t.Fatalf("%q", got)
+	}
+	if got := FormatResponse(200, ""); got != "200 0\n" {
+		t.Fatalf("%q", got)
+	}
+	if got := FormatResponse(200, "ok\n"); got != "200 3\nok\n" {
+		t.Fatalf("%q", got)
 	}
 }
 

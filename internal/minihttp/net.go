@@ -53,7 +53,7 @@ func (q *byteQueue) read(p []byte) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, q.buf)
-	q.buf = q.buf[n:]
+	q.buf = q.buf[:copy(q.buf, q.buf[n:])] // keep the storage for the next write
 	return n, nil
 }
 
@@ -103,7 +103,7 @@ func (c *Conn) ReadLine() (string, error) {
 		}
 		if i := bytes.IndexByte(q.buf, '\n'); i >= 0 {
 			line = append(line, q.buf[:i]...)
-			q.buf = q.buf[i+1:]
+			q.buf = q.buf[:copy(q.buf, q.buf[i+1:])]
 			return string(line), nil
 		}
 		line = append(line, q.buf...)

@@ -20,34 +20,40 @@ import (
 // commit, while the section's locks are still held — so responses of
 // transactions that conflicted on shared rows leave the socket in commit
 // order. draining may be nil (never drain).
+// A reply is rendered into a per-connection scratch slice and copied
+// once into the wrapper's write buffer, which the connection reuses too.
 func (s *Shop) ServeConn(w *core.Thread, conn minihttp.Stream, slot int, draining func() bool) {
 	defer conn.Close()
 	tc := txio.NewConn(conn)
+	var readable, closed bool
+	var body []byte
+	wait := func() { readable = tc.HasReplay() || conn.WaitReadable() }
+	serve := func(tx *stm.Tx) {
+		line, readErr := tc.ReadLine(tx)
+		if readErr != nil {
+			// Clean close, a dead peer mid-line, or a line past
+			// txio's 64 KiB bound: nothing to answer.
+			closed = true
+			return
+		}
+		var status int
+		req, err := minihttp.ParseRequest(line)
+		if err != nil {
+			status, body, closed = 400, append(append(body[:0], err.Error()...), '\n'), true
+		} else {
+			status, body = s.AppendHandle(body[:0], tx, req, slot)
+		}
+		var header [24]byte
+		tc.Write(tx, minihttp.AppendResponseHeader(header[:0], status, len(body))) //nolint:errcheck
+		tc.Write(tx, body)                                                         //nolint:errcheck
+	}
 	for {
-		readable := false
-		w.Suspend(func() { readable = tc.HasReplay() || conn.WaitReadable() })
+		w.Suspend(wait)
 		if !readable {
 			return
 		}
-		closed := false
-		w.Atomic(func(tx *stm.Tx) {
-			line, readErr := tc.ReadLine(tx)
-			if readErr != nil {
-				// Clean close, a dead peer mid-line, or a line past
-				// txio's 64 KiB bound: nothing to answer.
-				closed = true
-				return
-			}
-			var status int
-			var body string
-			req, err := minihttp.ParseRequest(line)
-			if err != nil {
-				status, body, closed = 400, err.Error()+"\n", true
-			} else {
-				status, body = s.Handle(tx, req, slot)
-			}
-			tc.WriteString(tx, minihttp.FormatResponse(status, body)) //nolint:errcheck
-		})
+		closed = false
+		w.Atomic(serve)
 		// Split per request: commits the database work, flushes the
 		// response, and releases the request's locks and transaction ID.
 		w.Split()

@@ -149,25 +149,32 @@ var browsePage = minihttp.MustCompilePage(
 // an abort of tx rolls the memdb transaction back too, so the replayed
 // section re-executes against a clean database state.
 func (s *Shop) Handle(tx *stm.Tx, req *minihttp.Request, slot int) (status int, body string) {
+	status, b := s.AppendHandle(nil, tx, req, slot)
+	return status, string(b)
+}
+
+// AppendHandle is Handle appending the response body to dst, so a caller
+// that reuses dst renders the reply without allocating it.
+func (s *Shop) AppendHandle(dst []byte, tx *stm.Tx, req *minihttp.Request, slot int) (status int, body []byte) {
 	s.served.Add(tx, slot%s.cfg.StatSlots, 1)
 	switch req.Path {
 	case "/", "/healthz":
-		return 200, "ok\n"
+		return 200, append(dst, "ok\n"...)
 	case "/browse":
-		return s.handleBrowse(tx, req)
+		return s.handleBrowse(dst, tx, req)
 	case "/stock":
-		return s.handleStock(tx, req)
+		return s.handleStock(dst, tx, req)
 	case "/add":
-		return s.handleAdd(tx, req)
+		return s.handleAdd(dst, tx, req)
 	case "/checkout":
-		return s.handleCheckout(tx, req)
+		return s.handleCheckout(dst, tx, req)
 	default:
-		return 404, fmt.Sprintf("unknown path %s\n", req.Path)
+		return 404, fmt.Appendf(dst, "unknown path %s\n", req.Path)
 	}
 }
 
 func (s *Shop) item(req *minihttp.Request) (int, bool) {
-	id, err := strconv.Atoi(req.Query["item"])
+	id, err := strconv.Atoi(req.Get("item"))
 	if err != nil || id < 0 || id >= s.cfg.Items {
 		return 0, false
 	}
@@ -175,52 +182,49 @@ func (s *Shop) item(req *minihttp.Request) (int, bool) {
 }
 
 func (s *Shop) session(req *minihttp.Request) (int64, bool) {
-	sess, err := strconv.ParseInt(req.Query["session"], 10, 64)
+	sess, err := strconv.ParseInt(req.Get("session"), 10, 64)
 	return sess, err == nil && sess >= 0
 }
 
-func (s *Shop) handleBrowse(tx *stm.Tx, req *minihttp.Request) (int, string) {
+func (s *Shop) handleBrowse(dst []byte, tx *stm.Tx, req *minihttp.Request) (int, []byte) {
 	id, ok := s.item(req)
 	if !ok {
-		return 404, "no such item\n"
+		return 404, append(dst, "no such item\n"...)
 	}
 	row, err := s.db.Txn(tx).Get(s.catalog, int64(id))
 	if err != nil {
-		return dbStatus(err)
+		return dbStatus(dst, err)
 	}
 	p := s.products[id]
-	return 200, browsePage.Render(map[string]string{
-		"id":        strconv.Itoa(id),
-		"name":      row[0],
-		"price":     row[1],
-		"available": strconv.FormatInt(tx.ReadInt(p, ProductAvailable), 10),
-		"sold":      strconv.FormatInt(tx.ReadInt(p, ProductSold), 10),
-	})
+	// In the order of browsePage.Vars: id, name, price, available, sold.
+	return 200, browsePage.AppendRender(dst, strconv.Itoa(id), row[0], row[1],
+		strconv.FormatInt(tx.ReadInt(p, ProductAvailable), 10),
+		strconv.FormatInt(tx.ReadInt(p, ProductSold), 10))
 }
 
-func (s *Shop) handleStock(tx *stm.Tx, req *minihttp.Request) (int, string) {
+func (s *Shop) handleStock(dst []byte, tx *stm.Tx, req *minihttp.Request) (int, []byte) {
 	id, ok := s.item(req)
 	if !ok {
-		return 404, "no such item\n"
+		return 404, append(dst, "no such item\n"...)
 	}
 	avail, sold := s.StockOf(tx, id)
-	return 200, fmt.Sprintf("%d %d\n", avail, sold)
+	return 200, fmt.Appendf(dst, "%d %d\n", avail, sold)
 }
 
-func (s *Shop) handleAdd(tx *stm.Tx, req *minihttp.Request) (int, string) {
+func (s *Shop) handleAdd(dst []byte, tx *stm.Tx, req *minihttp.Request) (int, []byte) {
 	sess, ok := s.session(req)
 	if !ok {
-		return 400, "missing session\n"
+		return 400, append(dst, "missing session\n"...)
 	}
 	id, ok := s.item(req)
 	if !ok {
-		return 404, "no such item\n"
+		return 404, append(dst, "no such item\n"...)
 	}
 	qty := int64(1)
-	if q := req.Query["qty"]; q != "" {
+	if q := req.Get("qty"); q != "" {
 		n, err := strconv.ParseInt(q, 10, 64)
 		if err != nil || n <= 0 {
-			return 400, "bad qty\n"
+			return 400, append(dst, "bad qty\n"...)
 		}
 		qty = n
 	}
@@ -230,34 +234,34 @@ func (s *Shop) handleAdd(tx *stm.Tx, req *minihttp.Request) (int, string) {
 	switch {
 	case err == nil:
 		if lines, ok = mergeCartLine(lines, id, qty); !ok {
-			return 400, "bad qty\n"
+			return 400, append(dst, "bad qty\n"...)
 		}
 		if err := txn.Update(s.carts, sess, lines); err != nil {
-			return dbStatus(err)
+			return dbStatus(dst, err)
 		}
 	case errors.Is(err, memdb.ErrNotFound):
 		lines = []string{cartLine(id, qty)}
 		if err := txn.Insert(s.carts, sess, lines); err != nil {
-			return dbStatus(err)
+			return dbStatus(dst, err)
 		}
 	default:
-		return dbStatus(err)
+		return dbStatus(dst, err)
 	}
-	return 200, fmt.Sprintf("cart %d lines\n", len(lines))
+	return 200, fmt.Appendf(dst, "cart %d lines\n", len(lines))
 }
 
-func (s *Shop) handleCheckout(tx *stm.Tx, req *minihttp.Request) (int, string) {
+func (s *Shop) handleCheckout(dst []byte, tx *stm.Tx, req *minihttp.Request) (int, []byte) {
 	sess, ok := s.session(req)
 	if !ok {
-		return 400, "missing session\n"
+		return 400, append(dst, "missing session\n"...)
 	}
 	txn := s.db.Txn(tx)
 	lines, err := txn.Get(s.carts, sess)
 	if errors.Is(err, memdb.ErrNotFound) {
-		return 200, "empty cart\n"
+		return 200, append(dst, "empty cart\n"...)
 	}
 	if err != nil {
-		return dbStatus(err)
+		return dbStatus(dst, err)
 	}
 
 	// Check every line before selling any: a rejected checkout still
@@ -267,23 +271,23 @@ func (s *Shop) handleCheckout(tx *stm.Tx, req *minihttp.Request) (int, string) {
 	for _, line := range lines {
 		id, qty, ok := parseCartLine(line)
 		if !ok || id >= s.cfg.Items {
-			return 500, fmt.Sprintf("corrupt cart line %q\n", line)
+			return 500, fmt.Appendf(dst, "corrupt cart line %q\n", line)
 		}
 		// The cross-request hot row: concurrent checkouts of the same item
 		// serialize on this product's write lock (or duel through the
 		// promotion machinery), never on the database row.
 		if tx.ReadIntForWrite(s.products[id], ProductAvailable) < qty {
-			return 409, fmt.Sprintf("item %d out of stock\n", id)
+			return 409, fmt.Appendf(dst, "item %d out of stock\n", id)
 		}
 		row, err := txn.Get(s.catalog, int64(id))
 		if err != nil {
-			return dbStatus(err)
+			return dbStatus(dst, err)
 		}
 		price, _ := strconv.ParseInt(row[1], 10, 64)
 		total += price * qty
 	}
 	if err := txn.Delete(s.carts, sess); err != nil {
-		return dbStatus(err)
+		return dbStatus(dst, err)
 	}
 	// Every line fits: the loop above holds each product's write lock.
 	for _, line := range lines {
@@ -299,9 +303,9 @@ func (s *Shop) handleCheckout(tx *stm.Tx, req *minihttp.Request) (int, string) {
 
 	vals := append([]string{strconv.FormatInt(sess, 10), strconv.FormatInt(total, 10)}, lines...)
 	if err := txn.Insert(s.orders, id, vals); err != nil {
-		return dbStatus(err)
+		return dbStatus(dst, err)
 	}
-	return 200, fmt.Sprintf("order %d total %d lines %d\n", id, total, len(lines))
+	return 200, fmt.Appendf(dst, "order %d total %d lines %d\n", id, total, len(lines))
 }
 
 // dbStatus maps a memdb error to a response. Conflicts are 409: the
@@ -309,14 +313,14 @@ func (s *Shop) handleCheckout(tx *stm.Tx, req *minihttp.Request) (int, string) {
 // (two connections sharing one session id), and the client may retry.
 // A duplicate insert is the same race one step later — the competing
 // writer already committed — so it maps to 409 as well, not 500.
-func dbStatus(err error) (int, string) {
+func dbStatus(dst []byte, err error) (int, []byte) {
 	if errors.Is(err, memdb.ErrConflict) || errors.Is(err, memdb.ErrDuplicate) {
-		return 409, "conflict, retry\n"
+		return 409, append(dst, "conflict, retry\n"...)
 	}
 	if errors.Is(err, memdb.ErrNotFound) {
-		return 404, "not found\n"
+		return 404, append(dst, "not found\n"...)
 	}
-	return 500, err.Error() + "\n"
+	return 500, append(append(dst, err.Error()...), '\n')
 }
 
 func cartLine(item int, qty int64) string {

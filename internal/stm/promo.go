@@ -88,8 +88,9 @@ func (tx *Tx) noteDuelLoss(site int32) {
 // about whether the promotion would have been written. The empty check
 // inlines into Commit; the scoring loop stays out of line.
 func (tx *Tx) flushPromo() {
-	if len(tx.promoLog) != 0 {
+	if n := len(tx.promoLog); n != 0 {
 		tx.flushPromoSlow()
+		clear(tx.promoLog[:n]) // flushPromoSlow truncates; zero what it dropped
 	}
 }
 

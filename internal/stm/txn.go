@@ -735,6 +735,7 @@ func (tx *Tx) releaseLockEntries(mark int) {
 	for i := mark; i < len(tx.lockLog); i++ {
 		e := &tx.lockLog[i]
 		addr := &e.slab.words[e.lockID]
+		e.slab = nil
 		tx.rt.yield(PointReleaseCAS)
 		for {
 			w := atomic.LoadUint64(addr)
@@ -764,6 +765,7 @@ func (tx *Tx) releaseLockEntries(mark int) {
 	for _, wk := range wakes {
 		tx.rt.wakeQueue(wk.qid, wk.addr)
 	}
+	clear(wakes)
 	tx.wakeScratch = wakes[:0]
 	tx.lockLog = tx.lockLog[:mark]
 }
@@ -835,12 +837,19 @@ func (tx *Tx) Commit() {
 		r.Commit()
 		tx.resources[i] = nil
 	}
-	for _, o := range tx.initLog {
+	for i, o := range tx.initLog {
 		o.locks.Store(unallocSlab)
+		tx.initLog[i] = nil
+	}
+	// Field by field: cheaper than clear's runtime call on a short log.
+	for i := range tx.undo {
+		e := &tx.undo[i]
+		e.obj, e.oldRef, e.oldStr = nil, nil, ""
 	}
 	tx.releaseLocks()
-	if len(tx.biasLog) != 0 {
+	if n := len(tx.biasLog); n != 0 {
 		tx.releaseBias()
+		clear(tx.biasLog[:n]) // releaseBias truncates; zero what it dropped
 	}
 	tx.releaseInevitable()
 	// Take ownership of the deferred callbacks before clearLogs zeroes
@@ -893,16 +902,20 @@ func (tx *Tx) Reset() {
 		case slotStr:
 			e.obj.strs[e.slot] = e.oldStr
 		}
+		*e = undoEntry{}
 	}
+	clear(tx.initLog)
 	tx.releaseLocks()
-	if len(tx.biasLog) != 0 {
+	if n := len(tx.biasLog); n != 0 {
 		tx.releaseBias()
+		clear(tx.biasLog[:n]) // releaseBias truncates; zero what it dropped
 	}
 	tx.releaseInevitable()
 	tx.clearLogs()
 	// Promotions of the aborted attempt are dropped unscored: the attempt
 	// never reached commit, so whether the promotion would have been
 	// written is unknown.
+	clear(tx.promoLog)
 	tx.promoLog = tx.promoLog[:0]
 	tx.victim.Store(false)
 	// Charged now, not through tx.n: a section that keeps retrying must
@@ -936,6 +949,9 @@ func (tx *Tx) ensureSlot() {
 	}
 }
 
+// clearLogs truncates the attempt's logs for reuse. Their pointers are
+// zeroed first, here or by Commit, Reset and the releases, so a pooled
+// Tx keeps no finished section's objects, old values or slabs alive.
 func (tx *Tx) clearLogs() {
 	tx.undo = tx.undo[:0]
 	tx.initLog = tx.initLog[:0]

@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/stm"
 )
@@ -21,6 +22,9 @@ import (
 //     attempt saw. The paper's replay buffer B_R is the unconsumed tail of
 //     the input buffer, not a copy.
 //
+// A finished transaction's state and B_W become the connection's spare
+// once the commit's device write has returned, or at rollback.
+//
 // Any number of transactions may write at once. One at a time may read
 // (the usual shape: one client or per-connection server thread); a
 // transaction that reads while another's reads are uncommitted panics.
@@ -28,8 +32,9 @@ type Conn struct {
 	raw io.ReadWriter
 
 	mu     sync.Mutex
-	in     []byte  // input read from raw that no commit has consumed
-	reader *connTx // the transaction whose reads are uncommitted, or nil
+	in     []byte                 // input read from raw that no commit has consumed
+	reader *connTx                // the transaction whose reads are uncommitted, or nil
+	spare  atomic.Pointer[connTx] // a finished transaction's state, for the next
 }
 
 type connTx struct {
@@ -44,7 +49,12 @@ func (s *connTx) owner() any { return s.c }
 func NewConn(raw io.ReadWriter) *Conn { return &Conn{raw: raw} }
 
 func (c *Conn) stateFor(tx *stm.Tx) *connTx {
-	return stateOn(tx, c, func() *connTx { return &connTx{c: c} })
+	return stateOn(tx, c, func() *connTx {
+		if s := c.spare.Swap(nil); s != nil {
+			return s
+		}
+		return &connTx{c: c}
+	})
 }
 
 // Write defers p until tx commits.
@@ -180,16 +190,23 @@ func (s *connTx) release(consumed bool) {
 	}
 }
 
+// recycle empties s and makes it the connection's spare.
+func (s *connTx) recycle() {
+	s.wbuf, s.cur = s.wbuf[:0], 0
+	s.c.spare.Store(s)
+}
+
 // Commit consumes what the transaction read and flushes B_W.
 func (s *connTx) Commit() {
 	s.release(true)
 	if len(s.wbuf) > 0 {
 		s.c.raw.Write(s.wbuf) //nolint:errcheck // peer teardown races are benign at commit
 	}
+	s.recycle()
 }
 
 // Rollback discards B_W and rewinds the input.
-func (s *connTx) Rollback() { s.release(false) }
+func (s *connTx) Rollback() { s.release(false); s.recycle() }
 
 // BufferedBytes reports B_W plus the input consumed so far (Table 8
 // accounting).

@@ -11,13 +11,14 @@ import (
 )
 
 // chunkedStream serves data in chunks of the sizes it cycles through; it
-// discards writes. With once set, a second Read panics.
+// appends writes to out. With once set, a second Read panics.
 type chunkedStream struct {
 	data   []byte
 	off    int
 	chunks []byte
 	reads  int
 	once   bool
+	out    []byte
 }
 
 func (s *chunkedStream) Read(p []byte) (int, error) {
@@ -37,7 +38,10 @@ func (s *chunkedStream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (s *chunkedStream) Write(p []byte) (int, error) { return len(p), nil }
+func (s *chunkedStream) Write(p []byte) (int, error) {
+	s.out = append(s.out, p...)
+	return len(p), nil
+}
 
 // TestConnReadsAhead: two request lines arriving in one chunk cost one
 // raw Read; the second section is served from the input buffer.
@@ -126,8 +130,11 @@ func TestConnSecondReaderPanics(t *testing.T) {
 // and the committed offset into it: every read returns the model's next
 // bytes, a Reset re-serves exactly what the attempt read (from the
 // buffer, without touching the raw stream), and HasReplay is true exactly
-// when input is buffered that no commit has consumed. Script bytes pick
-// the operation (low two bits) and Read's size (the rest).
+// when input is buffered that no commit has consumed. Every attempt
+// echoes what it reads, so the device output must always be the
+// committed input: an aborted attempt's bytes never leak out of the
+// write buffer the next transaction reuses. Script bytes pick the
+// operation (low two bits) and Read's size (the rest).
 func FuzzConnReplay(f *testing.F) {
 	f.Add([]byte("GET /a\nGET /b\n"), []byte{63}, []byte{0, 2, 0, 3, 0, 2})
 	f.Add([]byte("a\nbb\nccc\n"), []byte{0, 1}, []byte{0, 0, 3, 5, 0, 2, 0, 0})
@@ -159,6 +166,7 @@ func FuzzConnReplay(f *testing.F) {
 				if err != nil || line != string(input[pos:end]) {
 					t.Fatalf("op %d: ReadLine = %q, %v; want %q", i, line, err, input[pos:end])
 				}
+				c.WriteString(tx, line+"\n") //nolint:errcheck
 				pos = end + 1
 			case 1: // Read(n)
 				p := make([]byte, int(op/4)+1)
@@ -172,6 +180,7 @@ func FuzzConnReplay(f *testing.F) {
 				if err != nil || n == 0 || !bytes.Equal(p[:n], input[pos:pos+n]) {
 					t.Fatalf("op %d: Read = %q, %v; want a prefix of %q", i, p[:n], err, input[pos:])
 				}
+				c.Write(tx, p[:n]) //nolint:errcheck
 				pos += n
 			case 2: // Commit
 				tx.Commit()
@@ -187,6 +196,10 @@ func FuzzConnReplay(f *testing.F) {
 				if raw.off != rawOff {
 					t.Fatalf("op %d: replay read the raw stream", i)
 				}
+				c.Write(tx, again) //nolint:errcheck
+			}
+			if !bytes.Equal(raw.out, input[:committed]) {
+				t.Fatalf("op %d: device output %q; want the committed input %q", i, raw.out, input[:committed])
 			}
 			if got, want := c.HasReplay(), raw.off > committed; got != want {
 				t.Fatalf("op %d: HasReplay = %v with %d bytes delivered, %d committed", i, got, raw.off, committed)

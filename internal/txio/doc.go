@@ -23,7 +23,10 @@
 //     device in chunks. Commit trims what was consumed; an abort rewinds
 //     the cursor, so the unconsumed tail of the buffer is the paper's
 //     replay buffer B_R and the retry re-reads exactly the aborted
-//     attempt's bytes. One transaction at a time may read a Conn.
+//     attempt's bytes. One transaction at a time may read a Conn. B_W
+//     is reused: it returns to its Conn only after the commit's device
+//     write has returned, or after a rollback, and the next transaction
+//     on the Conn takes it.
 //   - FileSystem wraps memfs: Open snapshots the file (reads are
 //     trivially repeatable), Create buffers the new content and writes it
 //     at commit.

@@ -274,8 +274,8 @@ func serveBaselineConn(conn *minihttp.Conn, input *tomcatInput, sm *stringManage
 		if err != nil {
 			return
 		}
-		id, _ := strconv.Atoi(req.Query["id"])
-		session := req.Query["session"]
+		id, _ := strconv.Atoi(req.Get("id"))
+		session := req.Get("session")
 
 		mu.Lock()
 		if !*initialized {
@@ -457,8 +457,8 @@ func tomcatServeConn(w *core.Thread, conn *minihttp.Conn, input *tomcatInput,
 			if err != nil {
 				panic(err)
 			}
-			id, _ := strconv.Atoi(req.Query["id"])
-			session := req.Query["session"]
+			id, _ := strconv.Atoi(req.Get("id"))
+			session := req.Get("session")
 
 			// Custom modification: set the initialization flag only once
 			// (check first → shared read lock instead of a write lock per
