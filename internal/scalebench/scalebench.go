@@ -173,9 +173,9 @@ func Mixes() []Mix {
 			body: func(tx *stm.Tx, cells []*stm.Object, w, i int) {
 				// Workers batch overlapping windows starting at rotating,
 				// *unsorted* bases — exactly the shape that deadlocks with
-				// naive in-order blocking acquisition. The trylock phase
-				// plus the sorted fallback keep it live, and the window
-				// overlap forces both phases to run regularly. The first
+				// naive in-order blocking acquisition. AcquireBatch's one
+				// sorted order keeps it live, and the window overlap makes
+				// batches queue behind each other regularly. The first
 				// cell's increment goes through ReadWordForWrite so the
 				// declared-intent path is exercised under contention too.
 				const window = 3

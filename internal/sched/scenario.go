@@ -719,11 +719,11 @@ func ScenarioInvisibleValidation() Scenario {
 // ScenarioBatchAcquire drives the sorted multi-word acquire path
 // (stm.Tx.AcquireBatch) under the scheduler: two workers batch the same
 // two array elements in OPPOSITE program order, then update both.
-// Because AcquireBatch sorts its word set by address, both batches
-// acquire in the same global order, so the classic ABBA deadlock cannot
-// form no matter how the policy interleaves the per-word CASes
-// (PointBatchCAS) — the post-check asserts the detector never fired and
-// both updates survived every schedule.
+// Because AcquireBatch sorts its accesses, both batches take the words
+// through the single-word path in the same global order, so the classic
+// ABBA deadlock cannot form no matter how the policy interleaves the
+// per-word CASes, enqueues and grants — the post-check asserts the
+// detector never fired and both updates survived every schedule.
 func ScenarioBatchAcquire() Scenario {
 	return Scenario{
 		Name: "batch-acquire",

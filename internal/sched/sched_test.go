@@ -158,6 +158,10 @@ func TestCoverageFloors(t *testing.T) {
 		// The scenario's post-check allows one validation abort per run,
 		// so this floor means exactly one on every seed.
 		{ScenarioInvisibleValidation(), Coverage{InvisReads: 1, ValAborts: 6, Commits: 1}},
+		// Opposite-order batches really contend — one queues behind the
+		// other and is granted the word — while the post-check holds
+		// Deadlocks at 0.
+		{ScenarioBatchAcquire(), Coverage{Blocked: 1, Grants: 1, Commits: 1}},
 	} {
 		row := row
 		t.Run(row.sc.Name, func(t *testing.T) { coverageFloor(t, row.sc, 6, row.floor) })

@@ -1,9 +1,13 @@
 package stm
 
 import (
+	"cmp"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestAcquireBatchBasics: a batch over distinct words acquires each in
@@ -119,6 +123,162 @@ func TestAcquireBatchResolution(t *testing.T) {
 		t.Fatalf("shared word after reset = %d, want 0", got)
 	}
 	tx.AbandonAfterReset()
+
+	// A write to a shared object's final field panics in the batch, as
+	// WriteWord does: the raw store that would follow checks nothing.
+	tx = rt.Begin()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		tx.AcquireBatch([]BatchAccess{{Obj: shared, Field: fk, Write: true}})
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("batch write to a shared final field did not panic")
+	}
+	if _, ok := got.(*Aborted); ok {
+		t.Fatalf("batch write to a shared final field aborted instead of panicking: %v", got)
+	}
+	// An element access on a non-array panics even when a field access
+	// with the same index precedes it.
+	got = func() (r any) {
+		defer func() { r = recover() }()
+		tx.AcquireBatch([]BatchAccess{{Obj: shared, Field: 0}, {Obj: shared, Index: 0, IsElem: true}})
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("batch element access on a non-array did not panic")
+	}
+	tx.Commit()
+}
+
+// TestAcquireBatchMatchesSingleWordPath: a batch leaves a transaction
+// exactly as the same accesses through ReadWord/ReadWordForWrite and
+// ReadElem/ReadElemForWrite would, taken in the batch order with one
+// access per distinct word in its strongest mode: the same words held
+// in the same modes, the same logs, the same check and acquire counts.
+func TestAcquireBatchMatchesSingleWordPath(t *testing.T) {
+	c := NewClass("BatchEq",
+		FieldSpec{Name: "a", Kind: KindWord},
+		FieldSpec{Name: "b", Kind: KindWord},
+		FieldSpec{Name: "k", Kind: KindWord, Final: true},
+		FieldSpec{Name: "d", Kind: KindWord})
+	const arrLen = 4
+
+	// One access: target 0-1 shared objects, 2 shared array, 3 new
+	// object, 4 thread-local object, 5 new array.
+	type access struct {
+		target int
+		idx    int // field, or element
+		write  bool
+	}
+	type outcome struct {
+		held                   string // per shared word: '-', 'r' or 'w'
+		lockLog, undo          int
+		owned, isNew, acquired uint64
+	}
+	run := func(shared []*Object, accs []access, batch bool) outcome {
+		rt := NewRuntime()
+		tx := rt.Begin()
+		objs := append(shared[:3:3], tx.New(c), tx.NewLocal(c), tx.NewArray(KindWord, arrLen))
+		bas := make([]BatchAccess, len(accs))
+		for i, a := range accs {
+			o := objs[a.target]
+			bas[i] = BatchAccess{Obj: o, Write: a.write}
+			if o.class.isArray {
+				bas[i].IsElem, bas[i].Index = true, a.idx
+			} else {
+				bas[i].Field = FieldID(a.idx)
+			}
+		}
+		if batch {
+			tx.AcquireBatch(bas)
+		} else {
+			// The batch order, spelled out: object address, index,
+			// writes first; the first access of a word covers the rest.
+			slices.SortStableFunc(bas, func(x, y BatchAccess) int {
+				xi, yi := int(x.Field), int(y.Field)
+				if x.IsElem {
+					xi, yi = x.Index, y.Index
+				}
+				return cmp.Or(
+					cmp.Compare(uintptr(unsafe.Pointer(x.Obj)), uintptr(unsafe.Pointer(y.Obj))),
+					cmp.Compare(xi, yi),
+					cmp.Compare(boolInt(y.Write), boolInt(x.Write)))
+			})
+			for i, a := range bas {
+				if i > 0 && a.Obj == bas[i-1].Obj && a.Field == bas[i-1].Field && a.Index == bas[i-1].Index {
+					continue
+				}
+				switch {
+				case a.IsElem && a.Write:
+					tx.ReadElemForWrite(a.Obj, a.Index)
+				case a.IsElem:
+					tx.ReadElem(a.Obj, a.Index)
+				case a.Write:
+					tx.ReadWordForWrite(a.Obj, a.Field)
+				default:
+					tx.ReadWord(a.Obj, a.Field)
+				}
+			}
+		}
+		var out outcome
+		for _, o := range shared {
+			slab := o.locks.Load()
+			for i := 0; i < o.numLockSlots(); i++ {
+				mode := byte('-')
+				if slab != unallocSlab {
+					if w := atomic.LoadUint64(&slab.words[i]); w&tx.mask != 0 {
+						mode = 'r'
+						if wordIsWrite(w) {
+							mode = 'w'
+						}
+					}
+				}
+				out.held += string(mode)
+			}
+			out.held += "|"
+		}
+		out.lockLog, out.undo = len(tx.lockLog), len(tx.undo)
+		out.owned, out.isNew, out.acquired = tx.n.CheckOwned, tx.n.CheckNew, tx.n.Acquire
+		tx.Reset()
+		tx.AbandonAfterReset()
+		return out
+	}
+
+	rng := rand.New(rand.NewPCG(34, 1))
+	for trial := 0; trial < 300; trial++ {
+		accs := make([]access, 1+rng.IntN(8))
+		for i := range accs {
+			a := access{target: rng.IntN(6), write: rng.IntN(2) == 0}
+			if a.target == 2 || a.target == 5 {
+				a.idx = rng.IntN(arrLen)
+			} else {
+				a.idx = rng.IntN(c.NumFields())
+				// A final field may be written only on a new object.
+				if c.FieldFinal(FieldID(a.idx)) && a.target != 3 {
+					a.write = false
+				}
+			}
+			accs[i] = a
+		}
+		if trial%3 == 0 {
+			// Read and write of one word, in both program orders.
+			accs = append(accs, access{target: 0, idx: 1}, access{target: 0, idx: 1, write: true})
+			accs = append([]access{{target: 2, idx: 3, write: true}}, append(accs, access{target: 2, idx: 3})...)
+		}
+		shared := []*Object{NewCommitted(c), NewCommitted(c), NewCommittedArray(KindWord, arrLen)}
+		got, want := run(shared, accs, true), run(shared, accs, false)
+		if got != want {
+			t.Fatalf("trial %d, accesses %+v:\nbatch        %+v\nsingle words %+v", trial, accs, got, want)
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestAcquireBatchFallbackContended: a word someone else holds pushes the
@@ -334,4 +494,47 @@ func TestBatchSortedOrderPreventsDeadlock(t *testing.T) {
 	if d := run(true); d != 0 {
 		t.Fatalf("sorted batches hit %d deadlocks; address order should prevent the cycle", d)
 	}
+}
+
+// TestAbortedBatchLeavesReplayInvisible: a batch pins invisible reads
+// off only while it runs. Here the batch upgrades w, whose visible grant
+// revalidates the invisible read of y that a foreign commit has made
+// stale, and unwinds with *Aborted; noInvis survives Reset, so a pin
+// left behind would make the replay read z visibly.
+func TestAbortedBatchLeavesReplayInvisible(t *testing.T) {
+	rt := invisRuntime()
+	c := NewClass("BatchInvis",
+		FieldSpec{Name: "y", Kind: KindWord},
+		FieldSpec{Name: "z", Kind: KindWord},
+		FieldSpec{Name: "w", Kind: KindWord})
+	y, z, w := c.Field("y"), c.Field("z"), c.Field("w")
+	o := NewCommitted(c)
+	rt.SeedInvisible(c, y)
+	rt.SeedInvisible(c, z)
+	primeInvis(rt, o, y)
+
+	tx := rt.Begin()
+	tx.ReadWord(o, y)
+	if len(tx.readSet) != 1 {
+		t.Fatalf("read of y was not invisible (read-set %d)", len(tx.readSet))
+	}
+	tx.ReadWord(o, w) // visible: w's site was never seeded
+	foreign := rt.Begin()
+	foreign.WriteWord(o, y, 1)
+	foreign.Commit()
+
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		tx.AcquireBatch([]BatchAccess{{Obj: o, Field: w, Write: true}})
+		return nil
+	}()
+	if _, ok := got.(*Aborted); !ok {
+		t.Fatalf("batch over a stale read-set returned; recovered %v, want *Aborted", got)
+	}
+	tx.Reset()
+	tx.ReadWord(o, z)
+	if len(tx.readSet) != 1 {
+		t.Fatalf("replay's read of z was not invisible (read-set %d): the aborted batch left noInvis set", len(tx.readSet))
+	}
+	tx.Commit()
 }

@@ -65,9 +65,6 @@ const (
 	// between an invisible read and its validation, forcing a
 	// validation abort.
 	PointValidate
-	// PointBatchCAS is the per-word fast-path CAS of Tx.AcquireBatch
-	// (batch.go), the batched counterpart of PointFastCAS.
-	PointBatchCAS
 )
 
 var pointNames = [...]string{
@@ -87,7 +84,6 @@ var pointNames = [...]string{
 	PointBiasPublish:  "bias-publish",
 	PointVersionStamp: "version-stamp",
 	PointValidate:     "validate",
-	PointBatchCAS:     "batch-cas",
 }
 
 func (p YieldPoint) String() string {

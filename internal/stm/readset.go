@@ -168,10 +168,11 @@ func (tx *Tx) extendSnapshot() *invisRead {
 }
 
 // revalidate is the opacity check of a fresh visible grant (lockFor,
-// AcquireBatch): once the clock has passed rv, a section that read
-// invisibly extends its snapshot or aborts before it can consume the
-// new value beside a stale one — Kuznetsov & Ravi's incremental
-// validation. Called after the grant is logged, so an abort releases it.
+// which AcquireBatch also goes through): once the clock has passed rv,
+// a section that read invisibly extends its snapshot or aborts before
+// it can consume the new value beside a stale one — Kuznetsov & Ravi's
+// incremental validation. Called after the grant is logged, so an
+// abort releases it.
 func (tx *Tx) revalidate() {
 	if len(tx.readSet) != 0 {
 		tx.revalidateSlow()

@@ -69,7 +69,7 @@ type StatsSnapshot struct {
 	ValidationAborts uint64 `prom:"sbd_validation_aborts_total" help:"Commit-time read-set validation failures."`
 	ModeFlips        uint64 `prom:"sbd_mode_flips_total" help:"Per-site read-mode threshold crossings (visible<->invisible)."`
 
-	// Caller-directed fast paths: AcquireBatch (batch.go) and ReadWordForWrite.
+	// Caller-directed acquisition: AcquireBatch (batch.go) and ReadWordForWrite.
 	BatchAcquires uint64 `prom:"sbd_batch_acquires_total" help:"Multi-word batch acquisitions (one per AcquireBatch)."`
 	BatchWords    uint64 `prom:"sbd_batch_words_total" help:"Distinct lock words covered by batched acquisitions."`
 	IntentHints   uint64 `prom:"sbd_intent_hints_total" help:"Reads carrying compiler-inferred write intent (ReadWordForWrite)."`

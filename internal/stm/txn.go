@@ -119,8 +119,8 @@ type Tx struct {
 	// transaction can never unwind on a validation failure. Survives
 	// Reset deliberately; cleared at Begin.
 	noInvis bool
-	// batchScratch is AcquireBatch's reusable resolved-word buffer.
-	batchScratch []batchWord
+	// batchScratch is AcquireBatch's reusable sort buffer.
+	batchScratch []batchKey
 
 	// n is the per-transaction counter block, flushed to Runtime.Stats at
 	// end to keep the access fast path free of shared atomics. It
@@ -711,15 +711,7 @@ type queueWake struct {
 // waiter is never woken into a lock the releasing transaction still
 // holds (it would just fail its grant and re-park, a wasted wake and, on
 // multi-lock conflicts, a source of grant/release churn).
-func (tx *Tx) releaseLocks() { tx.releaseLockEntries(0) }
-
-// releaseLockEntries releases every lock-log entry from mark on and
-// truncates the log back to mark, waking any queues that installed
-// themselves while the words were held. Commit-time version stamping
-// applies only once the transaction has ended; a mid-transaction release
-// (the batch fast-path rollback) leaves versions untouched — the
-// released words' committed values were never modified.
-func (tx *Tx) releaseLockEntries(mark int) {
+func (tx *Tx) releaseLocks() {
 	if tx.ended {
 		// Commit path: every written word's new version is public before
 		// the first clearing CAS below, so a section that sees any word of
@@ -727,12 +719,12 @@ func (tx *Tx) releaseLockEntries(mark int) {
 		// every version stamped (readset.go). Reset reaches here with
 		// ended == false and must NOT stamp: the undo log restored the old
 		// value, so the committed version never changed.
-		for i := mark; i < len(tx.lockLog); i++ {
+		for i := range tx.lockLog {
 			tx.stampVersion(&tx.lockLog[i])
 		}
 	}
 	wakes := tx.wakeScratch[:0]
-	for i := mark; i < len(tx.lockLog); i++ {
+	for i := range tx.lockLog {
 		e := &tx.lockLog[i]
 		addr := &e.slab.words[e.lockID]
 		e.slab = nil
@@ -767,7 +759,7 @@ func (tx *Tx) releaseLockEntries(mark int) {
 	}
 	clear(wakes)
 	tx.wakeScratch = wakes[:0]
-	tx.lockLog = tx.lockLog[:mark]
+	tx.lockLog = tx.lockLog[:0]
 }
 
 // accountMemory accumulates the Table 8 components of this attempt into
