@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare tables examples clean ci fmt-check stress stress-det smoke ablation ablation-golden
+.PHONY: all build vet test race bench bench-compare tables examples clean ci fmt-check one-path stress stress-det smoke ablation ablation-golden
 
 all: build vet test
 
@@ -22,12 +22,20 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The gate CI runs on every push/PR: formatting, build, vet, tests, the
-# ablation table diff, the stress determinism gate (below), and the
-# benchmark module — a module of its own (benchmark/go.mod), so ./...
-# at the root never compiles it and an API rename here would otherwise
-# break `bash benchmark/run.sh` silently.
-ci: fmt-check build vet test ablation stress-det
+# One slow path: the schedule harness runs exactly the slow path
+# production runs, so internal/stm tests its hooks only to dispatch
+# them, never to skip a branch when none are installed.
+one-path:
+	@out="$$(git grep -n 'hooks == nil' -- 'internal/stm/*.go' ':!*_test.go')"; \
+		if [ -n "$$out" ]; then echo "production-only branch in internal/stm:"; \
+		echo "$$out"; exit 1; fi
+
+# The gate CI runs on every push/PR: formatting, the one-path check,
+# build, vet, tests, the ablation table diff, the stress determinism
+# gate (below), and the benchmark module — a module of its own
+# (benchmark/go.mod), so ./... at the root never compiles it and an API
+# rename here would otherwise break `bash benchmark/run.sh` silently.
+ci: fmt-check one-path build vet test ablation stress-det
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Schedule-exploration stress harness. Seed/rounds overridable:

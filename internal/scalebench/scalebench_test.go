@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/stm"
 )
 
 // TestMixes runs every mix at one and two threads. Run panics when a
@@ -48,10 +50,12 @@ func TestMixes(t *testing.T) {
 }
 
 // The contended path allocates nothing per wait: every queue ID owns one
-// preallocated queue, so contended-counter at two threads, which
-// enqueues on a large share of its transactions, takes fewer mallocs
-// than one per hundred enqueues. An allocation per queue install fails
-// it.
+// preallocated queue, so contended-counter's sections, driven through a
+// handshake that makes every round enqueue, take fewer mallocs than one
+// per hundred enqueues. An allocation per queue install fails it. The
+// holder commits only once the rival is queued behind it; a spinner
+// that outlasts the holder never reaches the queue, so without the
+// handshake a run can enqueue almost never and measure nothing.
 func TestContendedCounterAllocatesNothingPerEnqueue(t *testing.T) {
 	if !poolRecycles() {
 		t.Skip("sync.Pool drops objects in this build (-race), so every Begin may allocate")
@@ -62,17 +66,59 @@ func TestContendedCounterAllocatesNothingPerEnqueue(t *testing.T) {
 			m = mm
 		}
 	}
+	const rounds = 10_000
+	blocked := make(enqueueSignal, 1)
+	rt := stm.NewRuntimeOpts(stm.Options{RecorderSize: -1, Hooks: blocked})
+	cells := []*stm.Object{stm.NewCommitted(cellClass)}
+	held, done := make(chan int), make(chan struct{})
+	go func() { // the rival: one section per round, queued behind the holder
+		for i := range held {
+			runMixTxn(rt, m, cells, 1, i)
+			done <- struct{}{}
+		}
+	}()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r := Run(m, 2, 200_000)
-	runtime.ReadMemStats(&after)
-	if r.Contended == 0 {
-		t.Skip("no transaction enqueued, so there is nothing to measure")
+	for i := 0; i < rounds; i++ {
+		tx := rt.Begin()
+		m.body(tx, cells, 0, i)
+		held <- i
+		<-blocked
+		tx.Commit()
+		<-done
 	}
-	if mallocs := after.Mallocs - before.Mallocs; mallocs >= r.Contended/100 {
-		t.Errorf("%d mallocs for %d enqueues, want fewer than %d", mallocs, r.Contended, r.Contended/100)
+	runtime.ReadMemStats(&after)
+	close(held)
+	if err := m.verify(cells, 2*rounds); err != nil {
+		t.Fatal(err)
+	}
+	enqueues := rt.Stats().Snapshot().Contended
+	if enqueues < rounds {
+		t.Fatalf("%d enqueues over %d rounds: the handshake let a rival skip the queue", enqueues, rounds)
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs >= enqueues/100 {
+		t.Errorf("%d mallocs for %d enqueues, want fewer than %d", mallocs, enqueues, enqueues/100)
 	} else {
-		t.Logf("%d mallocs for %d enqueues", mallocs, r.Contended)
+		t.Logf("%d mallocs for %d enqueues", mallocs, enqueues)
+	}
+}
+
+// enqueueSignal is a Hooks that only reports enqueues (EvBlocked) on a
+// channel, never blocking the runtime. Its Yield is a no-op, so a spin
+// round costs nothing and the rival enqueues at once.
+type enqueueSignal chan struct{}
+
+func (h enqueueSignal) Yield(stm.YieldPoint)        {}
+func (h enqueueSignal) Block(stm.YieldPoint)        {}
+func (h enqueueSignal) Unblock(stm.YieldPoint)      {}
+func (h enqueueSignal) FailCAS(stm.YieldPoint) bool { return false }
+func (h enqueueSignal) DelayGrant() bool            { return false }
+func (h enqueueSignal) Event(ev stm.Event) {
+	if ev.Kind == stm.EvBlocked {
+		select {
+		case h <- struct{}{}:
+		default:
+		}
 	}
 }
 

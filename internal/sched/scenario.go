@@ -53,11 +53,15 @@ func RunScenario(sc Scenario, pol Policy, cfg Config) Result {
 	if err == nil && post != nil {
 		err = post()
 	}
+	// Spins and write-throughs emit no event; the runtime counts them.
+	cov := s.Coverage()
+	snap := rt.Stats().Snapshot()
+	cov.Spins, cov.WriteThrus = int(snap.SpinAcquires), int(snap.BiasWriteThrus)
 	return Result{
 		Scenario:  sc.Name,
 		Err:       err,
 		Decisions: s.Decisions(),
-		Coverage:  s.Coverage(),
+		Coverage:  cov,
 		Events:    s.RecentEvents(),
 	}
 }
@@ -582,6 +586,63 @@ func ScenarioBiasRevoke() Scenario {
 	}
 }
 
+// ScenarioBiasDrainTimeout forces the write-through drain timeout
+// (bias.go): reader R biased-reads A, then writes B, which writer W
+// already holds, so R parks in B's queue with its reader slot for A
+// still published. W — once R is queued — writes A through the bias
+// marker, spends its whole drain budget on a slot that cannot clear,
+// retracts, and revokes the bias. Its queue digest folds R's slot in,
+// so the detector sees the cycle and aborts its youngest member. A
+// digest that missed the slot holder would leave both parked for good,
+// which the scheduler fails as a global stall. The post-check accepts
+// exactly the two serial outcomes.
+func ScenarioBiasDrainTimeout() Scenario {
+	return Scenario{
+		Name: "bias-drain-timeout",
+		Build: func(rt *stm.Runtime, s *Scheduler) ([]Worker, func() error) {
+			a, b := stm.NewCommitted(cellClass), stm.NewCommitted(cellClass)
+			s.Watch(a, b)
+			rt.SeedReadBias(cellClass, cellV)
+			rID := -1 // written before the barrier, read after
+			reader := Worker{Name: "dt-r", Body: func() {
+				arm := true
+				Retry(s, rt, func(tx *stm.Tx) {
+					v := tx.ReadWord(a, cellV)
+					if arm {
+						arm = false
+						rID = tx.ID()
+						s.Barrier("dt", 2)
+					}
+					tx.WriteWord(b, cellV, 10+v)
+				})
+			}}
+			writer := Worker{Name: "dt-w", Body: func() {
+				arm := true
+				Retry(s, rt, func(tx *stm.Tx) {
+					tx.WriteWord(b, cellV, 1)
+					if arm {
+						arm = false
+						s.Barrier("dt", 2)
+						s.AwaitBlocked(rID)
+					}
+					tx.WriteWord(a, cellV, 1)
+				})
+			}}
+			post := func() error {
+				// R then W leaves (1, 1); W then R leaves (1, 11).
+				if va, vb := stm.CommittedWord(a, cellV), stm.CommittedWord(b, cellV); va != 1 || (vb != 1 && vb != 11) {
+					return fmt.Errorf("bias-drain-timeout: (a, b) = (%d, %d), want (1, 1) or (1, 11)", va, vb)
+				}
+				if snap := rt.Stats().Snapshot(); snap.Deadlocks == 0 {
+					return fmt.Errorf("bias-drain-timeout: no deadlock resolved; the reader/writer cycle never formed")
+				}
+				return nil
+			}
+			return []Worker{reader, writer}, post
+		},
+	}
+}
+
 // ScenarioSlotLease forces slot-lease exhaustion with a choreographed
 // handoff: a runtime capped at two slots, two holders that keep their
 // slots (locks held) until both overflow waiters are provably parked in
@@ -722,21 +783,36 @@ func ScenarioInvisibleValidation() Scenario {
 // Because AcquireBatch sorts its accesses, both batches take the words
 // through the single-word path in the same global order, so the classic
 // ABBA deadlock cannot form no matter how the policy interleaves the
-// per-word CASes, enqueues and grants — the post-check asserts the
-// detector never fired and both updates survived every schedule.
+// per-word CASes, spins, enqueues and grants — the post-check asserts
+// the detector never fired and both updates survived every schedule.
+// The first batch to hold both words keeps them until the other has
+// enqueued, so the two really contend on every schedule: a spin alone
+// cannot outlast a holder that waits for it.
 func ScenarioBatchAcquire() Scenario {
 	return Scenario{
 		Name: "batch-acquire",
 		Build: func(rt *stm.Runtime, s *Scheduler) ([]Worker, func() error) {
 			arr := stm.NewCommittedArray(stm.KindWord, 4)
 			s.Watch(arr)
-			mk := func(name string, first, second int) Worker {
-				return Worker{Name: name, Body: func() {
+			ids := [2]int{-1, -1} // written before the barrier, read after
+			held := false
+			mk := func(me, first, second int) Worker {
+				return Worker{Name: fmt.Sprintf("ba-%d%d", first, second), Body: func() {
+					arm := true
 					Retry(s, rt, func(tx *stm.Tx) {
+						if arm {
+							ids[me] = tx.ID()
+							s.Barrier("ba", 2)
+						}
 						tx.AcquireBatch([]stm.BatchAccess{
 							{Obj: arr, Index: first, IsElem: true, Write: true},
 							{Obj: arr, Index: second, IsElem: true, Write: true},
 						})
+						if arm && !held {
+							held = true
+							s.AwaitBlocked(ids[1-me])
+						}
+						arm = false
 						// Both words are write-held: the updates run raw.
 						arr.SetRawElem(first, arr.RawElem(first)+1)
 						arr.SetRawElem(second, arr.RawElem(second)+1)
@@ -758,7 +834,7 @@ func ScenarioBatchAcquire() Scenario {
 				}
 				return nil
 			}
-			return []Worker{mk("ba-02", 0, 2), mk("ba-20", 2, 0)}, post
+			return []Worker{mk(0, 0, 2), mk(1, 2, 0)}, post
 		},
 	}
 }
@@ -782,6 +858,7 @@ func RoundScenarios(seed uint64) []Scenario {
 		ScenarioSlotLease(),
 		ScenarioInvisibleValidation(),
 		ScenarioBatchAcquire(),
+		ScenarioBiasDrainTimeout(),
 	}
 }
 

@@ -133,6 +133,7 @@ type Coverage struct {
 	Duels         int // dueling write-upgrades resolved
 	Grants        int // queue handoffs (EvGranted)
 	Blocked       int // enqueues on contended locks
+	Spins         int // acquisitions won by spin-before-enqueue (RunScenario reads the runtime's SpinAcquires)
 	CASFails      int // injected CAS failures
 	DelayedGrants int // suppressed grant scans
 	Redeliveries  int // redelivered grant scans
@@ -140,6 +141,7 @@ type Coverage struct {
 	Promotions    int // adaptive write-intent promotions (EvPromoted)
 	BiasGrants    int // biased reader-slot grants (EvBiased)
 	BiasRevokes   int // read-bias revocations by writers (EvBiasRevoke)
+	WriteThrus    int // writes through a bias marker whose drain completed (RunScenario reads BiasWriteThrus)
 	SlotWaits     int // sections parked in the slot pool's overflow tier (EvSlotWait)
 	SlotGrants    int // slot leases handed to overflow-tier waiters (EvSlotGrant)
 	InvisReads    int // invisible optimistic reads (EvInvisRead)
@@ -149,8 +151,8 @@ type Coverage struct {
 }
 
 func (c Coverage) String() string {
-	return fmt.Sprintf("deadlocks=%d duels=%d grants=%d blocked=%d casfail=%d delayed=%d redeliver=%d spurious=%d promoted=%d biased=%d revoked=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
-		c.Deadlocks, c.Duels, c.Grants, c.Blocked, c.CASFails, c.DelayedGrants, c.Redeliveries, c.SpuriousWakes, c.Promotions, c.BiasGrants, c.BiasRevokes, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
+	return fmt.Sprintf("deadlocks=%d duels=%d grants=%d blocked=%d spins=%d casfail=%d delayed=%d redeliver=%d spurious=%d promoted=%d biased=%d revoked=%d writethrus=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
+		c.Deadlocks, c.Duels, c.Grants, c.Blocked, c.Spins, c.CASFails, c.DelayedGrants, c.Redeliveries, c.SpuriousWakes, c.Promotions, c.BiasGrants, c.BiasRevokes, c.WriteThrus, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
 }
 
 // Add accumulates c2 into c.
@@ -159,6 +161,7 @@ func (c *Coverage) Add(c2 Coverage) {
 	c.Duels += c2.Duels
 	c.Grants += c2.Grants
 	c.Blocked += c2.Blocked
+	c.Spins += c2.Spins
 	c.CASFails += c2.CASFails
 	c.DelayedGrants += c2.DelayedGrants
 	c.Redeliveries += c2.Redeliveries
@@ -166,6 +169,7 @@ func (c *Coverage) Add(c2 Coverage) {
 	c.Promotions += c2.Promotions
 	c.BiasGrants += c2.BiasGrants
 	c.BiasRevokes += c2.BiasRevokes
+	c.WriteThrus += c2.WriteThrus
 	c.SlotWaits += c2.SlotWaits
 	c.SlotGrants += c2.SlotGrants
 	c.InvisReads += c2.InvisReads

@@ -118,6 +118,10 @@ func TestBiasRevokeDeterministic(t *testing.T) {
 	reproducibleSeeds(t, ScenarioBiasRevoke(), 5, 77, 31337)
 }
 
+func TestBiasDrainTimeoutDeterministic(t *testing.T) {
+	reproducibleSeeds(t, ScenarioBiasDrainTimeout(), 5, 77, 31337)
+}
+
 func TestInvisibleValidationDeterministic(t *testing.T) {
 	reproducibleSeeds(t, ScenarioInvisibleValidation(), 3, 99, 4242)
 }
@@ -162,6 +166,10 @@ func TestCoverageFloors(t *testing.T) {
 		// other and is granted the word — while the post-check holds
 		// Deadlocks at 0.
 		{ScenarioBatchAcquire(), Coverage{Blocked: 1, Grants: 1, Commits: 1}},
+		// A write through the bias marker whose drain times out on a
+		// parked slot holder: the writer revokes, and the detector breaks
+		// the cycle through the folded reader slot.
+		{ScenarioBiasDrainTimeout(), Coverage{BiasRevokes: 1, Deadlocks: 1}},
 	} {
 		row := row
 		t.Run(row.sc.Name, func(t *testing.T) { coverageFloor(t, row.sc, 6, row.floor) })
@@ -207,14 +215,16 @@ func TestUnannouncedWakeFailsRun(t *testing.T) {
 
 // Every round must hit the coverage floor: the directed scenarios
 // guarantee at least one deadlock resolution, one dueling upgrade, and
-// one queue handoff regardless of the seed.
+// one queue handoff regardless of the seed. The harness runs the slow
+// path production runs, so these rounds also win a lock by spinning and
+// write through a bias marker.
 func TestCoverageFloor(t *testing.T) {
 	for _, seed := range []uint64{3, 1000, 424242} {
 		_, cov, err := RunRound(seed, testConfig())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if cov.Deadlocks < 1 || cov.Duels < 1 || cov.Grants < 1 {
+		if cov.Deadlocks < 1 || cov.Duels < 1 || cov.Grants < 1 || cov.Spins < 1 || cov.WriteThrus < 1 {
 			t.Fatalf("seed %d: coverage floor not met: %s", seed, cov)
 		}
 	}

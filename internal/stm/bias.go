@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"runtime"
 	"sync/atomic"
 	"unsafe"
 )
@@ -19,23 +18,23 @@ import (
 //     then on readers skip the shared CAS entirely: visibility is a
 //     plain store of the word's address into a cache-line-padded
 //     per-transaction-ID reader slot, released in bulk at commit.
-//   - A production writer normally WRITES THROUGH the bias: one CAS
-//     sets the W flag alongside the marker (grantWord preserves the
-//     queue-ID field), which blocks new slot publishes — a reader
-//     verifies marker-and-no-W after publishing — and the writer then
-//     waits out the already-published cohort with bounded reschedules
+//   - A writer normally WRITES THROUGH the bias: one CAS sets the W
+//     flag alongside the marker (grantWord preserves the queue-ID
+//     field), which blocks new slot publishes — a reader verifies
+//     marker-and-no-W after publishing — and the writer then waits out
+//     the already-published cohort with bounded wait rounds
 //     (biasWriteDrain). The marker survives the write, so a read-mostly
 //     site pays no bias teardown/rebuild per write and readers park
-//     exactly never in the common case.
+//     exactly never in the common case. A schedule harness runs the
+//     same write-through, each drain round a scheduling point.
 //   - The queue protocol is the fallback, not the common case: a writer
 //     whose drain budget runs out (a slot holder is itself blocked — a
-//     potential deadlock the detector must see), a dueling upgrader, or
-//     any writer under a schedule harness REVOKES the bias instead,
-//     replacing the marker with a real installed queue in one CAS
-//     (detector.lockedQueue), scanning the 56 reader lines for live
-//     slots, and folding them into its dependency digest — so
-//     dreadlocks detection and the youngest-victim rule stay exact
-//     across biased readers — before parking until the slots drain.
+//     potential deadlock the detector must see), or a dueling upgrader,
+//     REVOKES the bias instead, replacing the marker with a real
+//     installed queue in one CAS (detector.lockedQueue), scanning the 56
+//     reader lines for live slots, and folding them into its dependency
+//     digest — so dreadlocks detection and the youngest-victim rule stay
+//     exact across biased readers — before parking until the slots drain.
 //     While the queue is installed no new reader can publish (publish
 //     requires the marker) or bypass it, so the wait is bounded by the
 //     current reader cohort and FIFO fairness resumes: re-bias needs
@@ -264,12 +263,11 @@ func (tx *Tx) releaseBias() {
 // writer's W flag, so no new slot can verify (tryBiasRead checks W) and
 // the cohort only shrinks. The slots belong to readers that are past
 // their reads and just need processor time to commit, so bounded
-// reschedules beat a park/wake handoff — and there is no queue to park
-// on anyway. Returns false when the budget runs out without a drain: a
-// slot holder is itself blocked, and the writer must retract and go
-// through the queue protocol to become visible to the deadlock
-// detector. Production only (the write-through CAS is gated on
-// rt.hooks == nil; a harness explores the revocation path instead).
+// reschedules (Runtime.spinWait, which a harness schedules) beat a
+// park/wake handoff — and there is no queue to park on anyway. Returns
+// false when the budget runs out without a drain: a slot holder is
+// itself blocked, and the writer must retract and go through the queue
+// protocol to become visible to the deadlock detector.
 //
 //go:noinline
 func (tx *Tx) biasWriteDrain(addr *uint64) bool {
@@ -279,7 +277,7 @@ func (tx *Tx) biasWriteDrain(addr *uint64) bool {
 			tx.n.BiasWriteThrus++
 			return true
 		}
-		runtime.Gosched()
+		rt.spinWait(0)
 	}
 	return false
 }
@@ -301,7 +299,7 @@ func (tx *Tx) biasWriteRetract(addr *uint64, keepBit bool) {
 	for {
 		w := atomic.LoadUint64(addr)
 		nw := w &^ clear
-		if casw(addr, w, nw) {
+		if tx.rt.casWord(addr, w, nw, PointSpin) {
 			if qid := wordRealQueue(nw); qid != 0 {
 				tx.rt.wakeQueue(qid, addr)
 			}

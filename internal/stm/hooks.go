@@ -65,6 +65,10 @@ const (
 	// between an invisible read and its validation, forcing a
 	// validation abort.
 	PointValidate
+	// PointSpin is one round of a bounded wait loop — spin-before-enqueue
+	// and the write-through drain (Runtime.spinWait) — and the CAS a
+	// spinning or retracting writer makes on the lock word.
+	PointSpin
 )
 
 var pointNames = [...]string{
@@ -84,6 +88,7 @@ var pointNames = [...]string{
 	PointBiasPublish:  "bias-publish",
 	PointVersionStamp: "version-stamp",
 	PointValidate:     "validate",
+	PointSpin:         "spin",
 }
 
 func (p YieldPoint) String() string {

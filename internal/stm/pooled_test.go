@@ -2,6 +2,7 @@ package stm
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -69,4 +70,72 @@ func collected(ch <-chan struct{}) bool {
 		}
 	}
 	return false
+}
+
+// TestPooledTxForgetsRequeued: the spin budget is a function of its own
+// section. A Tx whose section went through the wait queue, recycled
+// through the pool, starts its next section with no queue trip on
+// record, so that section spins in full before it enqueues.
+func TestPooledTxForgetsRequeued(t *testing.T) {
+	if !poolRecycles() {
+		t.Skip("sync.Pool drops objects in this build (-race), so Begin may not hand the Tx back")
+	}
+	rt := NewRuntime()
+	o := NewCommitted(accountClass)
+	bal := accountClass.Field("balance")
+	for attempt := 0; attempt < 100; attempt++ {
+		holder := rt.Begin()
+		holder.WriteWord(o, bal, 1)
+		type result struct{ queued, same, requeued bool }
+		done := make(chan result)
+		go func() {
+			tx := rt.Begin()
+			tx.WriteWord(o, bal, 2) // spins, enqueues behind holder, is granted
+			queued := tx.requeued
+			tx.Commit()
+			// The holder's Tx, recycled on this P first, may come back
+			// ahead of this one.
+			a, b := rt.Begin(), rt.Begin()
+			again := a
+			if b == tx {
+				again = b
+			}
+			done <- result{queued, again == tx, again.requeued}
+			a.Commit()
+			b.Commit()
+		}()
+		for len(rt.BlockedTxns()) == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		holder.Commit()
+		r := <-done
+		if !r.queued {
+			t.Fatal("the waiter's section never went through the queue")
+		}
+		if !r.same {
+			continue // the pool handed out another Tx; try again
+		}
+		if r.requeued {
+			t.Fatal("a pooled Tx carried its last section's queue trip into a new section")
+		}
+		return
+	}
+	t.Skip("the Tx pool never handed the same Tx back")
+}
+
+// poolRecycles reports whether sync.Pool hands back the object just put
+// into it. The race detector makes it drop objects at random.
+func poolRecycles() bool {
+	var p sync.Pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		x, _ := p.Get().(*[64]byte)
+		if x == nil {
+			x = new([64]byte)
+		}
+		p.Put(x)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs-before.Mallocs < 100
 }

@@ -27,7 +27,8 @@ import (
 //     the lock before paying for the queue protocol. The spin only ever
 //     bypasses when NO queue is installed — exactly the fairness rule
 //     of the slow-path re-check — and it is bounded, so a waiter always
-//     becomes visible to the deadlock detector eventually.
+//     becomes visible to the deadlock detector eventually. A schedule
+//     harness runs the same spin, with each wait a scheduling point.
 //
 // An aborted section replays at once. Progress rests on the start
 // ticket, which survives Reset: the replay queues behind the winner and
@@ -108,21 +109,6 @@ func (tx *Tx) flushPromoSlow() {
 	tx.promoLog = tx.promoLog[:0]
 }
 
-// nextRand advances the per-transaction xorshift64 PRNG, lazily seeded
-// from the ticket: deterministic given the transaction's identity, no
-// shared state.
-func (tx *Tx) nextRand() uint64 {
-	if tx.rng == 0 {
-		tx.rng = tx.ticket*0x9e3779b97f4a7c15 | 1
-	}
-	x := tx.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	tx.rng = x
-	return x
-}
-
 // Spin-before-enqueue bounds. The whole budget is ~2ms: a couple of
 // plain reschedules (on a loaded single core one reschedule usually
 // spans a rival's whole critical section), then sleeps doubling from
@@ -132,17 +118,29 @@ func (tx *Tx) nextRand() uint64 {
 // sleep jittered so symmetric spinners desynchronize. A spinner that
 // exhausts the budget enqueues, so eventual queue entry — and with it
 // deadlock-detector visibility — is unconditional and fast (~2ms). A
-// transaction whose previous contended acquisition already went
-// through the queue skips the sleep rounds entirely and re-enqueues
-// after the reschedules: parked waiting is silent, while sleep-polling
-// a monopolized lock charges the lock holder a timer interrupt per
-// wake.
+// section that has already been through the queue once (Tx.requeued)
+// skips the sleep rounds entirely and re-enqueues after the
+// reschedules: parked waiting is silent, while sleep-polling a
+// monopolized lock charges the lock holder a timer interrupt per wake.
 const (
 	spinGoschedRounds = 2
 	spinSleepRounds   = 4
 	spinSleepMinUs    = 128
 	spinSleepCapUs    = 512
 )
+
+// spinWait is one round of a bounded wait loop (the spin, the
+// write-through drain): a Yield at PointSpin under a harness, else a
+// reschedule (d == 0) or a sleep of d.
+func (rt *Runtime) spinWait(d time.Duration) {
+	if rt.hooks != nil {
+		rt.hooks.Yield(PointSpin)
+	} else if d == 0 {
+		runtime.Gosched()
+	} else {
+		time.Sleep(d)
+	}
+}
 
 // grantVia says how a slow-path acquisition was satisfied, so the caller
 // knows who owns the release.
@@ -159,9 +157,9 @@ const (
 // fairness rule — no acquisition while a queue is installed — and gives
 // up immediately for upgrades (an upgrader must enqueue so the
 // structural duel detection and the U flag see it). Returns viaNone if
-// the lock was not acquired. Only called in production (rt.hooks ==
-// nil): under a harness the queue machinery is exactly what runs should
-// explore, and timed sleeps have no deterministic meaning.
+// the lock was not acquired. The spin is a function of its own section:
+// its budget shortens only after a queue trip within the section, and
+// each round's wait is Runtime.spinWait, which a harness schedules.
 func (tx *Tx) spinAcquire(addr *uint64, site int32, write, mustQueue bool) grantVia {
 	w0 := atomic.LoadUint64(addr)
 	if w0&tx.mask != 0 {
@@ -195,6 +193,7 @@ func (tx *Tx) spinAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		// queue and tear the bias down for every reader behind it.
 		rounds, gosched = biasSpinRounds, biasSpinRounds
 	}
+	const cap = spinSleepCapUs * time.Microsecond
 	sleep := spinSleepMinUs * time.Microsecond
 	for total := 0; total < rounds; total++ {
 		w := atomic.LoadUint64(addr)
@@ -212,7 +211,7 @@ func (tx *Tx) spinAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		}
 		if wordQueueID(w) == 0 || wordIsBiased(w) {
 			if nw, ok := grantWord(w, tx, write); ok {
-				if casw(addr, w, nw) {
+				if tx.rt.casWord(addr, w, nw, PointSpin) {
 					tx.n.SpinAcquires++
 					tx.requeued = false
 					return viaWord
@@ -220,17 +219,20 @@ func (tx *Tx) spinAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 				tx.chargeCASFail(site)
 			}
 		}
-		if total < gosched {
-			runtime.Gosched()
-		} else if sleep < spinSleepCapUs*time.Microsecond {
-			time.Sleep(sleep)
+		var d time.Duration // a plain reschedule
+		switch {
+		case total < gosched:
+		case sleep < cap:
+			d = sleep
 			sleep *= 2
-		} else {
-			// The last, longest sleep is jittered ±50% so symmetric
-			// spinners do not wake in convoy against the lock holder.
-			const cap = spinSleepCapUs * time.Microsecond
-			time.Sleep(cap/2 + time.Duration(tx.nextRand()%uint64(cap)))
+		default:
+			// The last, longest sleep is jittered ±50% by a hash of
+			// (ticket, round) so symmetric spinners do not wake in convoy
+			// against the lock holder.
+			h := (tx.ticket ^ uint64(total)<<32) * 0x9e3779b97f4a7c15
+			d = cap/2 + time.Duration((h>>32)%uint64(cap))
 		}
+		tx.rt.spinWait(d)
 	}
 	return viaNone
 }

@@ -155,12 +155,14 @@ func TestPromotionJustifiedByWrite(t *testing.T) {
 }
 
 // The queue-bypass recheck CAS in slowAcquire must charge chargeCASFail
-// on failure exactly like the fast-path CAS: force both to fail once on
-// an uncontended lock and pin the count at two, in Stats and in the
-// per-site profile.
+// on failure exactly like the fast-path CAS: force the fast CAS, every
+// spin CAS and one recheck CAS to fail on an uncontended lock, and pin
+// the count at all of them, in Stats and in the per-site profile.
 func TestRecheckCASFailCharged(t *testing.T) {
+	const spins = spinGoschedRounds + spinSleepRounds
 	h := &yieldRecorder{failOnce: map[YieldPoint]int{
 		PointFastCAS:    1,
+		PointSpin:       spins,
 		PointRecheckCAS: 1,
 	}}
 	rt := NewRuntimeOpts(Options{Hooks: h, ProfileSampleRate: 1})
@@ -169,12 +171,14 @@ func TestRecheckCASFailCharged(t *testing.T) {
 	v := c.Field("v")
 
 	tx := rt.Begin()
-	tx.WriteWord(o, v, 7) // fast CAS fails, first recheck CAS fails, second succeeds
+	tx.WriteWord(o, v, 7) // fast CAS, every spin CAS and the first recheck CAS fail; the second succeeds
 	tx.Commit()
 
+	const want = 1 + spins + 1
 	snap := rt.Stats().Snapshot()
-	if snap.CASFail != 2 {
-		t.Fatalf("Stats.CASFail = %d, want 2 (fast + recheck)", snap.CASFail)
+	if snap.CASFail != want || snap.SpinAcquires != 0 {
+		t.Fatalf("Stats.CASFail = %d, SpinAcquires = %d, want %d (fast + spins + recheck) and 0",
+			snap.CASFail, snap.SpinAcquires, want)
 	}
 	var fails uint64
 	for _, r := range rt.Profile().Snapshot() {
@@ -182,7 +186,7 @@ func TestRecheckCASFailCharged(t *testing.T) {
 			fails = r.CASFails
 		}
 	}
-	if fails != 2 {
-		t.Fatalf("site CASFails = %d, want 2 (recheck failure not charged)", fails)
+	if fails != want {
+		t.Fatalf("site CASFails = %d, want %d (recheck failure not charged)", fails, want)
 	}
 }

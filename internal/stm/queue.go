@@ -264,14 +264,15 @@ func (d *detector) maybeUninstallLocked(q *lockQueue) {
 	d.uninstallLocked(q)
 }
 
-// slowAcquire is entered after the fast path failed. It re-checks the
-// lock under the queue mutex, enqueues the transaction if the lock is
-// still unavailable (at the front for upgrading readers, paper §3.2), runs
-// deadlock detection, and blocks until granted or aborted. On grant the
-// lock word already contains the transaction's bits; the caller records
-// the lock in its logs. site is the contention-profile site of the lock;
-// every outcome of the slow path (enqueue, upgrade duel, deadlock loss,
-// time spent parked) is charged to it. mustQueue forbids the spin phase
+// slowAcquire is entered after the fast path failed. It spins briefly,
+// re-checks the lock under the queue mutex, enqueues the transaction if
+// the lock is still unavailable (at the front for upgrading readers,
+// paper §3.2), runs deadlock detection, and blocks until granted or
+// aborted; a harness runs the same steps. On grant the lock word already
+// contains the transaction's bits; the caller records the lock in its
+// logs. site is the contention-profile site of the lock; every outcome
+// of the slow path (enqueue, upgrade duel, deadlock loss, time spent
+// parked) is charged to it. mustQueue forbids the spin phase
 // from writing through a bias marker again (drainWriteThru). The result
 // says whether the grant landed in the lock word or — a read that
 // re-entered a biased word mid-spin — in a bias reader slot. slowAcquire
@@ -285,12 +286,9 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	// machine the holder usually releases within a reschedule or two, and
 	// spinning through that window is far cheaper than a park/wake
 	// handoff. Returning here does not count as contended — the Contended
-	// counter keeps meaning "had to enqueue". Skipped under a harness,
-	// which explores the queue machinery itself.
-	if rt.hooks == nil {
-		if via := tx.spinAcquire(addr, site, write, mustQueue); via != viaNone {
-			return via
-		}
+	// counter keeps meaning "had to enqueue".
+	if via := tx.spinAcquire(addr, site, write, mustQueue); via != viaNone {
+		return via
 	}
 
 	var q *lockQueue
@@ -384,7 +382,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		tx.selfAbort("dueling write-upgrade")
 	}
 	// q.mu is held from here through the enqueue.
-	// Remember that this transaction's contended acquisition went through
+	// Remember that this section's contended acquisition went through
 	// the queue: its next spinAcquire parks again quickly instead of
 	// sleep-polling a monopolized lock (promo.go).
 	tx.requeued = true

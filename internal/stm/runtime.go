@@ -181,11 +181,11 @@ func (rt *Runtime) Begin() *Tx {
 	if tx.victim.Load() {
 		tx.victim.Store(false)
 	}
-	// A fresh transaction reseeds its PRNG lazily from the new ticket.
-	tx.rng = 0
-	// noInvis deliberately survives Reset (the replay of an aborted
-	// section must stay visible) but not reuse for a new section.
+	// noInvis and requeued deliberately survive Reset (the replay of an
+	// aborted section must stay visible, and re-enqueues quickly) but not
+	// reuse for a new section.
 	tx.noInvis = false
+	tx.requeued = false
 	// Guard the Event construction, not just its delivery: with the
 	// default recorder mask, lifecycle events are unwanted and the guard
 	// lets the compiler drop the struct build from the fast path.

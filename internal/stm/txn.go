@@ -86,20 +86,17 @@ type Tx struct {
 
 	// promoLog records the adaptive write-intent promotions of the current
 	// attempt (promo.go); flushPromo scores them at commit, Reset drops
-	// them. rng is the per-transaction xorshift64 state, lazily seeded
-	// from the ticket.
+	// them.
 	promoLog []promoRec
-	rng      uint64
 	// biasLog records the biased reads of the current attempt (bias.go):
 	// words whose visibility this transaction published through its
 	// distributed reader slots instead of the shared lock-word CAS.
 	// Released in bulk by releaseBias at Commit and Reset.
 	biasLog []biasRead
-	// requeued remembers that this transaction's last contended
-	// acquisition went through the wait queue; its next spinAcquire then
-	// re-enqueues after the reschedule rounds instead of sleep-polling
-	// (promo.go). Deliberately not reset across Begin: the signal is
-	// about the worker's recent history, which transaction reuse tracks.
+	// requeued remembers that this section's last contended acquisition
+	// went through the wait queue; its next spinAcquire then re-enqueues
+	// after the reschedule rounds instead of sleep-polling (promo.go).
+	// Survives Reset, so a replay re-enqueues quickly; cleared at Begin.
 	requeued bool
 	// readSet records the invisible reads of the current attempt
 	// (readset.go): words read with no shared store at all, revalidated
@@ -378,14 +375,12 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 // acquireWord is step (4) of Figure 5: try to lock with one CAS on the
 // word w was loaded from, else take the slow path (spin, enqueue, block;
 // panics with *Aborted on defeat). An installed queue forces the slow
-// path. A biased word admits reads through the shared CAS always, and
-// writes in production — the write-through of bias.go: W lands beside
-// the marker and drainWriteThru takes care of the published reader
-// slots. A harness run keeps writers on the revocation path, which is
-// the machinery schedules should explore.
+// path. A biased word admits reads through the shared CAS, and writes
+// through the marker — the write-through of bias.go: W lands beside the
+// marker and drainWriteThru takes care of the published reader slots.
 func (tx *Tx) acquireWord(addr *uint64, w uint64, site int32, write bool) grantVia {
 	tx.rt.yield(PointFastCAS)
-	if wordQueueID(w) == 0 || (wordIsBiased(w) && (!write || tx.rt.hooks == nil)) {
+	if wordQueueID(w) == 0 || wordIsBiased(w) {
 		if nw, ok := grantWord(w, tx, write); ok {
 			if tx.rt.casWord(addr, w, nw, PointFastCAS) {
 				return viaWord
