@@ -53,10 +53,15 @@ func RunScenario(sc Scenario, pol Policy, cfg Config) Result {
 	if err == nil && post != nil {
 		err = post()
 	}
-	// Spins and write-throughs emit no event; the runtime counts them.
+	// Whatever the runtime counts is read from its counters, not recounted
+	// from events; the harness counts only what differs from them.
 	cov := s.Coverage()
 	snap := rt.Stats().Snapshot()
-	cov.Spins, cov.WriteThrus = int(snap.SpinAcquires), int(snap.BiasWriteThrus)
+	cov.Deadlocks, cov.Spins, cov.WriteThrus = int(snap.Deadlocks), int(snap.SpinAcquires), int(snap.BiasWriteThrus)
+	cov.SpuriousWakes, cov.Promotions = int(snap.SpuriousWakes), int(snap.Promotions)
+	cov.BiasGrants, cov.BiasRevokes, cov.SlotWaits = int(snap.BiasGrants), int(snap.BiasRevokes), int(snap.SlotWaits)
+	cov.InvisReads, cov.ValAborts = int(snap.InvisReads), int(snap.ValidationAborts)
+	cov.Commits, cov.Aborts = int(snap.Commits), int(snap.Aborts)
 	return Result{
 		Scenario:  sc.Name,
 		Err:       err,

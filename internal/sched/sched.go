@@ -127,27 +127,29 @@ type Scheduler struct {
 	evHead    int
 }
 
-// Coverage counts the protocol paths a run exercised.
+// Coverage counts the protocol paths a run exercised. The scheduler
+// counts the fields marked (event) itself; RunScenario reads every other
+// field from the runtime's Stats, which count the same things.
 type Coverage struct {
-	Deadlocks     int // resolved deadlock cycles
-	Duels         int // dueling write-upgrades resolved
-	Grants        int // queue handoffs (EvGranted)
-	Blocked       int // enqueues on contended locks
-	Spins         int // acquisitions won by spin-before-enqueue (RunScenario reads the runtime's SpinAcquires)
-	CASFails      int // injected CAS failures
-	DelayedGrants int // suppressed grant scans
-	Redeliveries  int // redelivered grant scans
-	SpuriousWakes int // consumed spurious wake-ups
-	Promotions    int // adaptive write-intent promotions (EvPromoted)
-	BiasGrants    int // biased reader-slot grants (EvBiased)
-	BiasRevokes   int // read-bias revocations by writers (EvBiasRevoke)
-	WriteThrus    int // writes through a bias marker whose drain completed (RunScenario reads BiasWriteThrus)
-	SlotWaits     int // sections parked in the slot pool's overflow tier (EvSlotWait)
-	SlotGrants    int // slot leases handed to overflow-tier waiters (EvSlotGrant)
-	InvisReads    int // invisible optimistic reads (EvInvisRead)
-	ValAborts     int // commit-time read-set validation failures (EvValidationAbort)
-	Commits       int
-	Aborts        int
+	Deadlocks     int // resolved deadlock cycles (Deadlocks)
+	Duels         int // dueling write-upgrades resolved (event)
+	Grants        int // queue handoffs (event)
+	Blocked       int // enqueues on contended locks (event)
+	Spins         int // acquisitions won by spin-before-enqueue (SpinAcquires)
+	CASFails      int // injected CAS failures (event)
+	DelayedGrants int // suppressed grant scans (event)
+	Redeliveries  int // redelivered grant scans (event)
+	SpuriousWakes int // consumed spurious wake-ups (SpuriousWakes)
+	Promotions    int // adaptive write-intent promotions (Promotions)
+	BiasGrants    int // biased reader-slot grants (BiasGrants)
+	BiasRevokes   int // read-bias revocations by writers (BiasRevokes)
+	WriteThrus    int // writes through a bias marker whose drain completed (BiasWriteThrus)
+	SlotWaits     int // sections parked in the slot pool's overflow tier (SlotWaits)
+	SlotGrants    int // slot leases handed to overflow-tier waiters (event)
+	InvisReads    int // invisible optimistic reads (InvisReads)
+	ValAborts     int // commit-time read-set validation failures (ValidationAborts)
+	Commits       int // (Commits)
+	Aborts        int // (Aborts)
 }
 
 func (c Coverage) String() string {
@@ -224,7 +226,8 @@ func (s *Scheduler) Decisions() []Decision {
 	return out
 }
 
-// Coverage returns the event coverage counters of the run.
+// Coverage returns the coverage counters the scheduler counted itself
+// (see Coverage); RunScenario completes them from the runtime's Stats.
 func (s *Scheduler) Coverage() Coverage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -696,17 +699,13 @@ func (s *Scheduler) Event(ev stm.Event) {
 			s.byTx[ev.TxID] = g
 		}
 	case stm.EvCommit:
-		s.cov.Commits++
 		// The transaction is over; drop its ID binding (the slot release,
 		// if any, carries its own event and needs no byTx lookup). Keeping
 		// the map bounded matters now that VIDs are unbounded.
 		delete(s.byTx, ev.TxID)
-	case stm.EvReset:
-		s.cov.Aborts++
 	case stm.EvSlotRelease:
 		delete(s.byTx, ev.TxID)
 	case stm.EvSlotWait:
-		s.cov.SlotWaits++
 		s.slotWaitTx[ev.TxID] = true
 		for _, og := range s.gs {
 			if og.awaitSlotTx == ev.TxID {
@@ -744,24 +743,10 @@ func (s *Scheduler) Event(ev stm.Event) {
 	case stm.EvAbortWaiter:
 		delete(s.blockedTx, ev.TxID)
 		s.wakeLocked(s.byTx[ev.TxID])
-	case stm.EvDeadlock:
-		s.cov.Deadlocks++
 	case stm.EvDuel:
 		s.cov.Duels++
 	case stm.EvDelayedGrant:
 		s.cov.DelayedGrants++
-	case stm.EvSpuriousWake:
-		s.cov.SpuriousWakes++
-	case stm.EvPromoted:
-		s.cov.Promotions++
-	case stm.EvBiased:
-		s.cov.BiasGrants++
-	case stm.EvBiasRevoke:
-		s.cov.BiasRevokes++
-	case stm.EvInvisRead:
-		s.cov.InvisReads++
-	case stm.EvValidationAbort:
-		s.cov.ValAborts++
 	}
 	if err := s.check.observe(ev); err != nil {
 		s.failLocked(fmt.Errorf("checker: %w", err))
