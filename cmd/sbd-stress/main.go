@@ -2,8 +2,9 @@
 // harness (internal/sched) against the STM runtime.
 //
 // Each round runs the scenario suite — directed deadlock, dueling
-// write-upgrade, queue handoff, ID-pool exhaustion, SBD-layer atomic
-// sections, and a randomized transfer workload — under a seeded
+// write-upgrade (a two-member cycle the same detector resolves), queue
+// handoff, ID-pool exhaustion, SBD-layer atomic sections, and a
+// randomized transfer workload — under a seeded
 // schedule with fault injection (forced CAS failures, delayed grants,
 // spurious wake-ups), checking the runtime's structural invariants and
 // the protocol's fairness and victim-selection rules throughout.

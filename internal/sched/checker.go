@@ -15,15 +15,13 @@ import (
 //     resolved cycle is the youngest (largest begin ticket) among the
 //     cycle's non-inevitable members, so the oldest always progresses
 //     and an inevitable transaction never aborts (paper §3.4, §4.2).
-//   - Duel resolution: of two dueling write-upgrades the younger
-//     aborts, unless the survivor is inevitable (paper §3.3).
+//     A dueling write-upgrade (paper §3.3) is a two-member cycle, so
+//     the same check covers it.
 //
 // The checker is fed under the scheduler mutex; events from one runtime
 // arrive in a serial order consistent with the detector mutex.
 type checker struct {
-	// tickets maps virtual transaction IDs (unbounded) to begin tickets.
-	tickets map[int]uint64
-	queues  map[*uint64][]qentry
+	queues map[*uint64][]qentry
 }
 
 type qentry struct {
@@ -32,17 +30,11 @@ type qentry struct {
 }
 
 func newChecker() *checker {
-	return &checker{
-		tickets: make(map[int]uint64),
-		queues:  make(map[*uint64][]qentry),
-	}
+	return &checker{queues: make(map[*uint64][]qentry)}
 }
 
 func (c *checker) observe(ev stm.Event) error {
 	switch ev.Kind {
-	case stm.EvBegin:
-		c.tickets[ev.TxID] = ev.Ticket
-
 	case stm.EvBlocked:
 		e := qentry{txID: ev.TxID, upgrader: ev.Upgrader}
 		if ev.Upgrader {
@@ -70,9 +62,6 @@ func (c *checker) observe(ev stm.Event) error {
 
 	case stm.EvDeadlock:
 		return c.checkDeadlock(ev)
-
-	case stm.EvDuel:
-		return c.checkDuel(ev)
 	}
 	return nil
 }
@@ -126,23 +115,6 @@ func (c *checker) checkDeadlock(ev stm.Event) error {
 			return fmt.Errorf("deadlock: victim tx %d (ticket %d) is not the youngest non-inevitable member; tx %d has ticket %d (cycle ids=%v tickets=%v)",
 				ev.VictimID, victimTicket, id, ev.CycleTickets[i], ev.CycleIDs, ev.CycleTickets)
 		}
-	}
-	return nil
-}
-
-func (c *checker) checkDuel(ev stm.Event) error {
-	victim, survivor := ev.VictimID, ev.OtherID
-	if ev.Inev {
-		return nil // an inevitable survivor may be younger
-	}
-	vt, vok := c.tickets[victim]
-	st, sok := c.tickets[survivor]
-	if !vok || !sok {
-		return nil // setup outside the harness; tickets unknown
-	}
-	if st > vt {
-		return fmt.Errorf("duel: survivor tx %d (ticket %d) is younger than aborted tx %d (ticket %d)",
-			survivor, c.tickets[survivor], victim, c.tickets[victim])
 	}
 	return nil
 }

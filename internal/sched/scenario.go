@@ -143,8 +143,9 @@ func ScenarioDeadlock() Scenario {
 
 // ScenarioDuel forces a dueling write-upgrade (paper §3.3): both workers
 // read the same object, synchronize so both hold the read lock, then
-// write it. The second upgrader must detect the duel via the U flag and
-// the younger must abort; both increments must survive.
+// write it. The two upgraders wait on each other's read lock, a
+// two-member cycle the detector resolves by aborting the younger; both
+// increments must survive.
 func ScenarioDuel() Scenario {
 	return Scenario{
 		Name: "duel",
@@ -432,7 +433,7 @@ func ScenarioTransfer(seed uint64) Scenario {
 // exists for: three workers read-modify-write the same word for several
 // rounds, the first attempts synchronized so all three hold the read
 // lock before any upgrade. The first round duels (the checker asserts
-// youngest-victim on every EvDuel it observes), the duel losses boost
+// youngest-victim on every EvDeadlock it observes), the duel losses boost
 // the site's promotion hint, and later rounds acquire in write mode up
 // front; every abort replays at once, so the whole storm — duels,
 // promotions, replays — replays deterministically from a decision
@@ -869,8 +870,8 @@ func RoundScenarios(seed uint64) []Scenario {
 
 // RunRound runs every scenario of a round under independent
 // deterministic policies derived from seed, and enforces the round's
-// coverage floor: at least one resolved deadlock, one dueling upgrade,
-// and one queue handoff must have been observed — the directed
+// coverage floor: at least one resolved deadlock (a dueling upgrade is
+// one) and one queue handoff must have been observed — the directed
 // scenarios guarantee them, so a shortfall means the protocol silently
 // stopped taking those paths.
 func RunRound(seed uint64, cfg Config) ([]Result, Coverage, error) {
@@ -887,7 +888,7 @@ func RunRound(seed uint64, cfg Config) ([]Result, Coverage, error) {
 			return results, total, fmt.Errorf("scenario %s (seed %d): %w", sc.Name, scSeed, res.Err)
 		}
 	}
-	if total.Deadlocks == 0 || total.Duels == 0 || total.Grants == 0 {
+	if total.Deadlocks == 0 || total.Grants == 0 {
 		return results, total, fmt.Errorf("coverage floor violated: %s", total)
 	}
 	return results, total, nil

@@ -132,7 +132,6 @@ type Scheduler struct {
 // field from the runtime's Stats, which count the same things.
 type Coverage struct {
 	Deadlocks     int // resolved deadlock cycles (Deadlocks)
-	Duels         int // dueling write-upgrades resolved (event)
 	Grants        int // queue handoffs (event)
 	Blocked       int // enqueues on contended locks (event)
 	Spins         int // acquisitions won by spin-before-enqueue (SpinAcquires)
@@ -153,14 +152,13 @@ type Coverage struct {
 }
 
 func (c Coverage) String() string {
-	return fmt.Sprintf("deadlocks=%d duels=%d grants=%d blocked=%d spins=%d casfail=%d delayed=%d redeliver=%d spurious=%d promoted=%d biased=%d revoked=%d writethrus=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
-		c.Deadlocks, c.Duels, c.Grants, c.Blocked, c.Spins, c.CASFails, c.DelayedGrants, c.Redeliveries, c.SpuriousWakes, c.Promotions, c.BiasGrants, c.BiasRevokes, c.WriteThrus, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
+	return fmt.Sprintf("deadlocks=%d grants=%d blocked=%d spins=%d casfail=%d delayed=%d redeliver=%d spurious=%d promoted=%d biased=%d revoked=%d writethrus=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
+		c.Deadlocks, c.Grants, c.Blocked, c.Spins, c.CASFails, c.DelayedGrants, c.Redeliveries, c.SpuriousWakes, c.Promotions, c.BiasGrants, c.BiasRevokes, c.WriteThrus, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
 }
 
 // Add accumulates c2 into c.
 func (c *Coverage) Add(c2 Coverage) {
 	c.Deadlocks += c2.Deadlocks
-	c.Duels += c2.Duels
 	c.Grants += c2.Grants
 	c.Blocked += c2.Blocked
 	c.Spins += c2.Spins
@@ -743,8 +741,6 @@ func (s *Scheduler) Event(ev stm.Event) {
 	case stm.EvAbortWaiter:
 		delete(s.blockedTx, ev.TxID)
 		s.wakeLocked(s.byTx[ev.TxID])
-	case stm.EvDuel:
-		s.cov.Duels++
 	case stm.EvDelayedGrant:
 		s.cov.DelayedGrants++
 	}
@@ -769,8 +765,6 @@ func formatEvent(ev stm.Event) string {
 	switch ev.Kind {
 	case stm.EvDeadlock:
 		return fmt.Sprintf("%v cycle=%v victim=%d", ev.Kind, ev.CycleIDs, ev.VictimID)
-	case stm.EvDuel:
-		return fmt.Sprintf("%v aborted=%d survivor=%d", ev.Kind, ev.TxID, ev.OtherID)
 	case stm.EvBlocked:
 		return fmt.Sprintf("%v tx=%d write=%t upgrader=%t", ev.Kind, ev.TxID, ev.Write, ev.Upgrader)
 	default:

@@ -155,7 +155,7 @@ func TestCoverageFloors(t *testing.T) {
 		floor Coverage
 	}{
 		// Dueling upgrades, and adaptive promotions fed by the losses.
-		{ScenarioUpgradeStorm(), Coverage{Duels: 1, Promotions: 1, Commits: 1, Aborts: 1}},
+		{ScenarioUpgradeStorm(), Coverage{Deadlocks: 1, Promotions: 1, Commits: 1, Aborts: 1}},
 		// Biased reader-slot grants, writer revocations, and a revoking
 		// writer parked behind the readers.
 		{ScenarioBiasRevoke(), Coverage{BiasGrants: 1, BiasRevokes: 1, Grants: 1, Commits: 1}},
@@ -184,7 +184,7 @@ func TestCoverageFloors(t *testing.T) {
 func TestInevitableDuelistAlwaysSurvives(t *testing.T) {
 	for _, inevSecond := range []bool{false, true} {
 		sc := ScenarioInevDuel(inevSecond)
-		t.Run(sc.Name, func(t *testing.T) { coverageFloor(t, sc, 30, Coverage{Duels: 1}) })
+		t.Run(sc.Name, func(t *testing.T) { coverageFloor(t, sc, 30, Coverage{Deadlocks: 1}) })
 	}
 }
 
@@ -214,8 +214,8 @@ func TestUnannouncedWakeFailsRun(t *testing.T) {
 }
 
 // Every round must hit the coverage floor: the directed scenarios
-// guarantee at least one deadlock resolution, one dueling upgrade, and
-// one queue handoff regardless of the seed. The harness runs the slow
+// guarantee at least one deadlock resolution (a dueling upgrade is one)
+// and one queue handoff regardless of the seed. The harness runs the slow
 // path production runs, so these rounds also win a lock by spinning and
 // write through a bias marker.
 func TestCoverageFloor(t *testing.T) {
@@ -224,7 +224,7 @@ func TestCoverageFloor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if cov.Deadlocks < 1 || cov.Duels < 1 || cov.Grants < 1 || cov.Spins < 1 || cov.WriteThrus < 1 {
+		if cov.Deadlocks < 1 || cov.Grants < 1 || cov.Spins < 1 || cov.WriteThrus < 1 {
 			t.Fatalf("seed %d: coverage floor not met: %s", seed, cov)
 		}
 	}

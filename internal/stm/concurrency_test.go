@@ -323,6 +323,73 @@ func TestDuelingUpgradeAbortsYounger(t *testing.T) {
 	}
 }
 
+// A dueling write-upgrade is a two-member deadlock cycle, and the
+// detector is its only resolver: two readers of one word both upgrade,
+// one cycle naming both is reported and counted, its victim is the
+// younger — or the older when the younger is inevitable — and the
+// survivor commits.
+func TestDuelIsTwoMemberCycle(t *testing.T) {
+	for _, inevYounger := range []bool{false, true} {
+		rt := NewRuntime()
+		c := NewClass("C", FieldSpec{Name: "v", Kind: KindWord})
+		o := NewCommitted(c)
+		v := c.Field("v")
+
+		older := rt.Begin()
+		younger := rt.Begin()
+		if inevYounger {
+			younger.BecomeInevitable()
+		}
+		_ = older.ReadInt(o, v)
+		_ = younger.ReadInt(o, v)
+		survivor, loser := older, younger
+		if inevYounger {
+			survivor, loser = younger, older
+		}
+		survivorID, loserID := survivor.ID(), loser.ID()
+		before := rt.Stats().Snapshot().Deadlocks
+
+		done := make(chan struct{})
+		go func() {
+			survivor.WriteInt(o, v, 1) // upgrade; blocks on the loser's read bit
+			survivor.Commit()
+			close(done)
+		}()
+		waitBlocked(t, rt, survivor)
+
+		ab := runAborting(t, func() { loser.WriteInt(o, v, 2) })
+		if ab == nil || ab.Tx != loser {
+			t.Fatalf("inevYounger=%t: want tx %d aborted, got %+v", inevYounger, loserID, ab)
+		}
+		loser.Reset()
+		loser.Commit()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("inevYounger=%t: surviving upgrader never committed", inevYounger)
+		}
+
+		var cycles []RecordedEvent
+		for _, ev := range rt.Recorder().Snapshot() {
+			if ev.Kind == EvDeadlock {
+				cycles = append(cycles, ev)
+			}
+		}
+		if len(cycles) != 1 {
+			t.Fatalf("inevYounger=%t: %d deadlock events, want 1: %v", inevYounger, len(cycles), cycles)
+		}
+		ids := slices.Clone(cycles[0].CycleIDs)
+		slices.Sort(ids)
+		if want := []int{min(survivorID, loserID), max(survivorID, loserID)}; !slices.Equal(ids, want) ||
+			cycles[0].VictimID != loserID {
+			t.Fatalf("inevYounger=%t: deadlock %v, want cycle %v with victim %d", inevYounger, cycles[0], want, loserID)
+		}
+		if got := rt.Stats().Snapshot().Deadlocks - before; got != 1 {
+			t.Fatalf("inevYounger=%t: Stats.Deadlocks rose by %d, want 1", inevYounger, got)
+		}
+	}
+}
+
 // Regression: a dueling write-upgrade where the QUEUED upgrader is the
 // queue's only waiter and the ARRIVING upgrader is older. Aborting the
 // queued one empties and uninstalls the queue; the survivor must then
@@ -341,7 +408,7 @@ func TestDuelSurvivorNotOnDetachedQueue(t *testing.T) {
 		_ = younger.ReadInt(o, v)
 
 		// The younger upgrades first: it enqueues at the front as the
-		// queue's only waiter, with U set.
+		// queue's only waiter.
 		youngerDone := make(chan struct{})
 		go func() {
 			defer close(youngerDone)

@@ -14,10 +14,12 @@
 //   - Eager version management: writes go in place, old values go to an
 //     undo log that is applied only on abort.
 //   - A 64-bit lock word per location holding a 56-bit transaction bit
-//     set, a write flag W, an upgrader bit U, and a 6-bit queue ID, all
-//     manipulated with a single compare-and-swap.
+//     set, a write flag W, a reserved bit (the paper's upgrader bit U),
+//     and a 6-bit queue ID, all manipulated with a single
+//     compare-and-swap.
 //   - Fair FIFO wait queues per contended lock; upgrading readers enqueue
-//     at the front to detect dueling write-upgrades early.
+//     at the front, so two dueling write-upgrades form a two-member
+//     cycle the deadlock detector resolves.
 //   - Deterministic deadlock resolution using a blocking variant of the
 //     dreadlocks digest algorithm adapted to read/write locks; the
 //     youngest transaction in a cycle is always the victim, so the oldest

@@ -115,7 +115,7 @@ type writerFunc func(p []byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestSlotPoolNoDuplicatesUnderStress(t *testing.T) {
-	p := newSlotPool(8)
+	p := newSlotPool(NewRuntime(), 8)
 	var inUse [8]int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -146,7 +146,7 @@ func TestSlotPoolNoDuplicatesUnderStress(t *testing.T) {
 }
 
 func TestSlotPoolBlocksWhenEmpty(t *testing.T) {
-	p := newSlotPool(1)
+	p := newSlotPool(NewRuntime(), 1)
 	slot, waited := p.acquire(&Tx{ticket: 0})
 	if waited {
 		t.Fatal("first acquire reported waiting")

@@ -28,8 +28,6 @@ const (
 	PointInstallCAS
 	// PointUninstallCAS is the CAS clearing a queue ID from a lock word.
 	PointUninstallCAS
-	// PointFlagCAS covers the U-flag set/clear CAS loops.
-	PointFlagCAS
 	// PointGrantCAS is the CAS in grantLocked handing a lock to a
 	// queue-head waiter.
 	PointGrantCAS
@@ -77,7 +75,6 @@ var pointNames = [...]string{
 	PointRecheckCAS:   "recheck-cas",
 	PointInstallCAS:   "install-cas",
 	PointUninstallCAS: "uninstall-cas",
-	PointFlagCAS:      "flag-cas",
 	PointGrantCAS:     "grant-cas",
 	PointReleaseCAS:   "release-cas",
 	PointWakeQueue:    "wake-queue",
@@ -115,15 +112,13 @@ const (
 	// EvGranted: a queued transaction was handed the lock (TxID, Addr,
 	// Write).
 	EvGranted
-	// EvAbortWaiter: a queued transaction was aborted — deadlock victim
-	// or duel loser (TxID, Addr).
+	// EvAbortWaiter: a queued transaction was aborted as a deadlock
+	// victim (TxID, Addr).
 	EvAbortWaiter
-	// EvDeadlock: the detector resolved a cycle (VictimID; CycleIDs and
-	// CycleTickets parallel; CycleInev marks inevitable members).
+	// EvDeadlock: the detector resolved a cycle — a dueling write-upgrade
+	// is a two-member one (VictimID; CycleIDs and CycleTickets parallel;
+	// CycleInev marks inevitable members).
 	EvDeadlock
-	// EvDuel: a dueling write-upgrade was resolved (TxID = aborted,
-	// VictimID = aborted, OtherID = survivor).
-	EvDuel
 	// EvSpuriousWake: a parked waiter consumed an injected wake-up and
 	// re-parked (TxID, Addr).
 	EvSpuriousWake
@@ -169,7 +164,6 @@ var eventNames = [...]string{
 	EvGranted:         "granted",
 	EvAbortWaiter:     "abort-waiter",
 	EvDeadlock:        "deadlock",
-	EvDuel:            "duel",
 	EvSpuriousWake:    "spurious-wake",
 	EvDelayedGrant:    "delayed-grant",
 	EvSlotRelease:     "slot-release",
@@ -197,14 +191,11 @@ type Event struct {
 	Kind     EventKind
 	TxID     int
 	Ticket   uint64
-	OtherID  int     // EvDuel: the surviving transaction
+	OtherID  int     // EvSlotGrant, EvSlotRelease: the slot
 	Addr     *uint64 // the lock word involved, when applicable
 	QID      int
 	Write    bool
 	Upgrader bool
-	// Inev marks the surviving transaction of an EvDuel as inevitable
-	// (an inevitable survivor is allowed to be younger than the victim).
-	Inev     bool
 	VictimID int
 	// Deadlock cycle description (parallel slices). The slices are
 	// owned by the callee after the call returns.

@@ -40,7 +40,7 @@ type slotPool struct {
 	// separate flag CAS. Lease k of a slot spans generations [2k-1, 2k].
 	gens [MaxTxns]atomic.Uint64
 
-	rt *Runtime // for schedule-exploration hooks; set by NewRuntimeOpts
+	rt *Runtime // for schedule-exploration hooks and events
 }
 
 // slotWaiter is one parked section in the overflow tier. ch is
@@ -50,18 +50,16 @@ type slotWaiter struct {
 	ch chan int
 }
 
-func newSlotPool(n int) *slotPool {
-	p := &slotPool{}
+func newSlotPool(rt *Runtime, n int) *slotPool {
+	p := &slotPool{rt: rt}
 	p.free.Store((uint64(1) << uint(n)) - 1)
 	return p
 }
 
 // cas is the fault-injectable CAS on the free-bit mask (acquire side).
 func (p *slotPool) cas(old, new uint64) bool {
-	if p.rt != nil {
-		if h := p.rt.hooks; h != nil && h.FailCAS(PointSlotPoolCAS) {
-			return false
-		}
+	if h := p.rt.hooks; h != nil && h.FailCAS(PointSlotPoolCAS) {
+		return false
 	}
 	return p.free.CompareAndSwap(old, new)
 }
@@ -116,18 +114,14 @@ func (p *slotPool) acquire(tx *Tx) (slot int, waited bool) {
 	p.waiters = append(p.waiters, w)
 	p.mu.Unlock()
 
-	if rt != nil && rt.wantsEvent(EvSlotWait) {
+	if rt.wantsEvent(EvSlotWait) {
 		rt.event(Event{Kind: EvSlotWait, TxID: tx.ID(), Ticket: tx.ticket})
 	}
 	tx.n.SlotWaits++
 	start := time.Now()
-	if rt != nil {
-		rt.block(PointSlotWait)
-	}
+	rt.block(PointSlotWait)
 	slot = <-w.ch
-	if rt != nil {
-		rt.unblock(PointSlotWait)
-	}
+	rt.unblock(PointSlotWait)
 	tx.n.SlotWaitNs += uint64(time.Since(start))
 	return p.took(slot), true
 }
@@ -216,8 +210,7 @@ func (p *slotPool) popLocked() *slotWaiter {
 }
 
 func (p *slotPool) grantEvent(w *slotWaiter, slot int) {
-	rt := p.rt
-	if rt != nil && rt.wantsEvent(EvSlotGrant) {
+	if rt := p.rt; rt.wantsEvent(EvSlotGrant) {
 		rt.event(Event{Kind: EvSlotGrant, TxID: w.id, OtherID: slot})
 	}
 }

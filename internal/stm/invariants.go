@@ -20,7 +20,7 @@ import (
 //     vice versa every queue ID in a checked word resolves to a live
 //     queue over the same address;
 //   - lock words with queues are wellformed (W implies exactly one
-//     holder; U implies an enqueued upgrader);
+//     holder; the reserved bit is clear);
 //   - the blocked table and the queue waiter lists agree;
 //   - free queue IDs are disjoint from installed ones;
 //   - no granted-but-still-enqueued waiter exists.
@@ -44,10 +44,6 @@ func (rt *Runtime) CheckInvariants() error {
 			if got := wordQueueID(w); got != qid {
 				return fmt.Errorf("queue %d installed but lock word names queue %d (%s)",
 					qid, got, formatWord(w))
-			}
-			if wordHasUpgrader(w) && q.findUpgrader() == nil {
-				return fmt.Errorf("queue %d: U flag set but no upgrader enqueued (%s)",
-					qid, formatWord(w))
 			}
 			holders := wordHolders(w)
 			for _, wt := range q.waiters {

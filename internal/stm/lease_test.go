@@ -18,7 +18,7 @@ import (
 // physical slot serves a sequence of distinct transactions. Lease k
 // spans generations [2k-1, 2k] (odd while held, even when returned).
 func TestSlotGenerationReuse(t *testing.T) {
-	p := newSlotPool(1)
+	p := newSlotPool(NewRuntime(), 1)
 	tx := &Tx{}
 	for i := 1; i <= 5; i++ {
 		tx.ticket = uint64(i)
@@ -44,7 +44,7 @@ func TestSlotGenerationReuse(t *testing.T) {
 // order: a direct handoff never lets a later arrival (or a fast-path
 // CAS) barge past the queue head.
 func TestSlotOverflowFIFOFairness(t *testing.T) {
-	p := newSlotPool(1)
+	p := newSlotPool(NewRuntime(), 1)
 	slot, _ := p.acquire(&Tx{ticket: 0})
 
 	const waiters = 4
@@ -89,7 +89,7 @@ func TestSlotOverflowFIFOFairness(t *testing.T) {
 // releasing a slot that is not on lease must panic rather than silently
 // double-publish its bit.
 func TestSlotDoubleFreePanics(t *testing.T) {
-	p := newSlotPool(2)
+	p := newSlotPool(NewRuntime(), 2)
 	slot, _ := p.acquire(&Tx{ticket: 1})
 	p.release(slot)
 	defer func() {
@@ -106,7 +106,7 @@ func TestSlotDoubleFreePanics(t *testing.T) {
 // slow-path entry that self-serves from the re-check must report
 // waited=false; only a real park counts.
 func TestSlotWaitChargedOnlyOnPark(t *testing.T) {
-	p := newSlotPool(1)
+	p := newSlotPool(NewRuntime(), 1)
 	slot, _ := p.acquire(&Tx{ticket: 1})
 
 	// Hold the pool mutex so the second acquirer, finding the mask

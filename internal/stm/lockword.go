@@ -12,8 +12,10 @@ import (
 //	         writer when W is set)
 //	[56]     W flag: a write lock is in place (the bit set then contains
 //	         exactly the writer's bit)
-//	[57]     U flag: an upgrading reader is enqueued (detects dueling
-//	         write-upgrades early, paper §3.3)
+//	[57]     reserved, always zero (the paper's U flag, which marks an
+//	         enqueued upgrader; here the upgrader is marked on its
+//	         waiter at the front of the queue, and a dueling upgrade is
+//	         a two-member cycle the detector resolves)
 //	[58..63] queue ID: 0 means no wait queue; 1..MaxTxns index the global
 //	         queue table; biasQID (63) marks a read-biased word; the
 //	         remaining values 57..62 are invalid and rejected by
@@ -29,15 +31,15 @@ const (
 	// sections that can hold locks simultaneously (not the number of live
 	// transactions — Begin never blocks on it). The bit set occupies 56
 	// of the lock word's 64 bits: the largest CAS the implementation
-	// platform supports is 64 bits, and 8 bits are needed for W, U, and
-	// the queue ID.
+	// platform supports is 64 bits, and 8 bits are needed for W, the
+	// reserved bit, and the queue ID.
 	MaxTxns = 56
 
-	bitsetMask uint64 = (1 << 56) - 1
-	wFlag      uint64 = 1 << 56
-	uFlag      uint64 = 1 << 57
-	queueShift        = 58
-	queueBits  uint64 = 63 << queueShift
+	bitsetMask  uint64 = (1 << 56) - 1
+	wFlag       uint64 = 1 << 56
+	reservedBit uint64 = 1 << 57
+	queueShift         = 58
+	queueBits   uint64 = 63 << queueShift
 
 	// biasQID is a sentinel value of the queue-ID field marking a
 	// read-biased word (bias.go). Valid queue IDs are 1..MaxTxns = 56, so
@@ -48,8 +50,7 @@ const (
 	// shared CAS) and even the W flag: a production writer may write
 	// through the bias — CAS W in alongside the marker, wait out the
 	// already-published reader slots, and leave the marker standing
-	// (bias.go). U never coexists with the marker: enqueueing an upgrader
-	// requires a real installed queue, which replaces the marker.
+	// (bias.go).
 	biasQID = 63
 )
 
@@ -84,13 +85,9 @@ func wordHolders(w uint64) uint64 { return w & bitsetMask }
 // wordIsWrite reports whether the lock word encodes a write lock.
 func wordIsWrite(w uint64) bool { return w&wFlag != 0 }
 
-// wordHasUpgrader reports whether an upgrading reader is enqueued.
-func wordHasUpgrader(w uint64) bool { return w&uFlag != 0 }
-
 // casw is the hardware CAS on a lock word. Runtime code goes through
-// Runtime.casWord (hooks.go) so a schedule-exploration harness can
-// inject failures; casw exists for the paths that must not be faulted
-// (and for tests).
+// Runtime.casWord (hooks.go), its only caller outside tests, so a
+// schedule-exploration harness can inject failures.
 func casw(addr *uint64, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(addr, old, new)
 }
@@ -111,17 +108,13 @@ func wellformed(w uint64) error {
 		// index nothing and must never appear in a word.
 		return fmt.Errorf("stm: invalid queue ID %d (%s)", qid, formatWord(w))
 	}
-	if wordHasUpgrader(w) && wordRealQueue(w) == 0 {
-		return fmt.Errorf("stm: U flag without a wait queue (%s)", formatWord(w))
-	}
-	if wordIsBiased(w) && wordHasUpgrader(w) {
-		return fmt.Errorf("stm: bias marker with U set (%s)", formatWord(w))
+	if w&reservedBit != 0 {
+		return fmt.Errorf("stm: reserved bit 57 set (%s)", formatWord(w))
 	}
 	return nil
 }
 
 // formatWord renders a lock word for debugging and tests.
 func formatWord(w uint64) string {
-	return fmt.Sprintf("holders=%014x W=%t U=%t q=%d",
-		wordHolders(w), wordIsWrite(w), wordHasUpgrader(w), wordQueueID(w))
+	return fmt.Sprintf("holders=%014x W=%t q=%d", wordHolders(w), wordIsWrite(w), wordQueueID(w))
 }

@@ -12,17 +12,36 @@ func TestLockWordLayoutConstants(t *testing.T) {
 	if bitsetMask != (1<<56)-1 {
 		t.Fatalf("bitsetMask = %x", bitsetMask)
 	}
-	if wFlag&bitsetMask != 0 || uFlag&bitsetMask != 0 {
-		t.Fatal("W/U flags overlap the bit set")
+	if wFlag != 1<<56 || reservedBit != 1<<57 {
+		t.Fatalf("W = %x, reserved = %x; want bits 56 and 57", wFlag, reservedBit)
 	}
-	if wFlag&uFlag != 0 {
-		t.Fatal("W and U overlap")
-	}
-	if queueBits&(bitsetMask|wFlag|uFlag) != 0 {
+	if queueBits&(bitsetMask|wFlag|reservedBit) != 0 {
 		t.Fatal("queue bits overlap other fields")
 	}
-	if bitsetMask|wFlag|uFlag|queueBits != ^uint64(0) {
+	if bitsetMask|wFlag|reservedBit|queueBits != ^uint64(0) {
 		t.Fatal("lock word fields do not cover 64 bits")
+	}
+}
+
+func TestWellformed(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		w    uint64
+		ok   bool
+	}{
+		{"free", 0, true},
+		{"readers", txMask(0) | txMask(55), true},
+		{"writer with queue", wFlag | txMask(3) | 1<<queueShift, true},
+		{"biased reader", txMask(7) | biasQID<<queueShift, true},
+		{"writer without holder", wFlag, false},
+		{"two writers", wFlag | txMask(1) | txMask(2), false},
+		{"dead queue ID", wordWithQueue(0, MaxTxns+1), false},
+		{"reserved bit", reservedBit, false},
+		{"reserved bit with queue", reservedBit | txMask(4) | 2<<queueShift, false},
+	} {
+		if err := wellformed(c.w); (err == nil) != c.ok {
+			t.Errorf("%s: wellformed(%s) = %v, want ok=%t", c.name, formatWord(c.w), err, c.ok)
+		}
 	}
 }
 
@@ -42,7 +61,7 @@ func TestTxMaskDistinct(t *testing.T) {
 
 func TestQueueIDRoundTrip(t *testing.T) {
 	for qid := 0; qid <= MaxTxns; qid++ {
-		for _, base := range []uint64{0, bitsetMask, wFlag | 7, uFlag | txMask(55)} {
+		for _, base := range []uint64{0, bitsetMask, wFlag | 7, reservedBit | txMask(55)} {
 			w := wordWithQueue(base, qid)
 			if got := wordQueueID(w); got != qid {
 				t.Fatalf("queue ID round trip: set %d, got %d (base %x)", qid, got, base)
@@ -50,7 +69,7 @@ func TestQueueIDRoundTrip(t *testing.T) {
 			if wordHolders(w) != wordHolders(base) {
 				t.Fatalf("wordWithQueue perturbed holders: %x -> %x", base, w)
 			}
-			if wordIsWrite(w) != wordIsWrite(base) || wordHasUpgrader(w) != wordHasUpgrader(base) {
+			if wordIsWrite(w) != wordIsWrite(base) || w&reservedBit != base&reservedBit {
 				t.Fatalf("wordWithQueue perturbed flags: %x -> %x", base, w)
 			}
 		}
@@ -72,6 +91,7 @@ func TestGrantWordProperty(t *testing.T) {
 	rt := NewRuntime()
 	tx := rt.Begin()
 	defer tx.Commit()
+	tx.ensureSlot()
 
 	f := func(holdersRaw uint64, write, w bool) bool {
 		word := holdersRaw & bitsetMask &^ tx.mask
@@ -110,6 +130,7 @@ func TestGrantWordUpgrade(t *testing.T) {
 	rt := NewRuntime()
 	tx := rt.Begin()
 	defer tx.Commit()
+	tx.ensureSlot() // a zero mask would make every check below vacuous
 
 	// Sole reader may upgrade.
 	w := tx.mask
@@ -117,10 +138,10 @@ func TestGrantWordUpgrade(t *testing.T) {
 	if !ok || !wordIsWrite(nw) || wordHolders(nw) != tx.mask {
 		t.Fatalf("sole-reader upgrade failed: %s ok=%t", formatWord(nw), ok)
 	}
-	// Upgrade grant clears the U bit.
-	nw, ok = grantWord(w|uFlag, tx, true)
-	if !ok || wordHasUpgrader(nw) {
-		t.Fatalf("upgrade grant should clear U: %s ok=%t", formatWord(nw), ok)
+	// The grant keeps the queue ID and touches no other bit.
+	nw, ok = grantWord(wordWithQueue(w, 5), tx, true)
+	if !ok || nw != wordWithQueue(w|wFlag, 5) || wellformed(nw) != nil {
+		t.Fatalf("queued upgrade grant: %s ok=%t", formatWord(nw), ok)
 	}
 	// Not with other readers present.
 	if _, ok = grantWord(w|txMask(3), tx, true); ok {

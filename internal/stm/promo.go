@@ -155,23 +155,23 @@ const (
 // spinAcquire tries to take the lock by bounded spinning before
 // slowAcquire pays for the queue protocol. It preserves the slow path's
 // fairness rule — no acquisition while a queue is installed — and gives
-// up immediately for upgrades (an upgrader must enqueue so the
-// structural duel detection and the U flag see it). Returns viaNone if
+// up immediately for upgrades (an upgrader must enqueue at the front so
+// the deadlock detector sees a duel). Returns viaNone if
 // the lock was not acquired. The spin is a function of its own section:
 // its budget shortens only after a queue trip within the section, and
 // each round's wait is Runtime.spinWait, which a harness schedules.
 func (tx *Tx) spinAcquire(addr *uint64, site int32, write, mustQueue bool) grantVia {
 	w0 := atomic.LoadUint64(addr)
 	if w0&tx.mask != 0 {
-		return viaNone // upgrade: the duel machinery needs the queue
+		return viaNone // upgrade: a duel is resolved through the queue
 	}
 	if write && len(tx.biasLog) != 0 && tx.hasBiasedRead(addr) {
 		// Upgrade from a biased read whose fast-path write-through lost
 		// the word: spinning would stretch the window in which a rival
 		// write-through stalls on this transaction's own published slot
 		// (and then burns its whole drain budget before the duel is even
-		// detected). Go straight to the queue so the structural duel
-		// detection resolves the standoff immediately.
+		// detected). Go straight to the queue so the deadlock detector
+		// resolves the standoff immediately.
 		return viaNone
 	}
 	if mustQueue && wordIsBiased(w0) {

@@ -113,8 +113,8 @@ type detector struct {
 	redelivering atomic.Bool
 }
 
-func newDetector() *detector {
-	d := &detector{}
+func newDetector(rt *Runtime) *detector {
+	d := &detector{rt: rt}
 	for qid := range d.queues {
 		d.queues[qid].qid = qid
 	}
@@ -124,28 +124,6 @@ func newDetector() *detector {
 
 // queueOf returns the queue of wt's current enqueue incarnation.
 func (d *detector) queueOf(wt *waiter) *lockQueue { return &d.queues[wt.qid.Load()] }
-
-// event forwards a protocol event to the runtime's hooks, if any.
-func (d *detector) event(ev Event) {
-	if d.rt != nil {
-		d.rt.event(ev)
-	}
-}
-
-// wantsEvent reports whether an event of kind k would be consumed; hot
-// paths use it to skip building the Event struct (a 100-byte copy)
-// entirely when neither recorder nor harness wants it.
-func (d *detector) wantsEvent(k EventKind) bool {
-	return d.rt != nil && d.rt.wantsEvent(k)
-}
-
-// cas is a fault-injectable lock-word CAS for detector code paths.
-func (d *detector) cas(addr *uint64, old, new uint64, p YieldPoint) bool {
-	if d.rt != nil {
-		return d.rt.casWord(addr, old, new, p)
-	}
-	return casw(addr, old, new)
-}
 
 // allocQID claims a free queue ID from the bitmask.
 func (d *detector) allocQID() int {
@@ -219,7 +197,7 @@ func (d *detector) lockedQueue(addr *uint64) (*lockQueue, bool) {
 		q.mu.Lock()
 		q.addr = addr
 		q.waiters = q.waitersBuf[:0]
-		if d.cas(addr, w, wordWithQueue(w, qid), PointInstallCAS) {
+		if d.rt.casWord(addr, w, wordWithQueue(w, qid), PointInstallCAS) {
 			return q, wordIsBiased(w)
 		}
 		// Lost the install race; roll back and retry from the fresh word.
@@ -241,7 +219,7 @@ func (d *detector) uninstallLocked(q *lockQueue) {
 		if wordQueueID(w) != q.qid {
 			break // already replaced (should not happen, but be tolerant)
 		}
-		if d.cas(q.addr, w, wordWithQueue(w, 0)&^uFlag, PointUninstallCAS) {
+		if d.rt.casWord(q.addr, w, wordWithQueue(w, 0), PointUninstallCAS) {
 			break
 		}
 	}
@@ -258,7 +236,7 @@ func (d *detector) uninstallLocked(q *lockQueue) {
 // drained. A pinned queue is nudged by every reader's slot release
 // (releaseBias), and the last one lets it uninstall. Caller holds q.mu.
 func (d *detector) maybeUninstallLocked(q *lockQueue) {
-	if d.rt != nil && !d.rt.bias.drainedExcept(q.addr, -1) {
+	if !d.rt.bias.drainedExcept(q.addr, -1) {
 		return
 	}
 	d.uninstallLocked(q)
@@ -271,8 +249,8 @@ func (d *detector) maybeUninstallLocked(q *lockQueue) {
 // aborted; a harness runs the same steps. On grant the lock word already
 // contains the transaction's bits; the caller records the lock in its
 // logs. site is the contention-profile site of the lock; every outcome
-// of the slow path (enqueue, upgrade duel, deadlock loss, time spent
-// parked) is charged to it. mustQueue forbids the spin phase
+// of the slow path (enqueue, upgrade, deadlock loss, time spent parked)
+// is charged to it. mustQueue forbids the spin phase
 // from writing through a bias marker again (drainWriteThru). The result
 // says whether the grant landed in the lock word or — a read that
 // re-entered a biased word mid-spin — in a bias reader slot. slowAcquire
@@ -292,7 +270,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	}
 
 	var q *lockQueue
-	var upgrader, revoked bool
+	var revoked bool
 	var revokeStart time.Time
 	for {
 		// Re-check: the lock may have been released between the failed fast
@@ -304,7 +282,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 		if wordQueueID(w) == 0 || (!write && wordIsBiased(w)) {
 			nw, ok := grantWord(w, tx, write)
 			if ok {
-				if d.cas(addr, w, nw, PointRecheckCAS) {
+				if rt.casWord(addr, w, nw, PointRecheckCAS) {
 					return viaWord
 				}
 				tx.chargeCASFail(site)
@@ -326,11 +304,11 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			// new publishes; the last releaseBias wakes it.
 			w = atomic.LoadUint64(addr)
 			nw, ok := grantWord(w, tx, write)
-			if ok && write && d.rt != nil && !d.rt.bias.drainedExcept(addr, tx.slot) {
+			if ok && write && !rt.bias.drainedExcept(addr, tx.slot) {
 				ok = false
 			}
 			if ok {
-				if d.cas(addr, w, nw, PointRecheckCAS) {
+				if rt.casWord(addr, w, nw, PointRecheckCAS) {
 					d.maybeUninstallLocked(q)
 					q.mu.Unlock()
 					return viaWord
@@ -340,48 +318,20 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 				continue
 			}
 		}
-
-		tx.n.Contended++
-		atomic.AddUint64(&rt.sites.at(site).n.Contended, 1)
-		upgrader = write && (atomic.LoadUint64(addr)&tx.mask != 0 ||
-			(len(tx.biasLog) != 0 && tx.hasBiasedRead(addr)))
-		if !upgrader {
-			break
-		}
-
-		atomic.AddUint64(&rt.sites.at(site).n.Upgrades, 1)
-		// Dueling write-upgrades (paper §3.3): two upgrading readers of the
-		// same lock always deadlock; resolve it now by aborting the younger
-		// of the two instead of waiting for digest propagation. The duel is
-		// detected structurally (an upgrader already enqueued) under q.mu.
-		other := q.findUpgrader()
-		if other == nil {
-			break
-		}
-		// An inevitable transaction (§3.4) must never abort, so it always
-		// survives.
-		if tx.inevitable || (!other.tx.inevitable && tx.ticket < other.tx.ticket) {
-			if d.wantsEvent(EvDuel) {
-				d.event(Event{Kind: EvDuel, TxID: other.tx.ID(), VictimID: other.tx.ID(), OtherID: tx.ID(), Addr: addr, Inev: tx.inevitable})
-			}
-			d.abortWaiterLocked(q, other)
-			if q.addr == nil {
-				// Aborting the loser emptied (and uninstalled) the queue;
-				// re-resolve — the bypass may even succeed now.
-				q.mu.Unlock()
-				continue
-			}
-			break
-		}
-		if d.wantsEvent(EvDuel) {
-			d.event(Event{Kind: EvDuel, TxID: tx.ID(), VictimID: tx.ID(), OtherID: other.tx.ID(), Addr: addr, Inev: other.tx.inevitable})
-		}
-		q.mu.Unlock()
-		atomic.AddUint64(&rt.sites.at(site).n.Deadlocks, 1)
-		tx.noteDuelLoss(site)
-		tx.selfAbort("dueling write-upgrade")
+		break
 	}
 	// q.mu is held from here through the enqueue.
+	tx.n.Contended++
+	atomic.AddUint64(&rt.sites.at(site).n.Contended, 1)
+	// A dueling write-upgrade (paper §3.3) needs no check of its own: the
+	// second upgrader enqueues in front of the first, each waits on the
+	// other's read lock, and the detector aborts the younger like any
+	// other cycle member.
+	upgrader := write && (atomic.LoadUint64(addr)&tx.mask != 0 ||
+		(len(tx.biasLog) != 0 && tx.hasBiasedRead(addr)))
+	if upgrader {
+		atomic.AddUint64(&rt.sites.at(site).n.Upgrades, 1)
+	}
 	// Remember that this section's contended acquisition went through
 	// the queue: its next spinAcquire parks again quickly instead of
 	// sleep-polling a monopolized lock (promo.go).
@@ -407,11 +357,8 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	}
 	wt.deps.Store(q.depsOfLocked(wt))
 	d.blocked[tx.slot].Store(wt)
-	if upgrader {
-		setWordFlag(d, addr, uFlag)
-	}
-	if d.wantsEvent(EvBlocked) {
-		d.event(Event{Kind: EvBlocked, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: q.qid, Write: write, Upgrader: upgrader})
+	if rt.wantsEvent(EvBlocked) {
+		rt.event(Event{Kind: EvBlocked, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: q.qid, Write: write, Upgrader: upgrader})
 	}
 
 	// The queue may have become serviceable while we enqueued (e.g. a
@@ -457,9 +404,9 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			}
 			atomic.AddUint64(&rt.sites.at(site).n.Deadlocks, 1)
 			if wt.upgrader {
-				// Aborted while enqueued as an upgrader: a duel resolved
-				// against us, or a deadlock through the upgrade edge —
-				// either way, evidence the site wants write-mode reads.
+				// Aborted while enqueued as an upgrader: a lost duel, or a
+				// deadlock through the upgrade edge — either way, evidence
+				// the site wants write-mode reads.
 				tx.noteDuelLoss(site)
 			}
 			tx.selfAbort("aborted while enqueued")
@@ -509,7 +456,7 @@ func grantWord(w uint64, tx *Tx, write bool) (uint64, bool) {
 	holders := wordHolders(w)
 	if write {
 		if holders == 0 || holders == tx.mask && !wordIsWrite(w) {
-			return (w | tx.mask | wFlag) &^ uFlag, true
+			return w | tx.mask | wFlag, true
 		}
 		return 0, false
 	}
@@ -517,34 +464,6 @@ func grantWord(w uint64, tx *Tx, write bool) (uint64, bool) {
 		return w | tx.mask, true
 	}
 	return 0, false
-}
-
-// setWordFlag ORs flag into the lock word with a CAS loop.
-func setWordFlag(d *detector, addr *uint64, flag uint64) {
-	for {
-		w := atomic.LoadUint64(addr)
-		if w&flag != 0 || d.cas(addr, w, w|flag, PointFlagCAS) {
-			return
-		}
-	}
-}
-
-func clearWordFlag(d *detector, addr *uint64, flag uint64) {
-	for {
-		w := atomic.LoadUint64(addr)
-		if w&flag == 0 || d.cas(addr, w, w&^flag, PointFlagCAS) {
-			return
-		}
-	}
-}
-
-func (q *lockQueue) findUpgrader() *waiter {
-	for _, wt := range q.waiters {
-		if wt.upgrader {
-			return wt
-		}
-	}
-	return nil
 }
 
 // depsOfLocked returns the bit set of transactions waiter wt waits for:
@@ -576,13 +495,13 @@ func (q *lockQueue) depsOfLocked(wt *waiter) uint64 {
 // current word permits: one writer, or a maximal run of readers. The
 // queue is uninstalled when it drains. Caller holds q.mu.
 func (d *detector) grantScanLocked(q *lockQueue) {
-	if len(q.waiters) > 0 && !d.redelivering.Load() && d.rt != nil && d.rt.hooks != nil &&
+	if len(q.waiters) > 0 && !d.redelivering.Load() && d.rt.hooks != nil &&
 		d.rt.hooks.DelayGrant() {
 		// Fault injection: suppress this grant scan. The lock word is
 		// already consistent; the waiters simply stay parked until
 		// RedeliverDelayedGrants re-runs the scan.
 		q.delayed = true
-		d.event(Event{Kind: EvDelayedGrant, QID: q.qid, Addr: q.addr})
+		d.rt.event(Event{Kind: EvDelayedGrant, QID: q.qid, Addr: q.addr})
 		return
 	}
 	for len(q.waiters) > 0 {
@@ -595,7 +514,7 @@ func (d *detector) grantScanLocked(q *lockQueue) {
 		if head.write && wordHolders(w) != 0 && wordHolders(w) != head.tx.mask {
 			return
 		}
-		if head.write && d.rt != nil && !d.rt.bias.drainedExcept(q.addr, head.tx.slot) {
+		if head.write && !d.rt.bias.drainedExcept(q.addr, head.tx.slot) {
 			// Live biased reader slots (other than the head's own, kept
 			// across an upgrade-from-bias) exclude a writer exactly like
 			// holder bits; each slot release re-runs this scan. No new
@@ -603,14 +522,14 @@ func (d *detector) grantScanLocked(q *lockQueue) {
 			// wait is bounded by the current cohort.
 			return
 		}
-		if !d.cas(q.addr, w, nw, PointGrantCAS) {
+		if !d.rt.casWord(q.addr, w, nw, PointGrantCAS) {
 			continue // racing release; recompute
 		}
 		q.waiters = q.waiters[1:]
 		d.blocked[head.tx.slot].Store(nil)
 		head.granted = true
-		if d.wantsEvent(EvGranted) {
-			d.event(Event{Kind: EvGranted, TxID: head.tx.ID(), Ticket: head.tx.ticket, Addr: q.addr, QID: q.qid, Write: head.write, Upgrader: head.upgrader})
+		if d.rt.wantsEvent(EvGranted) {
+			d.rt.event(Event{Kind: EvGranted, TxID: head.tx.ID(), Ticket: head.tx.ticket, Addr: q.addr, QID: q.qid, Write: head.write, Upgrader: head.upgrader})
 		}
 		head.signal()
 		if head.write {
@@ -631,10 +550,7 @@ func (d *detector) grantScanLocked(q *lockQueue) {
 	// Write waiters keep their biased-reader edges (see depsOfLocked) —
 	// dropping them here would break the superset property.
 	ahead := wordHolders(atomic.LoadUint64(q.addr))
-	var biasHolders uint64
-	if d.rt != nil {
-		biasHolders = d.rt.bias.holders(q.addr)
-	}
+	biasHolders := d.rt.bias.holders(q.addr)
 	for _, p := range q.waiters {
 		base := ahead
 		if p.write {
@@ -669,9 +585,6 @@ func (d *detector) removeWaiterLocked(q *lockQueue, wt *waiter) {
 		}
 	}
 	d.blocked[wt.tx.slot].Store(nil)
-	if wt.upgrader && q.findUpgrader() == nil {
-		clearWordFlag(d, q.addr, uFlag)
-	}
 	if len(q.waiters) == 0 {
 		d.maybeUninstallLocked(q)
 	} else {
@@ -685,8 +598,8 @@ func (d *detector) removeWaiterLocked(q *lockQueue, wt *waiter) {
 func (d *detector) abortWaiterLocked(q *lockQueue, wt *waiter) {
 	wt.tx.victim.Store(true)
 	wt.aborted = true
-	if d.wantsEvent(EvAbortWaiter) {
-		d.event(Event{Kind: EvAbortWaiter, TxID: wt.tx.ID(), Addr: q.addr})
+	if d.rt.wantsEvent(EvAbortWaiter) {
+		d.rt.event(Event{Kind: EvAbortWaiter, TxID: wt.tx.ID(), Addr: q.addr})
 	}
 	d.removeWaiterLocked(q, wt)
 	wt.signal()
@@ -749,22 +662,11 @@ func (d *detector) resolveDeadlocks(wt *waiter, site int32) {
 		if victim == wt {
 			q := d.queueOf(wt)
 			q.mu.Lock()
-			if wt.aborted {
-				// A duel resolved against us concurrently; the aborter
-				// already removed us.
-				q.mu.Unlock()
-				d.cycleMu.Unlock()
-				atomic.AddUint64(&d.rt.sites.at(site).n.Deadlocks, 1)
-				if wt.upgrader {
-					tx.noteDuelLoss(site)
-				}
-				tx.selfAbort("deadlock victim")
-			}
 			if wt.granted {
 				q.mu.Unlock()
 				continue // granted since the snapshot; re-confirm
 			}
-			d.event(Event{Kind: EvAbortWaiter, TxID: tx.ID(), Addr: q.addr})
+			d.rt.event(Event{Kind: EvAbortWaiter, TxID: tx.ID(), Addr: q.addr})
 			d.removeWaiterLocked(q, wt)
 			q.mu.Unlock()
 			d.cycleMu.Unlock()
@@ -867,14 +769,14 @@ func (d *detector) exactVictim(wt *waiter) (victim *waiter, vq *lockQueue, epoch
 	if victim == nil {
 		return nil, nil, 0
 	}
-	if d.rt != nil && d.rt.wantsEvent(EvDeadlock) {
+	if d.rt.wantsEvent(EvDeadlock) {
 		ev := Event{Kind: EvDeadlock, VictimID: victim.tx.ID(), TxID: wt.tx.ID()}
 		for _, m := range members {
 			ev.CycleIDs = append(ev.CycleIDs, m.tx.ID())
 			ev.CycleTickets = append(ev.CycleTickets, m.tx.ticket)
 			ev.CycleInev = append(ev.CycleInev, m.tx.inevitable)
 		}
-		d.event(ev)
+		d.rt.event(ev)
 	}
 	return victim, d.queueOf(victim), victim.epoch.Load()
 }

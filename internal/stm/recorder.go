@@ -12,7 +12,7 @@ import (
 // The flight recorder retains the last N protocol events in production.
 // Before it existed, events were only observable with a schedule
 // harness attached (Options.Hooks); the recorder keeps the contention
-// history — blocks, grants, deadlock resolutions, upgrade duels —
+// history — blocks, grants, deadlock resolutions —
 // available for dumping on demand or when a deadlock is resolved,
 // without any harness and without locks: one fetch-add claims a slot,
 // and per-slot sequence validation makes torn (overwritten-while-read)
@@ -33,7 +33,7 @@ const DefaultRecorderSize = 1024
 // defaultRecorderKinds are the contention-path protocol events retained
 // in production.
 var defaultRecorderKinds = []EventKind{
-	EvBlocked, EvGranted, EvAbortWaiter, EvDeadlock, EvDuel,
+	EvBlocked, EvGranted, EvAbortWaiter, EvDeadlock,
 	EvSpuriousWake, EvDelayedGrant, EvInevRelease, EvPromoted,
 	EvBiasRevoke, EvSlotWait, EvSlotGrant, EvValidationAbort,
 }
@@ -94,7 +94,7 @@ func (r *FlightRecorder) Recorded() uint64 { return r.cursor.Load() }
 // Payload packing, LSB first in w[0]:
 //
 //	[0..7]   kind      [8..15] queue ID
-//	[16] write  [17] upgrader  [18] inevitable
+//	[16] write  [17] upgrader
 //	[24..31] deadlock-cycle length (clamped to 8)
 //	[32..63] txID+1, modulo 2^32
 //
@@ -120,16 +120,13 @@ func (r *FlightRecorder) record(ev *Event) {
 	if ev.Upgrader {
 		w0 |= 1 << 17
 	}
-	if ev.Inev {
-		w0 |= 1 << 18
-	}
 	w0 |= (uint64(ev.TxID+1) & 0xffffffff) << 32
 
 	var ov uint64
-	if ev.Kind == EvDuel || ev.Kind == EvSlotGrant || ev.Kind == EvSlotRelease {
+	if ev.Kind == EvSlotGrant || ev.Kind == EvSlotRelease {
 		ov |= uint64(ev.OtherID+1) & 0xffffffff
 	}
-	if ev.Kind == EvDuel || ev.Kind == EvDeadlock {
+	if ev.Kind == EvDeadlock {
 		ov |= (uint64(ev.VictimID+1) & 0xffffffff) << 32
 	}
 
@@ -169,12 +166,11 @@ type RecordedEvent struct {
 	T        time.Duration // offset from recorder start
 	Kind     EventKind
 	TxID     int
-	OtherID  int // EvDuel survivor, EvSlotGrant/EvSlotRelease slot; -1 when not applicable
-	VictimID int // EvDuel/EvDeadlock victim; -1 when not applicable
+	OtherID  int // EvSlotGrant/EvSlotRelease slot; -1 when not applicable
+	VictimID int // EvDeadlock victim; -1 when not applicable
 	QID      int
 	Write    bool
 	Upgrader bool
-	Inev     bool
 	Ticket   uint64
 	Addr     uintptr // lock word identity (for correlating events)
 	CycleIDs []int   // EvDeadlock members (first 8)
@@ -214,7 +210,6 @@ func (r *FlightRecorder) Snapshot() []RecordedEvent {
 			QID:      int((w[0] >> 8) & 0xff),
 			Write:    w[0]&(1<<16) != 0,
 			Upgrader: w[0]&(1<<17) != 0,
-			Inev:     w[0]&(1<<18) != 0,
 			Ticket:   w[1],
 			Addr:     uintptr(w[2]),
 		}
@@ -250,13 +245,8 @@ func (ev RecordedEvent) String() string {
 	if ev.QID != 0 {
 		fmt.Fprintf(&b, " q=%d", ev.QID)
 	}
-	if ev.Kind == EvDuel || ev.Kind == EvDeadlock {
-		if ev.VictimID >= 0 {
-			fmt.Fprintf(&b, " victim=%d", ev.VictimID)
-		}
-	}
-	if ev.Kind == EvDuel && ev.OtherID >= 0 {
-		fmt.Fprintf(&b, " survivor=%d", ev.OtherID)
+	if ev.Kind == EvDeadlock && ev.VictimID >= 0 {
+		fmt.Fprintf(&b, " victim=%d", ev.VictimID)
 	}
 	if (ev.Kind == EvSlotGrant || ev.Kind == EvSlotRelease) && ev.OtherID >= 0 {
 		fmt.Fprintf(&b, " slot=%d", ev.OtherID)
@@ -269,9 +259,6 @@ func (ev RecordedEvent) String() string {
 	}
 	if ev.Upgrader {
 		b.WriteString(" upgrader")
-	}
-	if ev.Inev {
-		b.WriteString(" inev")
 	}
 	return b.String()
 }

@@ -89,7 +89,7 @@ type Options struct {
 	RecorderSize int
 	// RecorderKinds selects which event kinds the flight recorder
 	// retains. nil means the contention-path default: blocked, granted,
-	// abort-waiter, deadlock, duel, spurious-wake, delayed-grant,
+	// abort-waiter, deadlock, spurious-wake, delayed-grant,
 	// inev-release and the slot-pool overflow events — everything except
 	// the per-transaction lifecycle events, which would tax the
 	// uncontended fast path.
@@ -119,11 +119,11 @@ func NewRuntimeOpts(opts Options) *Runtime {
 		n = MaxTxns
 	}
 	rt := &Runtime{
-		slots:    newSlotPool(n),
-		det:      newDetector(),
 		maxSlots: n,
 		inev:     make(chan struct{}, 1),
 	}
+	rt.slots = newSlotPool(rt, n)
+	rt.det = newDetector(rt)
 	rt.inev <- struct{}{}
 	rt.hooks = opts.Hooks
 	if opts.RecorderSize >= 0 {
@@ -139,8 +139,6 @@ func NewRuntimeOpts(opts Options) *Runtime {
 		pow <<= 1
 	}
 	rt.profMask = uint64(pow - 1)
-	rt.slots.rt = rt
-	rt.det.rt = rt
 	rt.vc.init()
 	rt.trackSlots = rt.hooks != nil
 	return rt

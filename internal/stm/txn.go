@@ -312,7 +312,7 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 		// mid-transaction); every write-grant drain check excludes our
 		// own slot, so the common case writes through the marker below,
 		// and the fallback enqueues this transaction as an upgrader —
-		// front of queue, U flag, structural duel detection.
+		// front of queue, where a duel is a cycle the detector resolves.
 	case !write:
 		pol := tx.rt.sites.policyAt(site)
 		mode = pol.mode(kind == slotWord)
