@@ -147,8 +147,8 @@ type Coverage struct {
 	SlotGrants    int // slot leases handed to overflow-tier waiters (event)
 	InvisReads    int // invisible optimistic reads (InvisReads)
 	ValAborts     int // commit-time read-set validation failures (ValidationAborts)
-	Commits       int // (Commits)
-	Aborts        int // (Aborts)
+	Commits       int // committed transactions (Commits)
+	Aborts        int // rolled-back attempts (Aborts)
 }
 
 func (c Coverage) String() string {

@@ -325,8 +325,8 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	atomic.AddUint64(&rt.sites.at(site).n.Contended, 1)
 	// A dueling write-upgrade (paper §3.3) needs no check of its own: the
 	// second upgrader enqueues in front of the first, each waits on the
-	// other's read lock, and the detector aborts the younger like any
-	// other cycle member.
+	// other's read lock, and the detector aborts the younger (the older
+	// when the younger is inevitable), as in any cycle.
 	upgrader := write && (atomic.LoadUint64(addr)&tx.mask != 0 ||
 		(len(tx.biasLog) != 0 && tx.hasBiasedRead(addr)))
 	if upgrader {
