@@ -26,9 +26,11 @@ fmt-check:
 # production runs, so internal/stm tests its hooks only to dispatch
 # them, never to skip a branch when none are installed. Every runtime
 # part is built with its runtime, so a `rt == nil` / `rt != nil` check
-# is a fork production never takes, and fails here too.
+# is a fork production never takes, and fails here too. Only hooks.go
+# reads the hooks field: every other file calls its dispatch helpers.
 one-path:
-	@out="$$(git grep -nwE 'hooks == nil|rt [!=]= nil' -- 'internal/stm/*.go' ':!*_test.go')"; \
+	@out="$$(git grep -nwE 'hooks == nil|rt [!=]= nil' -- 'internal/stm/*.go' ':!*_test.go'; \
+		git grep -nE '\.hooks\b' -- 'internal/stm/*.go' ':!*_test.go' ':!internal/stm/hooks.go')"; \
 		if [ -n "$$out" ]; then echo "production-only branch in internal/stm:"; \
 		echo "$$out"; exit 1; fi
 

@@ -21,11 +21,11 @@ import (
 )
 
 // -debug is the runtime's §6 debug mode, served by the flight recorder:
-// each deadlock resolution dumps the protocol history that led to it,
-// and the recorder's blocked threads and lock grants are dumped at exit,
-// which is how an SBD programmer locates the contention worth splitting
-// around.
-var debug = flag.Bool("debug", false, "dump blocked threads and deadlock resolutions to stderr")
+// at exit it dumps the recorded protocol history — blocked threads,
+// lock grants and each deadlock resolution with its cycle and victim —
+// which is how an SBD programmer locates the contention worth
+// splitting around.
+var debug = flag.Bool("debug", false, "dump the flight recorder's blocked threads, grants and deadlock resolutions to stderr at exit")
 
 var accountClass = stm.NewClass("Account",
 	stm.FieldSpec{Name: "owner", Kind: stm.KindStr, Final: true},
@@ -39,11 +39,7 @@ var (
 
 func main() {
 	flag.Parse()
-	opts := stm.Options{}
-	if *debug {
-		opts.DeadlockDump = os.Stderr
-	}
-	rt := core.NewOpts(opts)
+	rt := core.New()
 	console := txio.NewWriter(os.Stdout)
 
 	newAccount := func(owner string, balance int64) *stm.Object {

@@ -52,7 +52,7 @@ func fillCounters(ptr any, value func(k int) uint64) {
 // runtime counter and every per-site counter of two sites holds a
 // distinct value (large enough that the ns→seconds series exceed one
 // second), one site name needs label escaping, and a recorder that has
-// seen three commits is attached.
+// seen three inevitable commits is attached.
 func goldenInputs() (stm.StatsSnapshot, []stm.SiteProfile, *stm.FlightRecorder) {
 	var snap stm.StatsSnapshot
 	fillCounters(&snap, func(k int) uint64 { return uint64(k+1) * 1000000007 })
@@ -63,9 +63,11 @@ func goldenInputs() (stm.StatsSnapshot, []stm.SiteProfile, *stm.FlightRecorder) 
 	for r := range sites {
 		fillCounters(&sites[r], func(k int) uint64 { return uint64(r+1)*1500000000 + uint64(k+1)*1001 })
 	}
-	rt := stm.NewRuntimeOpts(stm.Options{RecorderSize: 16, RecorderKinds: []stm.EventKind{stm.EvCommit}})
+	rt := stm.NewRuntimeOpts(stm.Options{RecorderSize: 16})
 	for i := 0; i < 3; i++ {
-		rt.Begin().Commit()
+		tx := rt.Begin()
+		tx.BecomeInevitable() // each commit returns the token: one recorded inev-release
+		tx.Commit()
 	}
 	return snap, sites, rt.Recorder()
 }

@@ -12,10 +12,23 @@ import (
 	"repro/internal/stm"
 )
 
-// exactRT builds a runtime with acquire sampling disabled so tests can
-// assert exact per-site acquire series.
-func exactRT() *stm.Runtime {
-	return stm.NewRuntimeOpts(stm.Options{ProfileSampleRate: 1})
+// phasedRT returns a runtime whose sampled per-site series are exact
+// for contend: its waiter, the second section to begin, has its first
+// acquire and its block on the sample ((1+ticket)%ProfilePeriod == 0,
+// see stm's profile.go) and the holder has neither. The sections burned
+// to reach that phase are empty, and their commits are reset away.
+func phasedRT() *stm.Runtime {
+	rt := stm.NewRuntime()
+	for {
+		tx := rt.Begin()
+		next := tx.Ticket() + 1
+		tx.Commit()
+		if (next+2)%stm.ProfilePeriod == 0 {
+			break
+		}
+	}
+	rt.Stats().Reset()
+	return rt
 }
 
 // contend produces real contention so every surface has data: acquires,
@@ -60,7 +73,7 @@ func contend(t *testing.T, rt *stm.Runtime, class string) *stm.Class {
 }
 
 func TestMetricsFormat(t *testing.T) {
-	rt := exactRT()
+	rt := phasedRT()
 	contend(t, rt, "ObsMetrics")
 
 	out := Metrics(rt.Stats().Snapshot(), rt.Profile().Snapshot(), rt.Recorder())
@@ -71,7 +84,7 @@ func TestMetricsFormat(t *testing.T) {
 		"# TYPE sbd_abort_rate gauge",
 		"# TYPE sbd_slot_wait_seconds_total counter",
 		"sbd_slot_wait_seconds_total 0",
-		`sbd_site_acquires_total{site="ObsMetrics.v"} 2`,
+		fmt.Sprintf(`sbd_site_acquires_total{site="ObsMetrics.v"} %d`, stm.ProfilePeriod),
 		`sbd_site_contended_total{site="ObsMetrics.v"} 1`,
 		`sbd_site_block_seconds_total{site="ObsMetrics.v"}`,
 		"sbd_recorder_events_total",
@@ -147,7 +160,7 @@ func serveLoopback(t *testing.T, srv *Server) func(path string) (string, error) 
 // unknown path, over loopback TCP. TestServerOverTCP sends a real
 // client's request, headers and all, to one endpoint.
 func TestServerEndpoints(t *testing.T) {
-	rt := exactRT()
+	rt := stm.NewRuntime()
 	contend(t, rt, "ObsServe")
 	get := serveLoopback(t, NewServer(rt))
 
@@ -181,7 +194,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestServerOverTCP(t *testing.T) {
-	rt := exactRT()
+	rt := stm.NewRuntime()
 	contend(t, rt, "ObsTCP")
 
 	addr, err := NewServer(rt).ServeTCP("127.0.0.1:0")
@@ -210,7 +223,7 @@ func TestServerOverTCP(t *testing.T) {
 // the server must not parse the first segment alone (which would answer
 // 404 for "/met").
 func TestServerReadsSplitRequestLine(t *testing.T) {
-	addr, err := NewServer(exactRT()).ServeTCP("127.0.0.1:0")
+	addr, err := NewServer(stm.NewRuntime()).ServeTCP("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("cannot bind TCP: %v", err)
 	}

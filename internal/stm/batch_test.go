@@ -502,7 +502,7 @@ func TestBatchSortedOrderPreventsDeadlock(t *testing.T) {
 // stale, and unwinds with *Aborted; noInvis survives Reset, so a pin
 // left behind would make the replay read z visibly.
 func TestAbortedBatchLeavesReplayInvisible(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("BatchInvis",
 		FieldSpec{Name: "y", Kind: KindWord},
 		FieldSpec{Name: "z", Kind: KindWord},

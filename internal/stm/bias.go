@@ -228,11 +228,11 @@ func (tx *Tx) tryBiasRead(addr *uint64, site int32) bool {
 	}
 	tx.biasLog = append(tx.biasLog, biasRead{slot: slot, addr: addr, site: site})
 	tx.n.BiasGrants++
-	if (tx.n.BiasGrants+tx.ticket)&rt.profMask == 0 {
+	if (tx.n.BiasGrants+tx.ticket)&profMask == 0 {
 		// Sampled: keep the score saturated while the bias is earning
 		// its keep, and charge the site profile.
 		rt.noteSite(site, siteBiasGrant)
-		atomic.AddUint64(&rt.sites.at(site).n.BiasGrants, rt.profMask+1)
+		atomic.AddUint64(&rt.sites.at(site).n.BiasGrants, profMask+1)
 	}
 	if rt.wantsEvent(EvBiased) {
 		rt.event(Event{Kind: EvBiased, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr})

@@ -7,12 +7,6 @@ import (
 	"time"
 )
 
-// biasRuntime returns a runtime with exact (unsampled) profiling so the
-// bias counters are deterministic in tests.
-func biasRuntime() *Runtime {
-	return NewRuntimeOpts(Options{ProfileSampleRate: 1})
-}
-
 // TestBiasReadBasic drives the biased read path end to end on one
 // goroutine: a seeded site grants reads through the reader slots (no
 // shared CAS), a repeated read of the same word is served from the
@@ -21,13 +15,14 @@ func biasRuntime() *Runtime {
 // revocation — and still sees the committed value, leaving the bias
 // standing for the next reader.
 func TestBiasReadBasic(t *testing.T) {
-	rt := biasRuntime()
+	rt := NewRuntime()
 	c := NewClass("BiasBasic", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
 	SetCommittedWord(o, v, 7)
 	rt.SeedReadBias(c, v)
 
+	samplePhase(rt, 1) // the first grant is on the sample, the post-write one is not
 	tx := rt.Begin()
 	if got := tx.ReadWord(o, v); got != 7 {
 		t.Fatalf("biased read = %d, want 7", got)
@@ -38,8 +33,8 @@ func TestBiasReadBasic(t *testing.T) {
 	tx.Commit()
 
 	snap := rt.Stats().Snapshot()
-	if snap.BiasGrants == 0 {
-		t.Fatalf("no biased grant recorded: %+v", snap)
+	if snap.BiasGrants != 1 {
+		t.Fatalf("BiasGrants = %d, want 1: %+v", snap.BiasGrants, snap)
 	}
 
 	// A writer writes through the marker: W lands beside the bias, the
@@ -76,8 +71,8 @@ func TestBiasReadBasic(t *testing.T) {
 			grants = row.BiasGrants
 		}
 	}
-	if grants == 0 {
-		t.Fatalf("site profile grants=%d, want > 0", grants)
+	if grants != ProfilePeriod {
+		t.Fatalf("site profile grants=%d, want %d", grants, ProfilePeriod)
 	}
 }
 
@@ -88,7 +83,7 @@ func TestBiasReadBasic(t *testing.T) {
 // back to the queue path — revoking the bias so the slot holder lands
 // in its dependency digest — then completes once the reader commits.
 func TestBiasWriteDrainTimeoutRevokes(t *testing.T) {
-	rt := biasRuntime()
+	rt := NewRuntime()
 	c := NewClass("BiasDrainTimeout", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -140,7 +135,7 @@ func TestBiasWriteDrainTimeoutRevokes(t *testing.T) {
 // visibility while upgrading (the slot stays published until commit),
 // and concurrent increments through that path must all survive.
 func TestBiasUpgradeFromBias(t *testing.T) {
-	rt := biasRuntime()
+	rt := NewRuntime()
 	c := NewClass("BiasUpgrade", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -174,7 +169,7 @@ func TestBiasUpgradeFromBias(t *testing.T) {
 // behind the writer, and re-biasing needs the queue drained — which
 // needs the writer served. Either way the writer finishes.
 func TestBiasedReadersDoNotStarveWriter(t *testing.T) {
-	rt := biasRuntime()
+	rt := NewRuntime()
 	c := NewClass("BiasStarve", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -232,7 +227,7 @@ func TestBiasedReadersDoNotStarveWriter(t *testing.T) {
 // digest; the detector must find the cycle and abort the younger
 // transaction, and both increments must survive the retry.
 func TestBiasedReaderInDeadlockCycle(t *testing.T) {
-	rt := biasRuntime()
+	rt := NewRuntime()
 	c := NewClass("BiasCycle", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	a, b := NewCommitted(c), NewCommitted(c)

@@ -110,10 +110,6 @@ func TestInevitableNeverDeadlockVictim(t *testing.T) {
 	}
 }
 
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
 func TestSlotPoolNoDuplicatesUnderStress(t *testing.T) {
 	p := newSlotPool(NewRuntime(), 8)
 	var inUse [8]int32

@@ -7,9 +7,11 @@ package stm
 // every such decision point to an external harness (internal/sched)
 // that serializes goroutines deterministically and injects faults.
 //
-// The default is a nil Hooks: every instrumented site guards with one
-// predictable `rt.hooks != nil` branch, so the production fast path is
-// unchanged.
+// The default is a nil Hooks. This file is the only one that reads
+// rt.hooks: every instrumented site calls one of the dispatch helpers
+// at its end, each one predictable `rt.hooks != nil` branch, so the
+// production fast path is unchanged and the slow path is the same code
+// with or without a harness (`make one-path` checks both).
 
 // YieldPoint identifies one instrumented slow-path location.
 type YieldPoint uint8
@@ -235,12 +237,18 @@ type Hooks interface {
 	Event(ev Event)
 }
 
-// yield, block, unblock, failCAS, event: nil-guarded dispatch helpers.
+// yield, block, unblock, failCAS, delayGrant, event: the nil-guarded
+// dispatch helpers.
 
-func (rt *Runtime) yield(p YieldPoint) {
+// yield yields at p under a harness and reports whether it did, which
+// a wait loop uses to replace its production round (a reschedule or a
+// sleep) with the yield (Runtime.spinWait).
+func (rt *Runtime) yield(p YieldPoint) bool {
 	if rt.hooks != nil {
 		rt.hooks.Yield(p)
+		return true
 	}
+	return false
 }
 
 func (rt *Runtime) block(p YieldPoint) {
@@ -255,16 +263,19 @@ func (rt *Runtime) unblock(p YieldPoint) {
 	}
 }
 
+// failCAS reports whether the harness forces the CAS at p to fail.
+func (rt *Runtime) failCAS(p YieldPoint) bool {
+	return rt.hooks != nil && rt.hooks.FailCAS(p)
+}
+
+// delayGrant reports whether the harness suppresses a grant scan.
+func (rt *Runtime) delayGrant() bool {
+	return rt.hooks != nil && rt.hooks.DelayGrant()
+}
+
 func (rt *Runtime) event(ev Event) {
 	if r := rt.rec; r != nil && r.wants(ev.Kind) {
 		r.record(&ev)
-		if ev.Kind == EvDeadlock && rt.dumpOnDeadlock != nil {
-			// Best-effort post-mortem: the recorder holds the protocol
-			// history that led here. This writes while the detector
-			// works; use it for diagnosis, not in latency-sensitive
-			// production.
-			r.Dump(rt.dumpOnDeadlock)
-		}
 	}
 	if rt.hooks != nil {
 		rt.hooks.Event(ev)
@@ -286,8 +297,5 @@ func (rt *Runtime) wantsEvent(k EventKind) bool {
 // failure without attempting it, driving the caller's retry/slow path.
 // Every lock-word CAS in the runtime funnels through here.
 func (rt *Runtime) casWord(addr *uint64, old, new uint64, p YieldPoint) bool {
-	if h := rt.hooks; h != nil && h.FailCAS(p) {
-		return false
-	}
-	return casw(addr, old, new)
+	return !rt.failCAS(p) && casw(addr, old, new)
 }

@@ -2,6 +2,7 @@ package stm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,14 +31,16 @@ type slotPool struct {
 	mu      sync.Mutex
 	waiters []*slotWaiter // FIFO overflow tier
 
-	// gens[i] counts lease transitions of slot i: odd while out on
-	// lease (including in flight through a direct handoff, when the bit
-	// is in neither the mask nor any holder's hands), even while free.
-	// The parity doubles as the lease flag — a grant landing on an
-	// odd generation or a release landing on an even one is a
-	// double-lease / double-free and trips a panic instead of silently
-	// corrupting the mask — so policing costs one atomic add, not a
-	// separate flag CAS. Lease k of a slot spans generations [2k-1, 2k].
+	// gens[i] counts lease transitions of slot i: odd from the grant
+	// (took) to the release, even otherwise — while free, and also in
+	// flight through a direct handoff, when the bit is in neither the
+	// mask nor any holder's hands: release makes it even before handoff
+	// sends the slot, and the recipient's took makes it odd again. The
+	// parity is the lease flag (leased) — a grant landing on an odd
+	// generation or a release landing on an even one is a double-lease /
+	// double-free and trips a panic instead of silently corrupting the
+	// mask — so policing costs one atomic add, not a separate flag CAS.
+	// Lease k of a slot spans generations [2k-1, 2k].
 	gens [MaxTxns]atomic.Uint64
 
 	rt *Runtime // for schedule-exploration hooks and events
@@ -58,10 +61,7 @@ func newSlotPool(rt *Runtime, n int) *slotPool {
 
 // cas is the fault-injectable CAS on the free-bit mask (acquire side).
 func (p *slotPool) cas(old, new uint64) bool {
-	if h := p.rt.hooks; h != nil && h.FailCAS(PointSlotPoolCAS) {
-		return false
-	}
-	return p.free.CompareAndSwap(old, new)
+	return !p.rt.failCAS(PointSlotPoolCAS) && p.free.CompareAndSwap(old, new)
 }
 
 // took marks a slot as out on lease (generation parity flips to odd).
@@ -216,15 +216,12 @@ func (p *slotPool) grantEvent(w *slotWaiter, slot int) {
 }
 
 // available returns the number of free slots.
-func (p *slotPool) available() int {
-	m := p.free.Load()
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
-}
+func (p *slotPool) available() int { return bits.OnesCount64(p.free.Load()) }
+
+// leased reports whether slot is out on lease: granted and not yet
+// released. A holder bit or a live bias slot of an unleased slot
+// belongs to no section (CheckInvariants, CheckObjectLocks).
+func (p *slotPool) leased(slot int) bool { return p.gens[slot].Load()&1 != 0 }
 
 // queued returns the number of sections parked in the overflow tier.
 func (p *slotPool) queued() int { return int(p.nwait.Load()) }

@@ -6,13 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Invariant accessors for the schedule-exploration harness
-// (internal/sched). They take the per-queue mutexes (one at a time), so
-// they must only be called from outside the runtime's own critical
-// sections — in harness terms, from a goroutine that is not currently
-// inside an STM operation — and they assume a quiescent runtime for a
-// consistent cross-queue view (which the harness's token serialization
-// provides).
+// Invariant accessors. The schedule-exploration harness
+// (internal/sched) runs them between steps, but they read nothing a
+// harness maintains and check any runtime the same way: a holder bit
+// resolves through the slot pool's lease parity (slotPool.leased).
+// They take the per-queue mutexes (one at a time), so they must only be
+// called from outside the runtime's own critical sections — in harness
+// terms, from a goroutine that is not currently inside an STM operation
+// — and they assume a quiescent runtime for a consistent cross-queue
+// view (which the harness's token serialization provides).
 
 // CheckInvariants validates the runtime-global protocol invariants:
 //
@@ -65,12 +67,12 @@ func (rt *Runtime) CheckInvariants() error {
 						qid, wt.tx.ID(), formatWord(w))
 				}
 			}
-			// Holder bits must belong to leased slots with live sections.
+			// Holder bits must belong to leased slots.
 			for h := holders; h != 0; {
 				b := h & (-h)
 				h &^= b
 				slot := bits.TrailingZeros64(b)
-				if rt.trackSlots && rt.txBySlot[slot].Load() == nil {
+				if !rt.slots.leased(slot) {
 					return fmt.Errorf("queue %d: holder bit for unleased slot %d (%s)",
 						qid, slot, formatWord(w))
 				}
@@ -128,7 +130,7 @@ func (rt *Runtime) CheckInvariants() error {
 				if addr == nil {
 					continue
 				}
-				if rt.trackSlots && rt.txBySlot[slot].Load() == nil {
+				if !rt.slots.leased(slot) {
 					return fmt.Errorf("bias slot (slot %d, stripe %d): live reader slot but lock-word slot unleased", slot, s)
 				}
 				if w := atomic.LoadUint64(addr); wordQueueID(w) == 0 {
@@ -142,7 +144,7 @@ func (rt *Runtime) CheckInvariants() error {
 }
 
 // CheckObjectLocks validates the lock words of one object: structural
-// wellformedness, holder bits only for live transactions, and queue IDs
+// wellformedness, holder bits only for leased slots, and queue IDs
 // only for queues installed over that exact word. Objects with no lock
 // slab yet trivially pass.
 func (rt *Runtime) CheckObjectLocks(o *Object) error {
@@ -161,7 +163,7 @@ func (rt *Runtime) CheckObjectLocks(o *Object) error {
 			b := h & (-h)
 			h &^= b
 			slot := bits.TrailingZeros64(b)
-			if rt.trackSlots && rt.txBySlot[slot].Load() == nil {
+			if !rt.slots.leased(slot) {
 				return fmt.Errorf("%s lock %d: holder bit for unleased slot %d (%s)",
 					o.class.name, i, slot, formatWord(w))
 			}

@@ -6,12 +6,6 @@ import (
 	"testing"
 )
 
-// invisRuntime returns a runtime with exact (unsampled) profiling so
-// the invisible-read scoring and counters are deterministic in tests.
-func invisRuntime() *Runtime {
-	return NewRuntimeOpts(Options{ProfileSampleRate: 1})
-}
-
 // primeInvis installs the version array of o by running the one
 // visible read every object pays after its site flips invisible.
 func primeInvis(rt *Runtime, o *Object, f FieldID) {
@@ -26,7 +20,7 @@ func primeInvis(rt *Runtime, o *Object, f FieldID) {
 // shared at all — no lock word bit, no bias slot, not even a slot
 // lease — and the commit validates cleanly.
 func TestInvisReadBasic(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisBasic", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -38,6 +32,7 @@ func TestInvisReadBasic(t *testing.T) {
 		t.Fatalf("version-array install read should stay visible")
 	}
 
+	samplePhase(rt, 1) // the first of the two invisible reads is on the sample
 	tx := rt.Begin()
 	if got := tx.ReadWord(o, v); got != 7 {
 		t.Fatalf("invisible read = %d, want 7", got)
@@ -70,8 +65,8 @@ func TestInvisReadBasic(t *testing.T) {
 			reads = row.InvisReads
 		}
 	}
-	if reads != 2 {
-		t.Fatalf("site profile InvisReads = %d, want 2", reads)
+	if reads != ProfilePeriod {
+		t.Fatalf("site profile InvisReads = %d, want %d", reads, ProfilePeriod)
 	}
 }
 
@@ -80,7 +75,7 @@ func TestInvisReadBasic(t *testing.T) {
 // replay (visibly, because the abort crushed the site score), and the
 // replay must see the writer's value.
 func TestInvisValidationAbort(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisVAbort", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -139,7 +134,7 @@ func TestInvisValidationAbort(t *testing.T) {
 // invisible read catches it. The final value must reflect both
 // increments.
 func TestInvisUpgradeLostUpdate(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisUpgrade", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -177,7 +172,7 @@ func TestInvisUpgradeLostUpdate(t *testing.T) {
 // still valid: the snapshot extends and the transaction commits with
 // both reads.
 func TestInvisSnapshotExtension(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisExtend", FieldSpec{Name: "a", Kind: KindWord}, FieldSpec{Name: "b", Kind: KindWord})
 	fa, fb := c.Field("a"), c.Field("b")
 	o := NewCommitted(c)
@@ -218,7 +213,7 @@ func TestInvisSnapshotExtension(t *testing.T) {
 // and abort the section MID-BODY — before user code could ever consume
 // the inconsistent pair — and the replay sees both new values.
 func TestInvisZombiePrevention(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisZombie", FieldSpec{Name: "a", Kind: KindWord}, FieldSpec{Name: "b", Kind: KindWord})
 	fa, fb := c.Field("a"), c.Field("b")
 	o := NewCommitted(c)
@@ -265,7 +260,7 @@ func TestInvisZombiePrevention(t *testing.T) {
 // invisible read and its commit: the undo log restores the value and no
 // version is stamped, so the reader's validation still passes.
 func TestInvisAbortDoesNotStamp(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisAbortStamp", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -294,21 +289,25 @@ func TestInvisAbortDoesNotStamp(t *testing.T) {
 
 // TestInvisAdaptiveFlip exercises the learning loop without seeding:
 // repeated conflict-free reads flip the site invisible (a ModeFlip),
-// and a burst of writes flips it back.
+// and a burst of writes flips it back. Each section makes one acquire,
+// so exactly one in every ProfilePeriod consecutive sections is
+// sampled evidence: invisOn/invisReadBoost = 3 periods of reads flip
+// the site, and one period of writes (one sampled write) flips it back.
 func TestInvisAdaptiveFlip(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisFlip", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
 	site := c.fields[v].siteID
 
-	for i := 0; i < 16 && siteMode(rt, site) != ModeInvisible; i++ {
+	const flipReads = invisOn / invisReadBoost * ProfilePeriod
+	for i := 0; i < flipReads && siteMode(rt, site) != ModeInvisible; i++ {
 		tx := rt.Begin()
 		tx.ReadWord(o, v)
 		tx.Commit()
 	}
 	if siteMode(rt, site) != ModeInvisible {
-		t.Fatalf("site did not flip invisible after 16 exact-sampled reads")
+		t.Fatalf("site did not flip invisible after %d reads", flipReads)
 	}
 	snap := rt.Stats().Snapshot()
 	if snap.ModeFlips == 0 {
@@ -327,7 +326,7 @@ func TestInvisAdaptiveFlip(t *testing.T) {
 	}
 
 	// Write traffic decays the score below the threshold again.
-	for i := 0; i < 8 && siteMode(rt, site) == ModeInvisible; i++ {
+	for i := 0; i < ProfilePeriod && siteMode(rt, site) == ModeInvisible; i++ {
 		tx := rt.Begin()
 		tx.WriteWord(o, v, uint64(i))
 		tx.Commit()
@@ -344,7 +343,7 @@ func TestInvisAdaptiveFlip(t *testing.T) {
 // read: the section must abort once (the read-set cannot be validated
 // later), replay with invisible reads pinned off, and commit.
 func TestInvisBecomeInevitable(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisInev", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -378,7 +377,7 @@ func TestInvisBecomeInevitable(t *testing.T) {
 // seen a value the writer actually produced, and the counter must end
 // exact — invisible reads never lose an update.
 func TestInvisConcurrentCounters(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisConc", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -446,7 +445,7 @@ func TestInvisConcurrentCounters(t *testing.T) {
 // an object whose slab carries no version array, so only the clock
 // tells T1 that something committed.
 func TestVisibleGrantRevalidates(t *testing.T) {
-	rt := invisRuntime()
+	rt := NewRuntime()
 	c := NewClass("InvisZombie", FieldSpec{Name: "x", Kind: KindWord}, FieldSpec{Name: "y", Kind: KindRef})
 	x, y := c.Field("x"), c.Field("y")
 	o, p := NewCommitted(c), NewCommitted(c)

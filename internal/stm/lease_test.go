@@ -1,7 +1,10 @@
 package stm
 
 import (
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,12 +32,12 @@ func TestSlotGenerationReuse(t *testing.T) {
 		if waited {
 			t.Fatalf("lease %d: waited on an uncontended pool", i)
 		}
-		if gen := p.gens[0].Load(); gen != uint64(2*i-1) {
-			t.Fatalf("lease %d: generation = %d, want %d (odd = on lease)", i, gen, 2*i-1)
+		if gen := p.gens[0].Load(); gen != uint64(2*i-1) || !p.leased(0) {
+			t.Fatalf("lease %d: generation = %d, leased %v; want %d (odd = on lease)", i, gen, p.leased(0), 2*i-1)
 		}
 		p.release(slot)
-		if gen := p.gens[0].Load(); gen != uint64(2*i) {
-			t.Fatalf("release %d: generation = %d, want %d (even = free)", i, gen, 2*i)
+		if gen := p.gens[0].Load(); gen != uint64(2*i) || p.leased(0) {
+			t.Fatalf("release %d: generation = %d, leased %v; want %d (even = free)", i, gen, p.leased(0), 2*i)
 		}
 	}
 }
@@ -217,5 +220,39 @@ func TestOverflowTierBreaksTxnCeiling(t *testing.T) {
 	}
 	if got := rt.LeasedSlots(); got != 0 {
 		t.Fatalf("%d slots leaked after all sections committed", got)
+	}
+}
+
+// TestInvariantsReportUnleasedHolder plants, on a runtime with no
+// harness, a holder bit whose slot nobody leases: CheckObjectLocks
+// must report it on the bare word, and CheckInvariants once a queue is
+// installed over that word. A live section's own bit passes.
+func TestInvariantsReportUnleasedHolder(t *testing.T) {
+	rt := NewRuntime()
+	c := NewClass("InvUnleased", FieldSpec{Name: "v", Kind: KindWord})
+	v := c.Field("v")
+	o := NewCommitted(c)
+
+	tx := rt.Begin()
+	tx.ReadWord(o, v) // allocates the slab and holds the word
+	if err := rt.CheckObjectLocks(o); err != nil {
+		t.Fatalf("live holder reported: %v", err)
+	}
+	tx.Commit()
+
+	const free = 5
+	if rt.slots.leased(free) {
+		t.Fatalf("slot %d leased on an idle runtime", free)
+	}
+	addr := &o.locks.Load().words[0]
+	atomic.StoreUint64(addr, txMask(free))
+	want := fmt.Sprintf("unleased slot %d", free)
+	if err := rt.CheckObjectLocks(o); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckObjectLocks = %v, want an error naming %q", err, want)
+	}
+	q, _ := rt.det.lockedQueue(addr)
+	q.mu.Unlock()
+	if err := rt.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckInvariants = %v, want an error naming %q", err, want)
 	}
 }

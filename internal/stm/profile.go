@@ -17,18 +17,25 @@ import (
 //
 // A per-site event is charged to its site's cell with one atomic add
 // where it happens (siteCell.n). None is on the uncontended path:
-// each is slow-path, sampled 1-in-ProfileSampleRate (acquires, bias
+// each is slow-path, sampled 1-in-ProfilePeriod (acquires, bias
 // grants, invisible reads, block time), or a promotion, charged once
 // per promoted acquire. The check paths never touch the profiler.
 
-// DefaultProfileSampleRate is the default sampling period of the
-// per-site acquire counter (Options.ProfileSampleRate): the fast path
-// charges one in every 64 acquires to its site, scaled back up to the
-// period, keeping the always-on cost of the profiler to one
-// add-and-branch per acquire. Per-site block time shares the same
-// period (two clock reads per block dominate the slow path under heavy
-// contention otherwise); the other contention counters are always exact.
-const DefaultProfileSampleRate = 64
+// ProfilePeriod is the sampling period of the per-site acquire, bias
+// grant, invisible read and block time counters: one such event in
+// every 64 is charged to its site, scaled back up to the period, which
+// keeps the always-on cost of the profiler to one add-and-branch per
+// acquire (and two clock reads per sampled block, not per block). The
+// sampled acquires, bias grants and reads are also the policy word's
+// read/write evidence (site.go). The other contention counters are
+// always exact.
+const ProfilePeriod = 64
+
+// profMask selects the sampled events: the n-th such event of a
+// section with start ticket t is sampled when (n+t)&profMask == 0. The
+// ticket offsets the phase per section, so short sections contribute
+// in aggregate even though any single one usually skips.
+const profMask = ProfilePeriod - 1
 
 // SiteInfo is the static identity of one lock site.
 type SiteInfo struct {
@@ -82,7 +89,7 @@ func siteInfo(id int32) SiteInfo {
 // /metrics series (one sample per site), col is the /profile column.
 //
 // Acquires, BiasGrants, InvisReads and BlockTime are sampled estimates
-// scaled by ProfileSampleRate; the rest are exact.
+// scaled by ProfilePeriod; the rest are exact.
 type SiteCounters struct {
 	Acquires    uint64        `prom:"sbd_site_acquires_total" help:"Lock acquisitions per site." col:"Acq"`
 	Contended   uint64        `prom:"sbd_site_contended_total" help:"Contended acquisitions per site." col:"Cont"`
@@ -111,7 +118,7 @@ func (c *SiteCounters) words() *[numSiteCounters]uint64 {
 //
 //go:noinline
 func (tx *Tx) chargeAcquire(site int32) {
-	atomic.AddUint64(&tx.rt.sites.at(site).n.Acquires, tx.rt.profMask+1)
+	atomic.AddUint64(&tx.rt.sites.at(site).n.Acquires, profMask+1)
 }
 
 // chargeCASFail records a failed fast-path lock CAS, out of line for
@@ -126,7 +133,7 @@ func (tx *Tx) chargeCASFail(site int32) {
 // chargeBlock charges one sampled park that began at start, scaled back
 // up to the sampling period.
 func (rt *Runtime) chargeBlock(site int32, start time.Time) {
-	atomic.AddInt64((*int64)(&rt.sites.at(site).n.BlockTime), int64(time.Since(start))*int64(rt.profMask+1))
+	atomic.AddInt64((*int64)(&rt.sites.at(site).n.BlockTime), int64(time.Since(start))*(profMask+1))
 }
 
 // Profile is the exported read-only view of a runtime's site table

@@ -5,18 +5,24 @@ import (
 	"time"
 )
 
-// exactProfileRuntime disables acquire sampling so tests can assert
-// exact per-site acquire counts.
-func exactProfileRuntime() *Runtime {
-	return NewRuntimeOpts(Options{ProfileSampleRate: 1})
+// samplePhase advances rt's ticket counter so that the next section to
+// begin samples its n-th acquire, bias grant, invisible read or
+// contended block: (n+ticket)&profMask == 0 (profile.go). Each such
+// event of that section other than the n-th within the same period
+// goes unsampled. Unlike burning the tickets with empty sections, it
+// leaves the commit count alone.
+func samplePhase(rt *Runtime, n uint64) {
+	rt.ticket.Add(-(rt.ticket.Load() + 1 + n) & profMask)
 }
 
+// One uncontended acquire on the sample reads as one period's worth.
 func TestProfileCountsUncontendedAcquires(t *testing.T) {
-	rt := exactProfileRuntime()
+	rt := NewRuntime()
 	c := NewClass("ProfPlain", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")
 
+	samplePhase(rt, 1)
 	tx := rt.Begin()
 	tx.WriteInt(o, v, 1)
 	tx.Commit()
@@ -34,21 +40,24 @@ func TestProfileCountsUncontendedAcquires(t *testing.T) {
 	if row.Site.Field != "v" || row.Site.Array {
 		t.Fatalf("site identity wrong: %+v", row.Site)
 	}
-	if row.Acquires != 1 || row.Contended != 0 || row.BlockTime != 0 {
+	if row.Acquires != ProfilePeriod || row.Contended != 0 || row.BlockTime != 0 {
 		t.Fatalf("uncontended acquire miscounted: %+v", row)
 	}
 }
 
+// The holder owns "hot" while a second transaction blocks on it; "cold"
+// is only ever touched uncontended. The phase puts the holder's second
+// acquire (cold) on the sample, and with it the next ticket's first
+// contended block and first acquire: the waiter's, on hot.
 func TestProfileTopSiteIsTheHotLock(t *testing.T) {
-	rt := exactProfileRuntime()
+	rt := NewRuntime()
 	c := NewClass("ProfHot",
 		FieldSpec{Name: "hot", Kind: KindWord},
 		FieldSpec{Name: "cold", Kind: KindWord})
 	o := NewCommitted(c)
 	hot, cold := c.Field("hot"), c.Field("cold")
 
-	// The holder owns "hot" while a second transaction blocks on it;
-	// "cold" is only ever touched uncontended.
+	samplePhase(rt, 2)
 	holder := rt.Begin()
 	holder.WriteInt(o, hot, 1)
 	holder.WriteInt(o, cold, 1)
@@ -62,33 +71,35 @@ func TestProfileTopSiteIsTheHotLock(t *testing.T) {
 	holder.Commit()
 	<-done
 
-	rows := rt.Profile().Snapshot()
-	if len(rows) < 2 {
+	var rows []SiteProfile
+	for _, r := range rt.Profile().Snapshot() {
+		if r.Site.Class == "ProfHot" {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) != 2 {
 		t.Fatalf("expected rows for hot and cold, got %+v", rows)
 	}
 	top := rows[0]
 	if top.Site.String() != "ProfHot.hot" {
 		t.Fatalf("top site = %s, want ProfHot.hot (rows %+v)", top.Site, rows)
 	}
-	if top.Contended == 0 {
-		t.Fatal("contended acquire not counted on the hot site")
+	if top.Acquires != ProfilePeriod || top.Contended != 1 || top.BlockTime == 0 {
+		t.Fatalf("hot site: %+v, want Acquires %d, Contended 1 and block time", top, ProfilePeriod)
 	}
-	if top.BlockTime == 0 {
-		t.Fatal("block time not charged to the hot site")
-	}
-	for _, r := range rows[1:] {
-		if r.Site.String() == "ProfHot.cold" && (r.Contended != 0 || r.BlockTime != 0) {
-			t.Fatalf("cold site charged with contention: %+v", r)
-		}
+	if r := rows[1]; r.Acquires != ProfilePeriod || r.Contended != 0 || r.BlockTime != 0 {
+		t.Fatalf("cold site: %+v, want Acquires %d and no contention", r, ProfilePeriod)
 	}
 }
 
+// One section writes one period's worth of elements: whatever its
+// ticket, exactly one of its acquires is on the sample.
 func TestProfileArrayElementsShareOneSite(t *testing.T) {
-	rt := exactProfileRuntime()
-	a := NewCommittedArray(KindWord, 8)
+	rt := NewRuntime()
+	a := NewCommittedArray(KindWord, ProfilePeriod)
 
 	tx := rt.Begin()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < ProfilePeriod; i++ {
 		tx.WriteElem(a, i, uint64(i))
 	}
 	tx.Commit()
@@ -106,22 +117,22 @@ func TestProfileArrayElementsShareOneSite(t *testing.T) {
 	if row.Site.String() != "[]word[*]" {
 		t.Fatalf("array site renders as %q, want []word[*]", row.Site.String())
 	}
-	if row.Acquires != 8 {
-		t.Fatalf("array acquires = %d, want 8 (one per element, one shared site)", row.Acquires)
+	if row.Acquires != ProfilePeriod {
+		t.Fatalf("array acquires = %d, want %d (one per element, one shared site)", row.Acquires, ProfilePeriod)
 	}
 }
 
-// TestProfileSampledAcquiresUnbiased drives enough acquires through a
-// default (sampled) runtime that the scaled estimate must land near the
-// true count: 256 transactions × 64 acquires = 16384 true acquires on
-// one site; the ticket-offset phase makes the estimate unbiased, so
-// even a generous ±50% tolerance would only fail on a broken sampler.
+// TestProfileSampledAcquiresUnbiased drives sections shorter than the
+// sampling period: half a period of acquires each, so without the
+// ticket offset none would ever sample. Over a whole number of periods
+// of consecutive tickets every phase occurs equally often, so the
+// scaled estimate equals the true count: 512 × 32 = 16384.
 func TestProfileSampledAcquiresUnbiased(t *testing.T) {
 	rt := NewRuntime()
 	c := NewClass("ProfSampled", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 
-	const txns, perTx = 256, 64
+	const txns, perTx = 512, ProfilePeriod / 2
 	objs := make([]*Object, perTx)
 	for i := range objs {
 		objs[i] = NewCommitted(c)
@@ -140,9 +151,8 @@ func TestProfileSampledAcquiresUnbiased(t *testing.T) {
 			got = r.Acquires
 		}
 	}
-	const want = txns * perTx
-	if got < want/2 || got > want*2 {
-		t.Fatalf("sampled acquire estimate = %d, want within 2x of %d", got, want)
+	if got != txns*perTx {
+		t.Fatalf("sampled acquire estimate = %d, want %d", got, txns*perTx)
 	}
 }
 
@@ -208,10 +218,11 @@ func retryLoop2(rt *Runtime, tx *Tx, body func(tx *Tx)) {
 }
 
 func TestProfileReset(t *testing.T) {
-	rt := exactProfileRuntime()
+	rt := NewRuntime()
 	c := NewClass("ProfReset", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 
+	samplePhase(rt, 1)
 	tx := rt.Begin()
 	tx.WriteInt(o, c.Field("v"), 1)
 	tx.Commit()
@@ -228,10 +239,11 @@ func TestProfileReset(t *testing.T) {
 }
 
 func TestProfileFlushedOnAbortReset(t *testing.T) {
-	rt := exactProfileRuntime()
+	rt := NewRuntime()
 	c := NewClass("ProfAbort", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 
+	samplePhase(rt, 1)
 	tx := rt.Begin()
 	tx.WriteInt(o, c.Field("v"), 1)
 	runAborting(t, func() { tx.Abort("testing") })
@@ -244,7 +256,7 @@ func TestProfileFlushedOnAbortReset(t *testing.T) {
 			acq += r.Acquires
 		}
 	}
-	if acq == 0 {
-		t.Fatal("acquire from the aborted attempt was not flushed at Reset")
+	if acq != ProfilePeriod {
+		t.Fatalf("site acquires = %d, want %d: the aborted attempt's sampled acquire was lost at Reset", acq, ProfilePeriod)
 	}
 }

@@ -133,11 +133,11 @@ const (
 // write-through drain): a Yield at PointSpin under a harness, else a
 // reschedule (d == 0) or a sleep of d.
 func (rt *Runtime) spinWait(d time.Duration) {
-	if rt.hooks != nil {
-		rt.hooks.Yield(PointSpin)
-	} else if d == 0 {
+	switch {
+	case rt.yield(PointSpin):
+	case d == 0:
 		runtime.Gosched()
-	} else {
+	default:
 		time.Sleep(d)
 	}
 }

@@ -48,7 +48,7 @@ func (h *yieldRecorder) sawYield(p YieldPoint) bool {
 // slowAcquire — and the upgrade must not duplicate the lock-log entry.
 func TestSoleReaderUpgradeStaysOnFastPath(t *testing.T) {
 	h := &yieldRecorder{}
-	rt := NewRuntimeOpts(Options{Hooks: h, ProfileSampleRate: 1})
+	rt := NewRuntimeOpts(Options{Hooks: h})
 	c := NewClass("PromoSole", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")
@@ -77,7 +77,7 @@ func TestSoleReaderUpgradeStaysOnFastPath(t *testing.T) {
 // read-only phase: each commit that promoted without writing pays the
 // penalty, and once the score reaches zero reads stay reads.
 func TestPromotionHintDecay(t *testing.T) {
-	rt := exactProfileRuntime()
+	rt := NewRuntime()
 	c := NewClass("PromoDecay", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")
@@ -126,7 +126,7 @@ func TestPromotionHintDecay(t *testing.T) {
 // A written promotion must reward the hint instead of decaying it: the
 // score stays positive across many RMW commits.
 func TestPromotionJustifiedByWrite(t *testing.T) {
-	rt := exactProfileRuntime()
+	rt := NewRuntime()
 	c := NewClass("PromoRMW", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")
@@ -165,7 +165,7 @@ func TestRecheckCASFailCharged(t *testing.T) {
 		PointSpin:       spins,
 		PointRecheckCAS: 1,
 	}}
-	rt := NewRuntimeOpts(Options{Hooks: h, ProfileSampleRate: 1})
+	rt := NewRuntimeOpts(Options{Hooks: h})
 	c := NewClass("PromoRecheck", FieldSpec{Name: "v", Kind: KindWord})
 	o := NewCommitted(c)
 	v := c.Field("v")

@@ -185,13 +185,11 @@ func (d *detector) lockedQueue(addr *uint64) (*lockQueue, bool) {
 		// whose verify load sees the marker gone finds the queue to wake
 		// when it retracts.
 		qid := d.allocQID()
-		if debugInvariants {
-			// Only 1..MaxTxns index the queue table; 57..62 are dead values
-			// of the 6-bit field and 63 is the bias marker. Installing any
-			// of them would make wordRealQueue resolve garbage.
-			if qid < 1 || qid > MaxTxns {
-				panic(fmt.Sprintf("stm: installing invalid queue ID %d", qid))
-			}
+		// Only 1..MaxTxns index the queue table; 57..62 are dead values
+		// of the 6-bit field and 63 is the bias marker. Installing any of
+		// them would make wordRealQueue resolve garbage.
+		if qid < 1 || qid > MaxTxns {
+			panic(fmt.Sprintf("stm: installing invalid queue ID %d", qid))
 		}
 		q := &d.queues[qid]
 		q.mu.Lock()
@@ -382,11 +380,10 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	// Per-site block time is sampled at the profile sampling period, like
 	// acquire counts: two clock reads per block are the single largest
 	// slow-path cost under heavy contention, and a 1-in-N sample scaled
-	// back up keeps the profile's ranking intact. ProfileSampleRate 1
-	// measures every block exactly. The ticket offsets the sampling phase
-	// per transaction (see lockFor).
+	// back up keeps the profile's ranking intact. The ticket offsets the
+	// sampling phase per transaction (profile.go).
 	var parkStart time.Time
-	blockSampled := (tx.n.Contended+tx.ticket)&rt.profMask == 0
+	blockSampled := (tx.n.Contended+tx.ticket)&profMask == 0
 	if blockSampled {
 		parkStart = time.Now()
 	}
@@ -495,8 +492,7 @@ func (q *lockQueue) depsOfLocked(wt *waiter) uint64 {
 // current word permits: one writer, or a maximal run of readers. The
 // queue is uninstalled when it drains. Caller holds q.mu.
 func (d *detector) grantScanLocked(q *lockQueue) {
-	if len(q.waiters) > 0 && !d.redelivering.Load() && d.rt.hooks != nil &&
-		d.rt.hooks.DelayGrant() {
+	if len(q.waiters) > 0 && !d.redelivering.Load() && d.rt.delayGrant() {
 		// Fault injection: suppress this grant scan. The lock word is
 		// already consistent; the waiters simply stay parked until
 		// RedeliverDelayedGrants re-runs the scan.

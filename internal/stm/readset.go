@@ -121,8 +121,8 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 	tx.readSet = append(tx.readSet, invisRead{slab: slab, lockID: lockID, site: site, v: v1})
 	tx.invisVal, tx.invisHit = val, true
 	tx.n.InvisReads++
-	if (tx.n.InvisReads+tx.ticket)&rt.profMask == 0 {
-		atomic.AddUint64(&rt.sites.at(site).n.InvisReads, rt.profMask+1)
+	if (tx.n.InvisReads+tx.ticket)&profMask == 0 {
+		atomic.AddUint64(&rt.sites.at(site).n.InvisReads, profMask+1)
 	}
 	if rt.wantsEvent(EvInvisRead) {
 		rt.event(Event{Kind: EvInvisRead, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr})

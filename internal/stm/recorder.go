@@ -13,30 +13,29 @@ import (
 // Before it existed, events were only observable with a schedule
 // harness attached (Options.Hooks); the recorder keeps the contention
 // history — blocks, grants, deadlock resolutions —
-// available for dumping on demand or when a deadlock is resolved,
+// available for dumping on demand (Dump, or /events in internal/obs),
 // without any harness and without locks: one fetch-add claims a slot,
 // and per-slot sequence validation makes torn (overwritten-while-read)
 // slots detectable, so readers simply skip them.
 //
 // Per-transaction lifecycle events (begin/commit/reset/slot release)
-// are excluded by the default kind mask: they fire once per transaction
-// on the uncontended path, where the recorder must cost nothing beyond
-// a mask check. The slot-pool overflow events (slot-wait/slot-grant)
+// are excluded by the kind mask (recordedKinds): they fire once per
+// transaction on the uncontended path, where the recorder must cost
+// nothing beyond a mask check. The slot-pool overflow events (slot-wait/slot-grant)
 // are retained: they only fire when more than MaxTxns sections hold
 // locks at once, which is exactly the saturation history a dump should
-// show. Options.RecorderKinds can change the selection.
+// show.
 
 // DefaultRecorderSize is the event capacity used when Options.RecorderSize
 // is zero.
 const DefaultRecorderSize = 1024
 
-// defaultRecorderKinds are the contention-path protocol events retained
-// in production.
-var defaultRecorderKinds = []EventKind{
-	EvBlocked, EvGranted, EvAbortWaiter, EvDeadlock,
-	EvSpuriousWake, EvDelayedGrant, EvInevRelease, EvPromoted,
-	EvBiasRevoke, EvSlotWait, EvSlotGrant, EvValidationAbort,
-}
+// recordedKinds is the bit mask of the contention-path protocol events
+// the recorder retains. Constant, so an emission site of a kind outside
+// it (EvBegin, EvCommit) compiles down to the harness check alone.
+const recordedKinds uint64 = 1<<EvBlocked | 1<<EvGranted | 1<<EvAbortWaiter | 1<<EvDeadlock |
+	1<<EvSpuriousWake | 1<<EvDelayedGrant | 1<<EvInevRelease | 1<<EvPromoted |
+	1<<EvBiasRevoke | 1<<EvSlotWait | 1<<EvSlotGrant | 1<<EvValidationAbort
 
 // recSlot is one ring slot: a sequence word plus the packed payload.
 // Everything is atomic so concurrent overwrite is a torn read the
@@ -49,13 +48,12 @@ type recSlot struct {
 // FlightRecorder is the fixed-size lock-free protocol-event ring.
 type FlightRecorder struct {
 	mask   uint64
-	kinds  uint64 // bit mask over EventKind
 	start  time.Time
 	cursor atomic.Uint64
 	slots  []recSlot
 }
 
-func newFlightRecorder(size int, kinds []EventKind) *FlightRecorder {
+func newFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultRecorderSize
 	}
@@ -64,16 +62,8 @@ func newFlightRecorder(size int, kinds []EventKind) *FlightRecorder {
 	for n < size {
 		n <<= 1
 	}
-	if kinds == nil {
-		kinds = defaultRecorderKinds
-	}
-	var mask uint64
-	for _, k := range kinds {
-		mask |= 1 << uint(k)
-	}
 	return &FlightRecorder{
 		mask:  uint64(n - 1),
-		kinds: mask,
 		start: time.Now(),
 		slots: make([]recSlot, n),
 	}
@@ -81,7 +71,7 @@ func newFlightRecorder(size int, kinds []EventKind) *FlightRecorder {
 
 // wants reports whether events of kind k are recorded.
 func (r *FlightRecorder) wants(k EventKind) bool {
-	return r.kinds&(1<<uint(k)) != 0
+	return recordedKinds&(1<<k) != 0
 }
 
 // Cap returns the ring capacity in events.

@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -22,17 +21,14 @@ type Runtime struct {
 	ticket atomic.Uint64
 	det    *detector
 	stats  Stats
-	// txBySlot maps a leased lock-word slot to the section holding it;
-	// the invariant sweeps resolve holder bits through it. nil for
-	// unleased slots. Maintained only when trackSlots is set — nothing
-	// on the production hot path reads it, and the two fenced pointer
-	// stores per transaction are measurable on the uncontended gate.
-	txBySlot [MaxTxns]atomic.Pointer[Tx]
-	// trackSlots enables txBySlot maintenance: set when a schedule
-	// harness is attached (the context that runs invariant sweeps). The
-	// sweeps skip holder-resolution checks when unset.
-	trackSlots bool
-	maxSlots   int
+	// waiterSlots holds the reusable per-slot waiter objects (see
+	// Tx.slowAcquire): the entry is exclusively owned by the section
+	// holding the slot, so a slow-path block allocates nothing in
+	// steady state. Its slow-path-only words also keep the counters'
+	// cache lines, which every commit adds into, apart from hooks and
+	// sites, which every access reads.
+	waiterSlots [MaxTxns]*waiter
+	maxSlots    int
 	// hooks, when non-nil, routes slow-path decision points to a
 	// schedule-exploration harness (internal/sched). nil in production.
 	hooks Hooks
@@ -47,23 +43,12 @@ type Runtime struct {
 	// vc is the global version clock commit-time validation of invisible
 	// reads is anchored to (clock.go, readset.go).
 	vc versionClock
-	// profMask gates the sampled per-site acquire counter: a lock acquire
-	// is charged to its site when (Tx.n.Acquire+ticket)&profMask == 0.
-	profMask uint64
-	// waiterSlots holds the reusable per-slot waiter objects (see
-	// Tx.slowAcquire): the entry is exclusively owned by the section
-	// holding the slot, so a slow-path block allocates nothing in
-	// steady state.
-	waiterSlots [MaxTxns]*waiter
 	// txPool recycles Tx objects (and their log capacities) across
 	// transactions.
 	txPool sync.Pool
 	// rec is the protocol-event flight recorder; nil when disabled via
 	// Options.RecorderSize < 0.
 	rec *FlightRecorder
-	// dumpOnDeadlock, when non-nil, receives a flight-recorder dump each
-	// time the detector resolves a deadlock.
-	dumpOnDeadlock io.Writer
 	// inev is the single inevitability token (§3.4): at most one
 	// transaction can be inevitable at any moment.
 	inev chan struct{}
@@ -87,26 +72,6 @@ type Options struct {
 	// to a power of two). 0 means DefaultRecorderSize; negative disables
 	// the recorder entirely.
 	RecorderSize int
-	// RecorderKinds selects which event kinds the flight recorder
-	// retains. nil means the contention-path default: blocked, granted,
-	// abort-waiter, deadlock, spurious-wake, delayed-grant,
-	// inev-release and the slot-pool overflow events — everything except
-	// the per-transaction lifecycle events, which would tax the
-	// uncontended fast path.
-	RecorderKinds []EventKind
-	// DeadlockDump, when non-nil, receives a flight-recorder dump every
-	// time the deadlock detector resolves a cycle — the protocol history
-	// leading up to the deadlock, captured at the moment it happened.
-	DeadlockDump io.Writer
-	// ProfileSampleRate is the sampling period of the per-site acquire
-	// counter and of per-site block time: one in every ProfileSampleRate
-	// lock acquires (and parked blocks) is charged to its site, scaled
-	// up by the period, so the reported totals stay unbiased estimates.
-	// 0 means DefaultProfileSampleRate; 1 counts every acquire and block
-	// exactly; other values are rounded up to a power of two. The other
-	// contention counters (contended, CAS failures, upgrades, deadlocks)
-	// are slow-path-only and always exact.
-	ProfileSampleRate int
 }
 
 // NewRuntime creates a runtime with default options.
@@ -120,27 +85,16 @@ func NewRuntimeOpts(opts Options) *Runtime {
 	}
 	rt := &Runtime{
 		maxSlots: n,
+		hooks:    opts.Hooks,
 		inev:     make(chan struct{}, 1),
 	}
 	rt.slots = newSlotPool(rt, n)
 	rt.det = newDetector(rt)
 	rt.inev <- struct{}{}
-	rt.hooks = opts.Hooks
 	if opts.RecorderSize >= 0 {
-		rt.rec = newFlightRecorder(opts.RecorderSize, opts.RecorderKinds)
+		rt.rec = newFlightRecorder(opts.RecorderSize)
 	}
-	rt.dumpOnDeadlock = opts.DeadlockDump
-	rate := opts.ProfileSampleRate
-	if rate <= 0 {
-		rate = DefaultProfileSampleRate
-	}
-	pow := 1
-	for pow < rate {
-		pow <<= 1
-	}
-	rt.profMask = uint64(pow - 1)
 	rt.vc.init()
-	rt.trackSlots = rt.hooks != nil
 	return rt
 }
 
@@ -201,9 +155,6 @@ func (rt *Runtime) acquireSlot(tx *Tx) {
 	slot, _ := rt.slots.acquire(tx)
 	tx.slot = slot
 	tx.mask = txMask(slot)
-	if rt.trackSlots {
-		rt.txBySlot[slot].Store(tx)
-	}
 }
 
 // releaseSlot returns tx's slot lease to the pool (possibly handing it
@@ -213,9 +164,6 @@ func (rt *Runtime) releaseSlot(tx *Tx) {
 	slot := tx.slot
 	tx.slot = -1
 	tx.mask = 0
-	if rt.trackSlots {
-		rt.txBySlot[slot].Store(nil)
-	}
 	rt.slots.release(slot)
 	if rt.wantsEvent(EvSlotRelease) {
 		rt.event(Event{Kind: EvSlotRelease, TxID: tx.ID(), OtherID: slot})

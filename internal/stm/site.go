@@ -116,7 +116,7 @@ func (p policy) mode(invisOK bool) Mode {
 type siteEvent uint8
 
 const (
-	// Sampled lock-word acquisitions (1 in ProfileSampleRate). Only word
+	// Sampled lock-word acquisitions (1 in ProfilePeriod). Only word
 	// slots can ever read invisibly (readset.go), so only the Word
 	// variants train the invisible score.
 	siteRead siteEvent = iota

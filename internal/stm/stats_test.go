@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestCounterDeclarationComplete drives every derived operation from a
@@ -111,10 +112,12 @@ func TestSiteCounterDeclarationComplete(t *testing.T) {
 
 // TestSiteCountersChargedAtEvent pins the per-site route: an event is
 // in its site's cell as soon as it happens, not when its section
-// commits. Every acquire is sampled (ProfileSampleRate 1); the upgrade
-// parks behind a second reader, so it is both contended and an upgrade.
+// commits. The phase puts the upgrader's read on the sample, and
+// neither the reader's read nor the upgrade; the upgrade parks behind
+// the reader, so it is both contended and an upgrade.
 func TestSiteCountersChargedAtEvent(t *testing.T) {
-	rt := NewRuntimeOpts(Options{ProfileSampleRate: 1})
+	rt := NewRuntime()
+	samplePhase(rt, 1)
 	c := NewClass("SiteAtEvent", FieldSpec{Name: "v", Kind: KindWord})
 	v := c.Field("v")
 	o := NewCommitted(c)
@@ -129,8 +132,8 @@ func TestSiteCountersChargedAtEvent(t *testing.T) {
 
 	upgrader, reader := rt.Begin(), rt.Begin()
 	upgrader.ReadWord(o, v)
-	if got := row().Acquires; got != 1 {
-		t.Fatalf("sampled acquire: Acquires = %d before commit, want 1", got)
+	if got := row().Acquires; got != ProfilePeriod {
+		t.Fatalf("sampled acquire: Acquires = %d before commit, want %d", got, ProfilePeriod)
 	}
 	reader.ReadWord(o, v)
 	done := make(chan struct{})
@@ -148,8 +151,8 @@ func TestSiteCountersChargedAtEvent(t *testing.T) {
 	reader.Commit()
 	<-done
 	upgrader.Commit()
-	if r := row(); r.Acquires != 3 || r.Contended != 1 || r.Upgrades != 1 {
-		t.Errorf("after both commits: %+v, want Acquires 3, Contended 1, Upgrades 1", r)
+	if r := row(); r.Acquires != ProfilePeriod || r.Contended != 1 || r.Upgrades != 1 {
+		t.Errorf("after both commits: %+v, want Acquires %d, Contended 1, Upgrades 1", r, ProfilePeriod)
 	}
 }
 
@@ -170,5 +173,36 @@ func TestAbortsVisibleWhileRetrying(t *testing.T) {
 	tx.Commit()
 	if s := rt.Stats().Snapshot(); s.Aborts != 1 || s.Commits != 1 {
 		t.Fatalf("after commit: Aborts %d, Commits %d; want 1, 1", s.Aborts, s.Commits)
+	}
+}
+
+// TestRWSetBytesCountsEntrySizes pins Table 8's R-W set figure for one
+// section with two lock-log entries, one undo entry and one invisible
+// read: each entry is charged at its in-memory size (16, 48 and 24
+// bytes on a 64-bit platform).
+func TestRWSetBytesCountsEntrySizes(t *testing.T) {
+	rt := NewRuntime()
+	c := NewClass("RWSetBytes",
+		FieldSpec{Name: "a", Kind: KindWord},
+		FieldSpec{Name: "b", Kind: KindWord},
+		FieldSpec{Name: "c", Kind: KindWord})
+	a, b, cf := c.Field("a"), c.Field("b"), c.Field("c")
+	o := NewCommitted(c)
+	rt.SeedInvisible(c, a)
+	primeInvis(rt, o, a)
+
+	before := rt.Stats().Snapshot()
+	tx := rt.Begin()
+	tx.ReadWord(o, a)      // invisible: one read-set entry
+	tx.ReadWord(o, b)      // visible: one lock-log entry
+	tx.WriteWord(o, cf, 1) // one lock-log entry, one undo entry
+	if len(tx.lockLog) != 2 || len(tx.undo) != 1 || len(tx.readSet) != 1 {
+		t.Fatalf("logs: lock %d, undo %d, read-set %d; want 2, 1, 1", len(tx.lockLog), len(tx.undo), len(tx.readSet))
+	}
+	tx.Commit()
+
+	want := 2*unsafe.Sizeof(lockLogEntry{}) + unsafe.Sizeof(undoEntry{}) + unsafe.Sizeof(invisRead{})
+	if got := rt.Stats().Snapshot().Sub(before).RWSetBytes; got != uint64(want) {
+		t.Fatalf("RWSetBytes = %d, want %d", got, want)
 	}
 }

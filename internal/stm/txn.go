@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Aborted is the panic payload used to unwind a transaction that was
@@ -353,11 +354,10 @@ func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, 
 		tx.drainWriteThru(addr, site, owned)
 	}
 	tx.n.Acquire++
-	// The per-site acquire count is sampled 1-in-(profMask+1): the ticket
-	// offsets the sampling phase per transaction, so short transactions
-	// contribute in aggregate even though any single one usually skips.
-	// All other site counters are slow-path-only and stay exact.
-	if (tx.n.Acquire+tx.ticket)&tx.rt.profMask == 0 {
+	// The per-site acquire count is sampled 1-in-ProfilePeriod
+	// (profile.go); all other site counters are slow-path-only and stay
+	// exact.
+	if (tx.n.Acquire+tx.ticket)&profMask == 0 {
 		tx.noteSample(site, kind, write)
 	}
 	if !owned {
@@ -761,8 +761,9 @@ func (tx *Tx) releaseLocks() {
 // the transaction-local accumulators (each attempt — commit or reset —
 // counts as one measured transaction, so the count is Commits + Aborts).
 func (tx *Tx) accountMemory() {
-	tx.n.RWSetBytes += uint64(len(tx.lockLog))*16 + uint64(len(tx.undo))*40 +
-		uint64(len(tx.readSet))*24
+	tx.n.RWSetBytes += uint64(len(tx.lockLog))*uint64(unsafe.Sizeof(lockLogEntry{})) +
+		uint64(len(tx.undo))*uint64(unsafe.Sizeof(undoEntry{})) +
+		uint64(len(tx.readSet))*uint64(unsafe.Sizeof(invisRead{}))
 	tx.n.UndoEntries += uint64(len(tx.undo))
 	tx.n.InitEntries += uint64(len(tx.initLog))
 	for _, r := range tx.resources {
