@@ -9,7 +9,7 @@ package stm
 //
 // The default is a nil Hooks. This file is the only one that reads
 // rt.hooks: every instrumented site calls one of the dispatch helpers
-// at its end, each one predictable `rt.hooks != nil` branch, so the
+// below, each one predictable `rt.hooks != nil` branch, so the
 // production fast path is unchanged and the slow path is the same code
 // with or without a harness (`make one-path` checks both).
 
