@@ -28,10 +28,13 @@ fmt-check:
 # part is built with its runtime, so a `rt == nil` / `rt != nil` check
 # is a fork production never takes, and fails here too. Only hooks.go
 # reads the hooks field: every other file calls its dispatch helpers.
+# A harness reaches only states production reaches, so the runtime
+# exports no Inject* or Redeliver* entry point that forces one.
 one-path:
 	@out="$$(git grep -nwE 'hooks == nil|rt [!=]= nil' -- 'internal/stm/*.go' ':!*_test.go'; \
-		git grep -nE '\.hooks\b' -- 'internal/stm/*.go' ':!*_test.go' ':!internal/stm/hooks.go')"; \
-		if [ -n "$$out" ]; then echo "production-only branch in internal/stm:"; \
+		git grep -nE '\.hooks\b' -- 'internal/stm/*.go' ':!*_test.go' ':!internal/stm/hooks.go'; \
+		git grep -nE 'Inject|Redeliver' -- 'internal/stm/*.go' ':!*_test.go')"; \
+		if [ -n "$$out" ]; then echo "production-only branch or harness-only entry point in internal/stm:"; \
 		echo "$$out"; exit 1; fi
 
 # The gate CI runs on every push/PR: formatting, the one-path check,

@@ -233,7 +233,9 @@ func table8(out io.Writer, runs []singleRun) {
 		tbl.Row(r.name, kb(s.LockBytes), kb(s.RWSetBytes), kb(s.BufferBytes),
 			kb(s.InitEntries*8), s.Commits+s.Aborts)
 	}
-	printTable(out, "Table 8: transaction memory overhead (single-threaded run, totals)", tbl,
+	printTable(out, "Table 8: transaction memory overhead (one-thread run, luindex at its fixed two threads; totals)", tbl,
+		"luindex's two threads can move its R-W set and add an abort to its",
+		"Txns; every other row is the same on every run.",
 		"Paper shape: LuSearch/Sunflow largest lock slabs, LuIndex largest",
 		"buffers (index file written in one transaction), Tomcat large R-W",
 		"set (many write locks), H2 almost nothing.")

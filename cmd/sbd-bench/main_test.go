@@ -117,7 +117,7 @@ func TestTables678(t *testing.T) {
 	checkRows(t, "Table 7", rows)
 	out.Reset()
 	table8(&out, runs)
-	header, rows = block(t, out.String(), "Table 8: transaction memory overhead (single-threaded run, totals)")
+	header, rows = block(t, out.String(), "Table 8: transaction memory overhead (one-thread run, luindex at its fixed two threads; totals)")
 	if !strings.HasPrefix(header, "Benchmark  Locks") || !strings.Contains(header, "Txns") {
 		t.Errorf("Table 8 header = %q", header)
 	}

@@ -4,10 +4,10 @@
 // Each round runs the scenario suite — directed deadlock, dueling
 // write-upgrade (a two-member cycle the same detector resolves), queue
 // handoff, ID-pool exhaustion, SBD-layer atomic sections, and a
-// randomized transfer workload — under a seeded
-// schedule with fault injection (forced CAS failures, delayed grants,
-// spurious wake-ups), checking the runtime's structural invariants and
-// the protocol's fairness and victim-selection rules throughout.
+// randomized transfer workload — under a seeded schedule that forces
+// CAS failures, checking the runtime's structural invariants and the
+// protocol's fairness and victim-selection rules throughout. Every
+// state a run reaches is one production can reach.
 //
 // Runs are reproducible: the same -seed explores the same schedules.
 // On a failure the driver re-runs the failing scenario under schedule
@@ -52,7 +52,7 @@ func main() {
 	start := time.Now()
 	for r := 0; r < *rounds; r++ {
 		roundSeed := *seed + uint64(r)
-		results, cov, err := sched.RunRound(roundSeed, sched.Config{})
+		results, cov, err := sched.RunRound(roundSeed)
 		total.Add(cov)
 		if *verbose {
 			fmt.Printf("round %3d seed=%d: %s\n", r, roundSeed, cov)
@@ -95,7 +95,7 @@ func report(roundSeed uint64, results []sched.Result, err error) string {
 	rep += fmt.Sprintf("scenario: %s\nscenario-seed: %d\ncoverage: %s\n", last.Scenario, last.Seed, last.Coverage)
 	sc := sched.RoundScenarios(roundSeed)[len(results)-1]
 	res := sched.Shrink(last.Decisions, func(dec []sched.Decision) error {
-		return sched.RunScenario(sc, sched.NewReplayPolicy(dec), sched.Config{}).Err
+		return sched.RunScenario(sc, sched.NewReplayPolicy(dec)).Err
 	}, shrinkRuns)
 	dec := last.Decisions
 	if res.Err != nil {

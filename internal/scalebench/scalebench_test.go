@@ -112,7 +112,6 @@ func (h enqueueSignal) Yield(stm.YieldPoint)        {}
 func (h enqueueSignal) Block(stm.YieldPoint)        {}
 func (h enqueueSignal) Unblock(stm.YieldPoint)      {}
 func (h enqueueSignal) FailCAS(stm.YieldPoint) bool { return false }
-func (h enqueueSignal) DelayGrant() bool            { return false }
 func (h enqueueSignal) Event(ev stm.Event) {
 	if ev.Kind == stm.EvBlocked {
 		select {

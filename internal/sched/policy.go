@@ -20,19 +20,10 @@ type FaultKind uint8
 const (
 	// FaultCAS forces a lock-word (or ID-pool) CAS to fail.
 	FaultCAS FaultKind = iota
-	// FaultDelayGrant suppresses a queue grant scan until redelivery.
-	FaultDelayGrant
-	// FaultSpurious wakes a parked waiter without granting it.
-	FaultSpurious
-	// FaultRedeliver re-runs suppressed grant scans now.
-	FaultRedeliver
 )
 
 var faultNames = [...]string{
-	FaultCAS:        "cas-fail",
-	FaultDelayGrant: "delay-grant",
-	FaultSpurious:   "spurious",
-	FaultRedeliver:  "redeliver",
+	FaultCAS: "cas-fail",
 }
 
 func (k FaultKind) String() string {
@@ -128,61 +119,34 @@ type Policy interface {
 	Fault(kind FaultKind) bool
 }
 
+// The random walk's probabilities: a preemption at each yield point,
+// and a forced failure at each CAS.
+const (
+	preemptNum, preemptDen = 1, 4
+	casNum, casDen         = 1, 32
+)
+
 // RandomPolicy is the seeded random-walk policy: at every yield point it
-// preempts with probability PreemptNum/PreemptDen, choosing uniformly
-// among the runnable goroutines, and fires each fault kind with its
-// configured probability.
+// preempts with probability 1/4, choosing uniformly among the runnable
+// goroutines, and it forces each CAS to fail with probability 1/32.
 type RandomPolicy struct {
 	rng *prng
-	// Preemption probability num/den at each yield point.
-	PreemptNum, PreemptDen int
-	// Per-consultation fault probabilities, num/den.
-	CASNum, CASDen             int
-	DelayNum, DelayDen         int
-	SpuriousNum, SpuriousDen   int
-	RedeliverNum, RedeliverDen int
 }
 
-// NewRandomPolicy returns the default random-walk policy for a seed:
-// 1/4 preemption, 1/32 CAS failure, 1/24 delayed grant, 1/48 spurious
-// wake-up, 1/8 redelivery.
+// NewRandomPolicy returns the random-walk policy for a seed.
 func NewRandomPolicy(seed uint64) *RandomPolicy {
-	return &RandomPolicy{
-		rng:        newPRNG(seed),
-		PreemptNum: 1, PreemptDen: 4,
-		CASNum: 1, CASDen: 32,
-		DelayNum: 1, DelayDen: 24,
-		SpuriousNum: 1, SpuriousDen: 48,
-		RedeliverNum: 1, RedeliverDen: 8,
-	}
-}
-
-// NoFaults disables all fault injection, keeping only preemption.
-func (p *RandomPolicy) NoFaults() *RandomPolicy {
-	p.CASNum, p.DelayNum, p.SpuriousNum = 0, 0, 0
-	p.RedeliverNum = 1
-	return p
+	return &RandomPolicy{rng: newPRNG(seed)}
 }
 
 func (p *RandomPolicy) PickNext(cands []int, cur int, _ stm.YieldPoint) int {
-	if cur >= 0 && !p.rng.chance(p.PreemptNum, p.PreemptDen) {
+	if cur >= 0 && !p.rng.chance(preemptNum, preemptDen) {
 		return cur
 	}
 	return cands[p.rng.intn(len(cands))]
 }
 
 func (p *RandomPolicy) Fault(kind FaultKind) bool {
-	switch kind {
-	case FaultCAS:
-		return p.rng.chance(p.CASNum, p.CASDen)
-	case FaultDelayGrant:
-		return p.rng.chance(p.DelayNum, p.DelayDen)
-	case FaultSpurious:
-		return p.rng.chance(p.SpuriousNum, p.SpuriousDen)
-	case FaultRedeliver:
-		return p.rng.chance(p.RedeliverNum, p.RedeliverDen)
-	}
-	return false
+	return kind == FaultCAS && p.rng.chance(casNum, casDen)
 }
 
 // ReplayPolicy replays a recorded decision list positionally: the i-th

@@ -39,9 +39,8 @@ type Result struct {
 // RunScenario executes one scenario under the given policy and returns
 // the outcome. The runtime and scheduler are fresh per run, so a Result
 // is a pure function of (scenario, policy).
-func RunScenario(sc Scenario, pol Policy, cfg Config) Result {
-	cfg.Policy = pol
-	s := New(cfg)
+func RunScenario(sc Scenario, pol Policy) Result {
+	s := New(pol)
 	rt := stm.NewRuntimeOpts(stm.Options{Hooks: s, MaxConcurrentTxns: sc.MaxTxns})
 	s.Attach(rt)
 	workers, post := sc.Build(rt, s)
@@ -58,7 +57,7 @@ func RunScenario(sc Scenario, pol Policy, cfg Config) Result {
 	cov := s.Coverage()
 	snap := rt.Stats().Snapshot()
 	cov.Deadlocks, cov.Spins, cov.WriteThrus = int(snap.Deadlocks), int(snap.SpinAcquires), int(snap.BiasWriteThrus)
-	cov.SpuriousWakes, cov.Promotions = int(snap.SpuriousWakes), int(snap.Promotions)
+	cov.Blocked, cov.Promotions = int(snap.Contended), int(snap.Promotions)
 	cov.BiasGrants, cov.BiasRevokes, cov.SlotWaits = int(snap.BiasGrants), int(snap.BiasRevokes), int(snap.SlotWaits)
 	cov.InvisReads, cov.ValAborts = int(snap.InvisReads), int(snap.ValidationAborts)
 	cov.Commits, cov.Aborts = int(snap.Commits), int(snap.Aborts)
@@ -521,8 +520,15 @@ func ScenarioCoreAtomic() Scenario {
 // ScenarioBiasRevoke forces the read-bias revocation protocol (bias.go):
 // the shared cell's site is seeded read-biased, two readers publish
 // reader slots and hold them across a barrier, and a writer — whose own
-// read also lands in a slot — upgrades, revoking the bias and draining
-// the readers. The policy's interleaving at PointBiasPublish covers
+// read also lands in a slot — upgrades. In the first round reader 0
+// keeps its slot until the writer has parked, so the writer's drain
+// budget runs out on every schedule: it revokes the bias, parks behind
+// the readers, and is granted the word when the slots drain. The second
+// round writes through the marker or revokes as the schedule falls.
+// Then, with every reader finished, the writer writes until one write
+// goes through the marker: it drains no slot but its own, and only a
+// forced CAS failure sends it to the queue path instead. The policy's
+// interleaving at PointBiasPublish covers
 // both orderings of the publish/revoke race: a reader parked between
 // its slot store and its marker verify either survives (the revoker
 // waits for it) or retracts and falls back to the shared-CAS path,
@@ -537,6 +543,7 @@ func ScenarioBiasRevoke() Scenario {
 			s.Watch(o)
 			rt.SeedReadBias(cellClass, cellV)
 			const readers, rounds = 2, 2
+			wID := -1 // written before the barrier, read after
 			var consistency error
 			last := make([]uint64, readers)
 			mkReader := func(i int) Worker {
@@ -548,6 +555,9 @@ func ScenarioBiasRevoke() Scenario {
 							if arm {
 								arm = false
 								s.Barrier("bias", readers+1)
+								if i == 0 {
+									s.AwaitBlocked(wID)
+								}
 							}
 							if v2 := tx.ReadWord(o, cellV); v2 != v && consistency == nil {
 								consistency = fmt.Errorf("bias-revoke: reader %d saw %d then %d in one transaction", i, v, v2)
@@ -559,31 +569,45 @@ func ScenarioBiasRevoke() Scenario {
 						})
 						s.Step()
 					}
+					s.Barrier("bias-done", readers+1)
 				}}
 			}
+			writes := 0
+			write := func(arm bool) {
+				Retry(s, rt, func(tx *stm.Tx) {
+					// The read publishes a reader slot of its own (the
+					// site is biased), so the write below exercises the
+					// upgrade-from-bias path before it can revoke.
+					v := tx.ReadWord(o, cellV)
+					if arm {
+						arm = false
+						wID = tx.ID()
+						s.Barrier("bias", readers+1)
+					}
+					tx.WriteWord(o, cellV, v+1)
+				})
+				writes++
+				s.Step()
+			}
 			writer := Worker{Name: "br-w", Body: func() {
-				arm := true
 				for r := 0; r < rounds; r++ {
-					Retry(s, rt, func(tx *stm.Tx) {
-						// The read publishes a reader slot of its own (the
-						// site is biased), so the write below exercises the
-						// upgrade-from-bias path before it can revoke.
-						v := tx.ReadWord(o, cellV)
-						if arm {
-							arm = false
-							s.Barrier("bias", readers+1)
-						}
-						tx.WriteWord(o, cellV, v+1)
-					})
-					s.Step()
+					write(r == 0)
+				}
+				s.Barrier("bias-done", readers+1)
+				for try := 0; try < 4; try++ {
+					thrus := rt.Stats().Snapshot().BiasWriteThrus
+					write(false)
+					if rt.Stats().Snapshot().BiasWriteThrus > thrus {
+						break
+					}
 				}
 			}}
 			post := func() error {
 				if consistency != nil {
 					return consistency
 				}
-				if v := stm.CommittedWord(o, cellV); v != rounds {
-					return fmt.Errorf("bias-revoke: counter = %d, want %d (lost update across revocation)", v, rounds)
+				if v := stm.CommittedWord(o, cellV); v != uint64(writes) {
+					return fmt.Errorf("bias-revoke: counter = %d, want %d (lost update across revocation)", v, writes)
 				}
 				return nil
 			}
@@ -874,13 +898,13 @@ func RoundScenarios(seed uint64) []Scenario {
 // one) and one queue handoff must have been observed — the directed
 // scenarios guarantee them, so a shortfall means the protocol silently
 // stopped taking those paths.
-func RunRound(seed uint64, cfg Config) ([]Result, Coverage, error) {
+func RunRound(seed uint64) ([]Result, Coverage, error) {
 	var results []Result
 	var total Coverage
 	for i, sc := range RoundScenarios(seed) {
 		scSeed := mix(seed, uint64(i)*1000)
 		pol := NewRandomPolicy(scSeed)
-		res := RunScenario(sc, pol, cfg)
+		res := RunScenario(sc, pol)
 		res.Seed = scSeed
 		total.Add(res.Coverage)
 		results = append(results, res)

@@ -7,19 +7,18 @@
 // only by accident. This package makes those interleavings a first-class
 // input: worker goroutines run under a cooperative token protocol (at
 // most one runs at a time), and at every instrumented yield point a
-// seeded policy decides who runs next and which faults (forced CAS
-// failures, delayed grants, spurious wake-ups) to inject. The same seed
+// seeded policy decides who runs next and which CAS to force to fail.
+// Every state a run reaches is one production can reach. The same seed
 // replays the identical schedule; a recorded decision list can be
 // replayed and greedily shrunk (see Shrink) when a run fails.
 //
 // The token holder is the only writer of goroutine state. Every wake a
-// parked goroutine can observe is announced to the scheduler before it
-// is delivered — by its stm.Event, or by the spurious-wake pump, which
-// marks its target runnable before signalling it — so the set of
-// runnable goroutines at each decision is a function of the seed alone.
-// A goroutine that resumes from a park the scheduler still holds
-// blocked fails the run ("unannounced wake") instead of racing the
-// token holder.
+// parked goroutine can observe is announced to the scheduler by its
+// stm.Event before it is delivered, so the set of runnable goroutines at
+// each decision is a function of the seed alone. A goroutine that
+// resumes from a park the scheduler still holds blocked fails the run
+// ("unannounced wake") instead of racing the token holder: no code may
+// signal a waiter without a grant or an abort.
 //
 // Invariants are checked two ways: structural sweeps through the
 // runtime's invariant accessors (stm.CheckInvariants/CheckObjectLocks),
@@ -77,25 +76,23 @@ type Worker struct {
 	Body func()
 }
 
-// Config parameterizes a Scheduler.
-type Config struct {
-	// Policy makes all scheduling and fault choices. Required.
-	Policy Policy
-	// MaxSteps bounds the number of yield-point decisions before the
-	// run is failed (livelock backstop). Default 200000.
-	MaxSteps int
-	// Timeout is the wall-clock watchdog for one Run. Default 30s.
-	Timeout time.Duration
-	// CheckEvery runs the structural invariant sweep every N yield
-	// points. 0 means every 64; negative disables sweeps.
-	CheckEvery int
-}
+// Every run has the same backstops and sweep rate.
+const (
+	// maxSteps bounds the number of decisions before the run is failed
+	// (livelock backstop).
+	maxSteps = 200000
+	// runTimeout is the wall-clock watchdog for one Run.
+	runTimeout = 30 * time.Second
+	// checkEvery is the period, in decisions, of the structural
+	// invariant sweep.
+	checkEvery = 16
+)
 
 // Scheduler serializes a set of worker goroutines at STM yield points
 // and implements stm.Hooks. One Scheduler drives one stm.Runtime for
 // one Run.
 type Scheduler struct {
-	cfg    Config
+	pol    Policy
 	failed atomic.Bool
 
 	mu    sync.Mutex
@@ -131,29 +128,26 @@ type Scheduler struct {
 // counts the fields marked (event) itself; RunScenario reads every other
 // field from the runtime's Stats, which count the same things.
 type Coverage struct {
-	Deadlocks     int // resolved deadlock cycles (Deadlocks)
-	Grants        int // queue handoffs (event)
-	Blocked       int // enqueues on contended locks (event)
-	Spins         int // acquisitions won by spin-before-enqueue (SpinAcquires)
-	CASFails      int // injected CAS failures (event)
-	DelayedGrants int // suppressed grant scans (event)
-	Redeliveries  int // redelivered grant scans (event)
-	SpuriousWakes int // consumed spurious wake-ups (SpuriousWakes)
-	Promotions    int // adaptive write-intent promotions (Promotions)
-	BiasGrants    int // biased reader-slot grants (BiasGrants)
-	BiasRevokes   int // read-bias revocations by writers (BiasRevokes)
-	WriteThrus    int // writes through a bias marker whose drain completed (BiasWriteThrus)
-	SlotWaits     int // sections parked in the slot pool's overflow tier (SlotWaits)
-	SlotGrants    int // slot leases handed to overflow-tier waiters (event)
-	InvisReads    int // invisible optimistic reads (InvisReads)
-	ValAborts     int // commit-time read-set validation failures (ValidationAborts)
-	Commits       int // committed transactions (Commits)
-	Aborts        int // rolled-back attempts (Aborts)
+	Deadlocks   int // resolved deadlock cycles (Deadlocks)
+	Grants      int // queue handoffs (event)
+	Blocked     int // enqueues on contended locks (Contended)
+	Spins       int // acquisitions won by spin-before-enqueue (SpinAcquires)
+	CASFails    int // injected CAS failures (event)
+	Promotions  int // adaptive write-intent promotions (Promotions)
+	BiasGrants  int // biased reader-slot grants (BiasGrants)
+	BiasRevokes int // read-bias revocations by writers (BiasRevokes)
+	WriteThrus  int // writes through a bias marker whose drain completed (BiasWriteThrus)
+	SlotWaits   int // sections parked in the slot pool's overflow tier (SlotWaits)
+	SlotGrants  int // slot leases handed to overflow-tier waiters (event)
+	InvisReads  int // invisible optimistic reads (InvisReads)
+	ValAborts   int // commit-time read-set validation failures (ValidationAborts)
+	Commits     int // committed transactions (Commits)
+	Aborts      int // rolled-back attempts (Aborts)
 }
 
 func (c Coverage) String() string {
-	return fmt.Sprintf("deadlocks=%d grants=%d blocked=%d spins=%d casfail=%d delayed=%d redeliver=%d spurious=%d promoted=%d biased=%d revoked=%d writethrus=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
-		c.Deadlocks, c.Grants, c.Blocked, c.Spins, c.CASFails, c.DelayedGrants, c.Redeliveries, c.SpuriousWakes, c.Promotions, c.BiasGrants, c.BiasRevokes, c.WriteThrus, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
+	return fmt.Sprintf("deadlocks=%d grants=%d blocked=%d spins=%d casfail=%d promoted=%d biased=%d revoked=%d writethrus=%d slotwaits=%d slotgrants=%d invis=%d valaborts=%d commits=%d aborts=%d",
+		c.Deadlocks, c.Grants, c.Blocked, c.Spins, c.CASFails, c.Promotions, c.BiasGrants, c.BiasRevokes, c.WriteThrus, c.SlotWaits, c.SlotGrants, c.InvisReads, c.ValAborts, c.Commits, c.Aborts)
 }
 
 // Add accumulates c2 into c.
@@ -163,9 +157,6 @@ func (c *Coverage) Add(c2 Coverage) {
 	c.Blocked += c2.Blocked
 	c.Spins += c2.Spins
 	c.CASFails += c2.CASFails
-	c.DelayedGrants += c2.DelayedGrants
-	c.Redeliveries += c2.Redeliveries
-	c.SpuriousWakes += c2.SpuriousWakes
 	c.Promotions += c2.Promotions
 	c.BiasGrants += c2.BiasGrants
 	c.BiasRevokes += c2.BiasRevokes
@@ -178,20 +169,12 @@ func (c *Coverage) Add(c2 Coverage) {
 	c.Aborts += c2.Aborts
 }
 
-// New creates a scheduler. Attach it to a runtime via stm.Options.Hooks
-// and Scheduler.Attach before Run.
-func New(cfg Config) *Scheduler {
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 200000
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.CheckEvery == 0 {
-		cfg.CheckEvery = 64
-	}
+// New creates a scheduler whose policy makes every scheduling and fault
+// choice. Attach it to a runtime via stm.Options.Hooks and
+// Scheduler.Attach before Run.
+func New(pol Policy) *Scheduler {
 	s := &Scheduler{
-		cfg:        cfg,
+		pol:        pol,
 		byGID:      make(map[uint64]*goroutineState),
 		byTx:       make(map[int]*goroutineState),
 		blockedTx:  make(map[int]bool),
@@ -202,9 +185,9 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Attach binds the runtime the scheduler drives (for fault redelivery,
-// spurious-wake injection, and invariant sweeps). The runtime must have
-// been created with this scheduler as its Hooks.
+// Attach binds the runtime the scheduler drives (for invariant sweeps
+// and stall diagnosis). The runtime must have been created with this
+// scheduler as its Hooks.
 func (s *Scheduler) Attach(rt *stm.Runtime) { s.rt = rt }
 
 // Watch registers objects whose lock words the periodic invariant
@@ -331,8 +314,8 @@ func (s *Scheduler) Run(workers ...Worker) error {
 	select {
 	case err := <-s.done:
 		return err
-	case <-time.After(s.cfg.Timeout):
-		s.fail(fmt.Errorf("watchdog: run exceeded %v (%s)", s.cfg.Timeout, s.stallDiagnosis()))
+	case <-time.After(runTimeout):
+		s.fail(fmt.Errorf("watchdog: run exceeded %v (%s)", runTimeout, s.stallDiagnosis()))
 		return <-s.done
 	}
 }
@@ -428,42 +411,25 @@ func (s *Scheduler) grantLocked(g *goroutineState) {
 
 // handoffLocked picks the next runnable goroutine (cur excluded — it is
 // blocking or exiting; pass cur == nil at kick-off) and grants it the
-// token, rescuing delayed grants or failing on a genuine stall. Caller
-// holds s.mu; it is still held on return.
+// token, or fails the run on a stall: with live goroutines and none
+// runnable, no wake can ever come. Caller holds s.mu; it is still held
+// on return.
 func (s *Scheduler) handoffLocked(cur *goroutineState, p stm.YieldPoint) {
-	for {
-		cands := s.candidatesLocked()
-		if len(cands) > 0 {
-			curIdx := -1
-			if cur != nil && cur.state == gReady {
-				curIdx = cur.idx
-			}
-			pick := s.cfg.Policy.PickNext(cands, curIdx, p)
-			pick = normalizePick(pick, cands, curIdx)
-			s.recordLocked(Decision{Kind: DecSwitch, Point: p, Target: pick})
-			s.grantLocked(s.gs[pick])
-			return
+	cands := s.candidatesLocked()
+	if len(cands) == 0 {
+		if s.nLive > 0 && !s.failed.Load() {
+			s.failLocked(fmt.Errorf("global stall: no runnable goroutine (%s)", s.stallStatesLocked()))
 		}
-		if s.nLive == 0 || s.failed.Load() {
-			return
-		}
-		// Nobody is runnable. The only recoverable cause is a grant
-		// scan suppressed by fault injection; redeliver outside s.mu
-		// (it emits events that re-enter the scheduler).
-		rt := s.rt
-		s.mu.Unlock()
-		redelivered := 0
-		if rt != nil && rt.DelayedGrantsPending() {
-			redelivered = rt.RedeliverDelayedGrants()
-		}
-		s.mu.Lock()
-		if redelivered > 0 {
-			s.cov.Redeliveries += redelivered
-			continue
-		}
-		s.failLocked(fmt.Errorf("global stall: no runnable goroutine and no delayed grants (%s)", s.stallStatesLocked()))
 		return
 	}
+	curIdx := -1
+	if cur != nil && cur.state == gReady {
+		curIdx = cur.idx
+	}
+	pick := s.pol.PickNext(cands, curIdx, p)
+	pick = normalizePick(pick, cands, curIdx)
+	s.recordLocked(Decision{Kind: DecSwitch, Point: p, Target: pick})
+	s.grantLocked(s.gs[pick])
 }
 
 func (s *Scheduler) stallStatesLocked() string {
@@ -490,8 +456,8 @@ func normalizePick(pick int, cands []int, cur int) int {
 func (s *Scheduler) recordLocked(d Decision) {
 	s.decisions = append(s.decisions, d)
 	s.steps++
-	if s.steps == s.cfg.MaxSteps {
-		s.failLocked(fmt.Errorf("step budget exhausted (%d decisions): probable livelock", s.cfg.MaxSteps))
+	if s.steps == maxSteps {
+		s.failLocked(fmt.Errorf("step budget exhausted (%d decisions): probable livelock", maxSteps))
 	}
 }
 
@@ -502,9 +468,8 @@ func (s *Scheduler) Step() { s.Yield(PointWorkload) }
 // ---- stm.Hooks implementation ----
 
 // Yield implements stm.Hooks: a preemption opportunity for the token
-// holder. It also carries the periodic fault pumps (spurious wake-ups,
-// grant redelivery) and the structural invariant sweep, all of which
-// must run outside the scheduler mutex.
+// holder. It also carries the structural invariant sweep, which must run
+// outside the scheduler mutex.
 func (s *Scheduler) Yield(p stm.YieldPoint) {
 	if s.failed.Load() {
 		return
@@ -514,54 +479,10 @@ func (s *Scheduler) Yield(p stm.YieldPoint) {
 		return
 	}
 
-	// Fault pumps, token-serialized so policy consultation order is
-	// deterministic.
-	rt := s.rt
-	if rt != nil {
-		if s.cfg.Policy.Fault(FaultSpurious) {
-			s.mu.Lock()
-			s.recordLocked(Decision{Kind: DecFault, FKind: FaultSpurious, Fault: true})
-			// Deterministic target: the lowest enqueued transaction ID whose
-			// goroutine is parked (maps iterate in random order, so take the
-			// min explicitly). It becomes runnable before the signal is
-			// sent: the wake is announced before the waiter can observe it.
-			target := -1
-			for id := range s.blockedTx {
-				if og := s.byTx[id]; og != nil && og.state == gBlocked && (target < 0 || id < target) {
-					target = id
-				}
-			}
-			if target >= 0 {
-				s.byTx[target].state = gReady
-			}
-			s.mu.Unlock()
-			if target >= 0 && !rt.InjectSpuriousWake(target) {
-				s.fail(fmt.Errorf("spurious wake: tx %d is parked but has no waiter to signal", target))
-				return
-			}
-		} else {
-			s.mu.Lock()
-			s.recordLocked(Decision{Kind: DecFault, FKind: FaultSpurious, Fault: false})
-			s.mu.Unlock()
-		}
-		if rt.DelayedGrantsPending() {
-			fire := s.cfg.Policy.Fault(FaultRedeliver)
-			s.mu.Lock()
-			s.recordLocked(Decision{Kind: DecFault, FKind: FaultRedeliver, Fault: fire})
-			s.mu.Unlock()
-			if fire {
-				n := rt.RedeliverDelayedGrants()
-				s.mu.Lock()
-				s.cov.Redeliveries += n
-				s.mu.Unlock()
-			}
-		}
-	}
-
 	// Structural invariant sweep.
 	s.mu.Lock()
-	sweep := s.cfg.CheckEvery > 0 && s.steps > 0 && s.steps%s.cfg.CheckEvery == 0
-	watched := s.watched
+	sweep := s.steps > 0 && s.steps%checkEvery == 0
+	rt, watched := s.rt, s.watched
 	s.mu.Unlock()
 	if sweep && rt != nil {
 		if err := rt.CheckInvariants(); err != nil {
@@ -585,7 +506,7 @@ func (s *Scheduler) Yield(p stm.YieldPoint) {
 	cands := s.candidatesLocked()
 	cands = append(cands, g.idx) // the runner itself is always a candidate
 	sortInts(cands)
-	pick := s.cfg.Policy.PickNext(cands, g.idx, p)
+	pick := s.pol.PickNext(cands, g.idx, p)
 	pick = normalizePick(pick, cands, g.idx)
 	if pick == g.idx {
 		s.recordLocked(Decision{Kind: DecSwitch, Point: p, Target: -1})
@@ -658,27 +579,12 @@ func (s *Scheduler) FailCAS(p stm.YieldPoint) bool {
 	if s.current() == nil {
 		return false
 	}
-	fire := s.cfg.Policy.Fault(FaultCAS)
+	fire := s.pol.Fault(FaultCAS)
 	s.mu.Lock()
 	s.recordLocked(Decision{Kind: DecFault, FKind: FaultCAS, Fault: fire})
 	if fire {
 		s.cov.CASFails++
 	}
-	s.mu.Unlock()
-	return fire
-}
-
-// DelayGrant implements stm.Hooks fault injection.
-func (s *Scheduler) DelayGrant() bool {
-	if s.failed.Load() {
-		return false
-	}
-	if s.current() == nil {
-		return false
-	}
-	fire := s.cfg.Policy.Fault(FaultDelayGrant)
-	s.mu.Lock()
-	s.recordLocked(Decision{Kind: DecFault, FKind: FaultDelayGrant, Fault: fire})
 	s.mu.Unlock()
 	return fire
 }
@@ -714,8 +620,8 @@ func (s *Scheduler) Event(ev stm.Event) {
 	case stm.EvSlotGrant:
 		// A direct lease handoff, announced before the releaser places
 		// the slot in the waiter's channel: exactly the recipient becomes
-		// runnable (broadcasting would manufacture spurious wake-ups the
-		// policy never asked for).
+		// runnable (broadcasting would wake sections no slot was handed
+		// to).
 		s.cov.SlotGrants++
 		delete(s.slotWaitTx, ev.TxID)
 		s.wakeLocked(s.byTx[ev.TxID])
@@ -726,7 +632,6 @@ func (s *Scheduler) Event(ev stm.Event) {
 			}
 		}
 	case stm.EvBlocked:
-		s.cov.Blocked++
 		s.blockedTx[ev.TxID] = true
 		for _, og := range s.gs {
 			if og.awaitTx == ev.TxID {
@@ -741,8 +646,6 @@ func (s *Scheduler) Event(ev stm.Event) {
 	case stm.EvAbortWaiter:
 		delete(s.blockedTx, ev.TxID)
 		s.wakeLocked(s.byTx[ev.TxID])
-	case stm.EvDelayedGrant:
-		s.cov.DelayedGrants++
 	}
 	if err := s.check.observe(ev); err != nil {
 		s.failLocked(fmt.Errorf("checker: %w", err))
@@ -753,8 +656,8 @@ func (s *Scheduler) Event(ev stm.Event) {
 // (transaction not bound to a registered worker) is ignored, and so is
 // a g that is not parked: a running one woke its own waiter (a grant
 // before it parked, or the self-victim unwind) and does not park for
-// it, and a ready one was already woken (a spurious wake, whose waiter
-// re-reads its flags).
+// it, and a ready one was already woken (the inevitability token's
+// release names every goroutine whose last park was on it).
 func (s *Scheduler) wakeLocked(g *goroutineState) {
 	if g != nil && g.state == gBlocked {
 		g.state = gReady

@@ -337,7 +337,6 @@ func (h *blockWatcher) Yield(YieldPoint)        {}
 func (h *blockWatcher) Block(YieldPoint)        {}
 func (h *blockWatcher) Unblock(YieldPoint)      {}
 func (h *blockWatcher) FailCAS(YieldPoint) bool { return false }
-func (h *blockWatcher) DelayGrant() bool        { return false }
 func (h *blockWatcher) Event(ev Event) {
 	if ev.Kind == EvBlocked {
 		select {

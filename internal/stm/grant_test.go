@@ -128,7 +128,6 @@ func (h *selfGrantHooks) Yield(p YieldPoint) {
 func (h *selfGrantHooks) Block(YieldPoint)        { h.parks.Add(1) }
 func (h *selfGrantHooks) Unblock(YieldPoint)      { h.parks.Add(1) }
 func (h *selfGrantHooks) FailCAS(YieldPoint) bool { return false }
-func (h *selfGrantHooks) DelayGrant() bool        { return false }
 func (h *selfGrantHooks) Event(ev Event) {
 	if ev.Kind != EvBlocked {
 		return

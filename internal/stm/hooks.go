@@ -121,12 +121,6 @@ const (
 	// is a two-member one (VictimID; CycleIDs and CycleTickets parallel;
 	// CycleInev marks inevitable members).
 	EvDeadlock
-	// EvSpuriousWake: a parked waiter consumed an injected wake-up and
-	// re-parked (TxID, Addr).
-	EvSpuriousWake
-	// EvDelayedGrant: a grant scan was suppressed by fault injection
-	// (QID); RedeliverDelayedGrants runs the suppressed scans.
-	EvDelayedGrant
 	// EvSlotRelease: a section released its lock-word slot (TxID =
 	// transaction ID, OtherID = slot); emitted after the slot is back in
 	// the pool or handed off.
@@ -166,8 +160,6 @@ var eventNames = [...]string{
 	EvGranted:         "granted",
 	EvAbortWaiter:     "abort-waiter",
 	EvDeadlock:        "deadlock",
-	EvSpuriousWake:    "spurious-wake",
-	EvDelayedGrant:    "delayed-grant",
 	EvSlotRelease:     "slot-release",
 	EvInevRelease:     "inev-release",
 	EvPromoted:        "promoted",
@@ -228,17 +220,13 @@ type Hooks interface {
 	// (fault injection). Called immediately before the hardware CAS;
 	// may run under the detector mutex, so it must not park.
 	FailCAS(p YieldPoint) bool
-	// DelayGrant reports whether a grant scan should be suppressed
-	// (fault injection); suppressed scans are recorded and re-run by
-	// Runtime.RedeliverDelayedGrants. Runs under the detector mutex.
-	DelayGrant() bool
 	// Event reports a protocol event. Queue events run under the
 	// detector mutex; the handler must not block or re-enter the STM.
 	Event(ev Event)
 }
 
-// yield, block, unblock, failCAS, delayGrant, event: the nil-guarded
-// dispatch helpers.
+// yield, block, unblock, failCAS, event: the nil-guarded dispatch
+// helpers.
 
 // yield yields at p under a harness and reports whether it did, which
 // a wait loop uses to replace its production round (a reschedule or a
@@ -266,11 +254,6 @@ func (rt *Runtime) unblock(p YieldPoint) {
 // failCAS reports whether the harness forces the CAS at p to fail.
 func (rt *Runtime) failCAS(p YieldPoint) bool {
 	return rt.hooks != nil && rt.hooks.FailCAS(p)
-}
-
-// delayGrant reports whether the harness suppresses a grant scan.
-func (rt *Runtime) delayGrant() bool {
-	return rt.hooks != nil && rt.hooks.DelayGrant()
 }
 
 func (rt *Runtime) event(ev Event) {

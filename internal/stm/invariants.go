@@ -205,64 +205,3 @@ func (rt *Runtime) BlockedTxns() []int {
 	}
 	return ids
 }
-
-// InjectSpuriousWake delivers a wake-up signal to the parked waiter of
-// the transaction with ID txID without granting or aborting it
-// (fault injection): the waiter re-checks its flags, finds nothing, and
-// re-parks. Reports whether a parked waiter existed.
-func (rt *Runtime) InjectSpuriousWake(txID int) bool {
-	d := rt.det
-	for slot := 0; slot < MaxTxns; slot++ {
-		wt := d.blocked[slot].Load()
-		if wt == nil || wt.tx.ID() != txID {
-			continue
-		}
-		q := d.queueOf(wt)
-		q.mu.Lock()
-		ok := d.blocked[slot].Load() == wt && !wt.granted && !wt.aborted
-		if ok {
-			wt.signal()
-		}
-		q.mu.Unlock()
-		return ok
-	}
-	return false
-}
-
-// RedeliverDelayedGrants re-runs the grant scans suppressed by the
-// DelayGrant fault (see Hooks) and returns the number of queues
-// re-scanned. The redelivered scans bypass further DelayGrant
-// injection so the fault cannot starve a queue forever.
-func (rt *Runtime) RedeliverDelayedGrants() int {
-	d := rt.det
-	d.redelivering.Store(true)
-	n := 0
-	for qid := 1; qid <= MaxTxns; qid++ {
-		q := &d.queues[qid]
-		q.mu.Lock()
-		if q.delayed { // uninstall clears it, so only installed queues
-			q.delayed = false
-			n++
-			d.grantScanLocked(q)
-		}
-		q.mu.Unlock()
-	}
-	d.redelivering.Store(false)
-	return n
-}
-
-// DelayedGrantsPending reports whether any suppressed grant scan has not
-// been redelivered yet.
-func (rt *Runtime) DelayedGrantsPending() bool {
-	d := rt.det
-	for qid := 1; qid <= MaxTxns; qid++ {
-		q := &d.queues[qid]
-		q.mu.Lock()
-		pending := q.delayed
-		q.mu.Unlock()
-		if pending {
-			return true
-		}
-	}
-	return false
-}

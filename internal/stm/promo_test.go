@@ -29,8 +29,7 @@ func (h *yieldRecorder) FailCAS(p YieldPoint) bool {
 	}
 	return false
 }
-func (h *yieldRecorder) DelayGrant() bool { return false }
-func (h *yieldRecorder) Event(Event)      {}
+func (h *yieldRecorder) Event(Event) {}
 
 func (h *yieldRecorder) sawYield(p YieldPoint) bool {
 	h.mu.Lock()

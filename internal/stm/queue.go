@@ -34,9 +34,9 @@ import (
 
 // waiter is one blocked transaction in one lock queue. The channel is a
 // buffered(1) wake-up signal, not a completion: a woken waiter re-reads
-// granted/aborted under its queue mutex and re-parks on neither — which
-// is what lets a harness inject spurious wake-ups without breaking the
-// protocol.
+// granted/aborted under its queue mutex and re-parks on neither. Only a
+// grant or an abort signals a waiter (under a harness, Scheduler.Unblock
+// fails any other wake), so the re-check is a safety net.
 //
 // Waiter objects are owned by the runtime and reused across blocks of
 // the same transaction ID (Runtime.waiterSlots), so a slow-path block
@@ -93,9 +93,6 @@ type lockQueue struct {
 	// waitersBuf backs waiters while the queue is short (the common case:
 	// contention rarely stacks more than a few transactions on one lock).
 	waitersBuf [4]*waiter
-	// delayed marks a queue whose grant scan was suppressed by fault
-	// injection; Runtime.RedeliverDelayedGrants re-runs it.
-	delayed bool
 }
 
 type detector struct {
@@ -109,8 +106,7 @@ type detector struct {
 	// cycleMu serializes exact deadlock confirmation (and is the only
 	// global lock left on the slow path). It is taken only after the
 	// lock-free digest pre-check reports a potential cycle.
-	cycleMu      sync.Mutex
-	redelivering atomic.Bool
+	cycleMu sync.Mutex
 }
 
 func newDetector(rt *Runtime) *detector {
@@ -222,7 +218,6 @@ func (d *detector) uninstallLocked(q *lockQueue) {
 		}
 	}
 	q.addr = nil
-	q.delayed = false
 	d.freeQID(q.qid)
 }
 
@@ -408,14 +403,6 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 			}
 			tx.selfAbort("aborted while enqueued")
 		}
-		if !granted {
-			// Injected spurious wake-up (Runtime.InjectSpuriousWake): no
-			// state changed; re-check and re-park.
-			tx.n.SpuriousWakes++
-			if rt.wantsEvent(EvSpuriousWake) {
-				rt.event(Event{Kind: EvSpuriousWake, TxID: tx.ID(), Addr: addr})
-			}
-		}
 	}
 	if blockSampled {
 		rt.chargeBlock(site, parkStart)
@@ -492,14 +479,6 @@ func (q *lockQueue) depsOfLocked(wt *waiter) uint64 {
 // current word permits: one writer, or a maximal run of readers. The
 // queue is uninstalled when it drains. Caller holds q.mu.
 func (d *detector) grantScanLocked(q *lockQueue) {
-	if len(q.waiters) > 0 && !d.redelivering.Load() && d.rt.delayGrant() {
-		// Fault injection: suppress this grant scan. The lock word is
-		// already consistent; the waiters simply stay parked until
-		// RedeliverDelayedGrants re-runs the scan.
-		q.delayed = true
-		d.rt.event(Event{Kind: EvDelayedGrant, QID: q.qid, Addr: q.addr})
-		return
-	}
 	for len(q.waiters) > 0 {
 		head := q.waiters[0]
 		w := atomic.LoadUint64(q.addr)

@@ -34,8 +34,8 @@ const DefaultRecorderSize = 1024
 // the recorder retains. Constant, so an emission site of a kind outside
 // it (EvBegin, EvCommit) compiles down to the harness check alone.
 const recordedKinds uint64 = 1<<EvBlocked | 1<<EvGranted | 1<<EvAbortWaiter | 1<<EvDeadlock |
-	1<<EvSpuriousWake | 1<<EvDelayedGrant | 1<<EvInevRelease | 1<<EvPromoted |
-	1<<EvBiasRevoke | 1<<EvSlotWait | 1<<EvSlotGrant | 1<<EvValidationAbort
+	1<<EvInevRelease | 1<<EvPromoted | 1<<EvBiasRevoke | 1<<EvSlotWait | 1<<EvSlotGrant |
+	1<<EvValidationAbort
 
 // recSlot is one ring slot: a sequence word plus the packed payload.
 // Everything is atomic so concurrent overwrite is a torn read the

@@ -47,9 +47,6 @@ type StatsSnapshot struct {
 	SlotWaitNs uint64 `prom:"sbd_slot_wait_seconds_total" help:"Time sections spent parked waiting for a lock-word slot lease." unit:"ns"`
 	Deadlocks  uint64 `prom:"sbd_deadlocks_total" help:"Deadlock cycles resolved."`
 	InevWaits  uint64 `prom:"sbd_inev_waits_total" help:"BecomeInevitable calls that waited for the token."`
-	// Injected spurious wake-ups consumed by parked waiters
-	// (schedule-exploration fault injection; 0 in production).
-	SpuriousWakes uint64 `prom:""`
 
 	// Contention management (promo.go).
 	Promotions   uint64 `prom:"sbd_promotions_total" help:"Reads adaptively promoted to write acquisitions."`

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 
@@ -34,6 +35,11 @@ type lusearchInput struct {
 	queries [][]string
 	fs      *memfs.FS
 	dir     map[string][2]int // term -> (offset, length) in index.dat
+	// terms lists dir's keys sorted, the order the SBD variant fills its
+	// term dictionary in: the insertion order shapes the bucket chains,
+	// and with them how many entries each lookup read-locks, so a fixed
+	// order makes Table 8's lock and R-W set bytes repeatable.
+	terms []string
 }
 
 const lusearchIndexFile = "index.dat"
@@ -54,11 +60,18 @@ func LuSearch() *Workload {
 			}
 			encoded := index.Encode(index.Build(docs))
 			fs.WriteFile(lusearchIndexFile, encoded)
+			dir := buildTermDir(encoded)
+			terms := make([]string, 0, len(dir))
+			for term := range dir {
+				terms = append(terms, term)
+			}
+			sort.Strings(terms)
 			return &lusearchInput{
 				docs:    docs,
 				queries: index.Queries(80*scale, 0xC0FFEE),
 				fs:      fs,
-				dir:     buildTermDir(encoded),
+				dir:     dir,
+				terms:   terms,
 			}
 		},
 		Baseline: lusearchBaseline,
@@ -247,7 +260,8 @@ func lusearchSBD(rt *core.Runtime, in any, threads int) uint64 {
 
 	seedObject(rt, func(tx *stm.Tx) {
 		termDir = sbdcol.NewStrMap(tx, 1024)
-		for term, rng := range input.dir {
+		for _, term := range input.terms {
+			rng := input.dir[term]
 			e := tx.New(lusearchTermClass)
 			tx.WriteInt(e, offF, int64(rng[0]))
 			tx.WriteInt(e, lenF, int64(rng[1]))

@@ -70,6 +70,27 @@ func TestSBDDeterministicAcrossThreadCounts(t *testing.T) {
 	}
 }
 
+// One-thread lusearch runs are repeatable in Table 8's memory columns:
+// the term dictionary is filled in one fixed order, so every run builds
+// the same bucket chains and read-locks the same entries per lookup.
+func TestLuSearchMemoryRepeatable(t *testing.T) {
+	w := LuSearch()
+	var first struct{ locks, rwset uint64 }
+	for run := 0; run < 3; run++ {
+		rt := core.New()
+		w.SBD(rt, w.Prepare(1), 1)
+		s := rt.Stats().Snapshot()
+		if run == 0 {
+			first.locks, first.rwset = s.LockBytes, s.RWSetBytes
+			continue
+		}
+		if s.LockBytes != first.locks || s.RWSetBytes != first.rwset {
+			t.Fatalf("run %d: LockBytes=%d RWSetBytes=%d, run 0: %d and %d",
+				run, s.LockBytes, s.RWSetBytes, first.locks, first.rwset)
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	all := All()
 	if len(all) != 6 {
