@@ -15,6 +15,16 @@ import (
 // paper: 100 million). The shape to check is that New is nearly free,
 // Owned costs a loaded check, and Acquire&Release dominates. The root
 // package's BenchmarkTable6* time the same effects on one hot object.
+//
+// The Rand cells of the Owned and Acq. & Rls. rows depend on allocation
+// order. microCell locks (or warms) each object's word right after
+// allocating the object, so the lock slab lands next to it in memory.
+// While an object's words were an allocation of their own, the value
+// word and its lock word sat side by side in the 8-byte size class and
+// shared a cache line; an object is now one allocation, so they do not,
+// and those Rand cells read slower with the access path unchanged
+// (EXPERIMENTS.md). Judge the acquire path by the root package's
+// BenchmarkTable6AcqRls* gate, which has no such effect.
 
 var cellClass = stm.NewClass("micro.Cell", stm.FieldSpec{Name: "v", Kind: stm.KindWord})
 var cellV = cellClass.Field("v")

@@ -59,9 +59,10 @@ func (k *batchKey) before(p *batchKey) bool {
 // (Object.RawWord/SetRawWord and friends) until the transaction ends:
 // reads are covered by the held read locks, writes by the held write
 // locks with their undo captured here. Each access is resolved by
-// ReadWord's path (ReadWordForWrite's for a write): new instances,
-// thread-local memory and final fields take no lock, and a write to a
-// final field of a shared object panics here, as WriteWord does.
+// ReadWord (ReadWordForWrite for a write, ReadElem and ReadElemForWrite
+// for an element): new instances, thread-local memory and final fields
+// take no lock, and a write to a final field of a shared object panics
+// here, as WriteWord does.
 //
 // Only word-kind storage can be batched.
 func (tx *Tx) AcquireBatch(accs []BatchAccess) {
@@ -87,10 +88,11 @@ func (tx *Tx) AcquireBatch(accs []BatchAccess) {
 	tx.batchScratch = keys
 	// The pin is undone on every exit, an abort included: noInvis
 	// survives Reset, and an aborted batch must not leave the replay of
-	// its section reading visibly.
-	saved := tx.noInvis
+	// its section reading visibly. A batch write declares no compiler
+	// intent, so the ForWrite reads below leave IntentHints as it was.
+	saved, hints := tx.noInvis, tx.n.IntentHints
 	tx.noInvis = true
-	defer func() { tx.noInvis = saved }()
+	defer func() { tx.noInvis, tx.n.IntentHints = saved, hints }()
 	var words uint64
 	for i := range keys {
 		k := &keys[i]
@@ -99,15 +101,18 @@ func (tx *Tx) AcquireBatch(accs []BatchAccess) {
 		}
 		a := &accs[k.tail&^(keyElem|keyRead)]
 		o := a.Obj
-		if a.IsElem {
-			tx.elemAccess(o, a.Index, slotWord, a.Write)
-		} else {
-			tx.fieldAccess(o, a.Field, slotWord, a.Write)
-			if o.class.fields[a.Field].final {
-				continue
-			}
+		switch {
+		case a.IsElem && a.Write:
+			tx.ReadElemForWrite(o, a.Index)
+		case a.IsElem:
+			tx.ReadElem(o, a.Index)
+		case a.Write:
+			tx.ReadWordForWrite(o, a.Field)
+		default:
+			tx.ReadWord(o, a.Field)
 		}
-		if !o.local && o.locks.Load() != nil {
+		final := !a.IsElem && o.class.fields[a.Field].final
+		if !final && !o.local && o.locks.Load() != nil {
 			words++ // the access reached lockFor
 		}
 	}

@@ -1,6 +1,10 @@
 package stm
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+	"unsafe"
+)
 
 // Kind is the storage kind of a field or array element.
 type Kind uint8
@@ -67,6 +71,11 @@ type Class struct {
 	isArray bool
 	elem    Kind  // element kind when isArray
 	siteID  int32 // contention-profile site of array classes; -1 otherwise
+	// layout is {Object; [nWords]uint64; [nRefs]*Object; [nStrs]string},
+	// one allocation per instance as a JVM new is; the words start right
+	// after Object, refs and strs at refsOff and strsOff.
+	layout           reflect.Type
+	refsOff, strsOff uintptr
 }
 
 // NewClass builds a class from field specifications. Field names must be
@@ -100,6 +109,19 @@ func NewClass(name string, specs ...FieldSpec) *Class {
 		c.byName[s.Name] = FieldID(len(c.fields))
 		c.fields = append(c.fields, m)
 	}
+	// Empty arrays are left out: StructOf pads a trailing zero-size one.
+	layout := []reflect.StructField{{Name: "O", Type: reflect.TypeFor[Object]()}}
+	c.refsOff = unsafe.Sizeof(Object{}) + 8*uintptr(c.nWords)
+	c.strsOff = c.refsOff + 8*uintptr(c.nRefs)
+	add := func(name string, n int32, t reflect.Type) {
+		if n > 0 {
+			layout = append(layout, reflect.StructField{Name: name, Type: reflect.ArrayOf(int(n), t)})
+		}
+	}
+	add("W", c.nWords, reflect.TypeFor[uint64]())
+	add("R", c.nRefs, reflect.TypeFor[*Object]())
+	add("S", c.nStrs, reflect.TypeFor[string]())
+	c.layout = reflect.StructOf(layout)
 	return c
 }
 

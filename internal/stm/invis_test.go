@@ -479,3 +479,51 @@ func TestVisibleGrantRevalidates(t *testing.T) {
 		t.Fatalf("ValidationAborts = %d, want 1", s.ValidationAborts)
 	}
 }
+
+// TestReadSetRepeatedReadAddsNoEntry reads one word k times in a row
+// invisibly: the read-set keeps one entry and InvisReads counts all k.
+// Only a repeat of the last entry is dropped, and a foreign commit
+// between two reads of the word still aborts the reader, because the
+// second read sees a newer version and the first entry no longer holds.
+func TestReadSetRepeatedReadAddsNoEntry(t *testing.T) {
+	rt := NewRuntime()
+	c := NewClass("ReadSetRepeat", FieldSpec{Name: "a", Kind: KindWord}, FieldSpec{Name: "b", Kind: KindWord})
+	fa, fb := c.Field("a"), c.Field("b")
+	o := NewCommitted(c)
+	SetCommittedWord(o, fa, 3)
+	rt.SeedInvisible(c, fa)
+	rt.SeedInvisible(c, fb)
+	primeInvis(rt, o, fa)
+
+	const k = 5
+	tx := rt.Begin()
+	for i := 0; i < k; i++ {
+		if got := tx.ReadWord(o, fa); got != 3 {
+			t.Fatalf("read %d = %d, want 3", i, got)
+		}
+	}
+	if len(tx.readSet) != 1 || tx.n.InvisReads != k {
+		t.Fatalf("%d reads of one word: %d read-set entries, InvisReads %d; want 1 and %d",
+			k, len(tx.readSet), tx.n.InvisReads, k)
+	}
+	tx.ReadWord(o, fb)
+	tx.ReadWord(o, fa)
+	if len(tx.readSet) != 3 {
+		t.Fatalf("a, b, a: %d read-set entries, want 3", len(tx.readSet))
+	}
+	tx.Commit()
+
+	tx = rt.Begin()
+	tx.ReadWord(o, fa)
+	w := rt.Begin()
+	w.WriteWord(o, fa, 4)
+	w.Commit()
+	if ab := runAborting(t, func() { tx.ReadWord(o, fa) }); ab == nil {
+		t.Fatal("a foreign commit between two reads of one word did not abort the reader")
+	}
+	tx.Reset()
+	if got := tx.ReadWord(o, fa); got != 4 {
+		t.Fatalf("replay read %d, want 4", got)
+	}
+	tx.Commit()
+}

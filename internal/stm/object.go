@@ -2,7 +2,9 @@ package stm
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
+	"unsafe"
 )
 
 // lockSlab holds the lock words of one instance (paper Figure 4a: the
@@ -73,16 +75,21 @@ func (o *Object) Len() int {
 // IsLocal reports whether the object is thread-local memory.
 func (o *Object) IsLocal() bool { return o.local }
 
+// newObject allocates an instance of c and its storage as one c.layout,
+// with words, refs and strs pointing into it. (reflect.MakeSlice would
+// skip New's pointer-type lookup but allocates a slice header too.)
 func newObject(c *Class) *Object {
-	o := &Object{class: c}
+	p := reflect.New(c.layout).UnsafePointer()
+	o := (*Object)(p)
+	o.class = c
 	if c.nWords > 0 {
-		o.words = make([]uint64, c.nWords)
+		o.words = unsafe.Slice((*uint64)(unsafe.Add(p, unsafe.Sizeof(Object{}))), c.nWords)
 	}
 	if c.nRefs > 0 {
-		o.refs = make([]*Object, c.nRefs)
+		o.refs = unsafe.Slice((**Object)(unsafe.Add(p, c.refsOff)), c.nRefs)
 	}
 	if c.nStrs > 0 {
-		o.strs = make([]string, c.nStrs)
+		o.strs = unsafe.Slice((*string)(unsafe.Add(p, c.strsOff)), c.nStrs)
 	}
 	return o
 }

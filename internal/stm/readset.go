@@ -72,11 +72,11 @@ type invisRead struct {
 // tryInvisRead attempts an invisible read of o's word valIdx, guarded
 // by lock slot lockID of slab. On success the value is parked in
 // tx.invisVal/invisHit for the accessor to consume, the read is
-// appended to the read-set, and no shared memory was written. Returns
-// false — with no state left behind — when the caller must fall back
-// to the pessimistic paths (no version array yet, a writer in place,
-// or the word moved underfoot). May panic with *Aborted when a
-// required snapshot extension fails.
+// appended to the read-set unless it repeats the last entry, and no
+// shared memory was written. Returns false — with no state left
+// behind — when the caller must fall back to the pessimistic paths (no
+// version array yet, a writer in place, or the word moved underfoot).
+// May panic with *Aborted when a required snapshot extension fails.
 //
 //go:noinline
 func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site int32) bool {
@@ -118,7 +118,11 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 		// no longer holds: no single moment produced this read-set.
 		tx.invisAbort(site)
 	}
-	tx.readSet = append(tx.readSet, invisRead{slab: slab, lockID: lockID, site: site, v: v1})
+	// A repeat of the last entry proves nothing that entry does not.
+	e := invisRead{slab: slab, lockID: lockID, site: site, v: v1}
+	if n := len(tx.readSet); n == 0 || tx.readSet[n-1] != e {
+		tx.readSet = append(tx.readSet, e)
+	}
 	tx.invisVal, tx.invisHit = val, true
 	tx.n.InvisReads++
 	if (tx.n.InvisReads+tx.ticket)&profMask == 0 {

@@ -108,8 +108,8 @@ type Tx struct {
 	readSet []invisRead
 	rv, wv  uint64
 	// invisVal/invisHit hand the invisibly read value from tryInvisRead
-	// (below fieldAccess/elemAccess) to the accessor: the plain slot
-	// re-read the visible paths use could race a writer's store.
+	// (below lockFor) to the accessor: the plain slot re-read the
+	// visible paths use could race a writer's store.
 	invisVal uint64
 	invisHit bool
 	// noInvis pins the section's replays to visible reads after
@@ -269,11 +269,10 @@ func (tx *Tx) ensureSlab(o *Object) *lockSlab {
 }
 
 // lockFor implements the locking operation of paper Figure 5 for the lock
-// slot lockID of object o. The caller has already established that o is
-// not new (locks != nil), not thread-local, and that the field is not
-// final. site is the lock's site (profile.go). When write is true the
-// current value of the slot is captured in the undo log at acquisition
-// time.
+// slot lockID of object o. The accessor has already answered a final
+// field, a new object and a lock owns finds held. site is the lock's
+// site (profile.go). When write is true the current value of the slot is
+// captured in the undo log at acquisition time.
 //
 // lockFor is a dispatcher. Steps (2) and (3) are answered here from the
 // lock word. A fresh read — the word is in none of our sets — loads the
@@ -281,6 +280,13 @@ func (tx *Tx) ensureSlab(o *Object) *lockSlab {
 // it decodes to: tryInvisRead (readset.go), tryBiasRead (bias.go), or,
 // like every write and every fallback, step (4) in acquireWord.
 func (tx *Tx) lockFor(o *Object, slot int32, kind slotKind, lockID, site int32, write bool) {
+	if o.local {
+		// Thread-local memory (paper §3.5): no lock, only undo.
+		if write {
+			tx.captureUndo(o, slot, kind)
+		}
+		return
+	}
 	slab := tx.ensureSlab(o)
 	addr := &slab.words[lockID]
 
@@ -425,101 +431,104 @@ func (tx *Tx) captureUndo(o *Object, slot int32, kind slotKind) {
 	tx.undo = append(tx.undo, e)
 }
 
-// fieldAccess funnels every field access through the synchronization
-// rules of paper Table 1 and returns true if the raw slot may be touched
-// directly (new instance, final field, or thread-local memory).
-func (tx *Tx) fieldAccess(o *Object, f FieldID, kind slotKind, write bool) int32 {
-	m := &o.class.fields[f]
-	if m.kind != kindOf(kind) {
-		panic(fmt.Sprintf("stm: field %s.%s is %v, accessed as %v",
-			o.class.name, m.name, m.kind, kindOf(kind)))
-	}
-	if m.final {
-		// The final check must precede the thread-local branch: a final
-		// field is immutable after construction on EVERY object. A local
-		// object is born committed (locks == unallocSlab), so any write
-		// to its final fields is post-construction and must panic the
-		// same way it does on a shared object — it used to be silently
-		// permitted (and undo-logged) via the local fast path.
-		if write && o.locks.Load() != nil {
-			panic(fmt.Sprintf("stm: write to final field %s.%s outside construction",
-				o.class.name, m.name))
-		}
-		return m.idx
-	}
-	if o.local {
-		if write {
-			tx.captureUndo(o, m.idx, kind)
-		}
-		return m.idx
-	}
-	if o.locks.Load() == nil {
-		// Step (1): new in the current transaction.
+// owns answers paper Table 1 for a non-final access when the object is
+// new (Figure 5 step 1) or lock lockID is already held in the mode the
+// access needs (step 3); on false the accessor calls lockFor, which
+// decides the rest, an owned write a promotion waits for included. It
+// must stay inlinable (go build -gcflags=-m=2 prints its cost): an
+// access that needs no lock operation makes no call.
+func (tx *Tx) owns(o *Object, lockID int32, write bool) bool {
+	slab := o.locks.Load()
+	if slab == nil {
 		tx.n.CheckNew++
-		return m.idx
+		return true
 	}
-	tx.lockFor(o, m.idx, kind, m.lockID, m.siteID, write)
-	return m.idx
+	if slab == unallocSlab {
+		return false // committed, no lock held yet
+	}
+	w := atomic.LoadUint64(&slab.words[lockID])
+	if w&tx.mask == 0 || write && (!wordIsWrite(w) || len(tx.promoLog) != 0) {
+		return false
+	}
+	tx.n.CheckOwned++
+	return true
 }
 
-// elemAccess is the array-element counterpart of fieldAccess.
-func (tx *Tx) elemAccess(o *Object, i int, kind slotKind, write bool) {
-	if !o.class.isArray {
-		panic("stm: element access on non-array " + o.class.name)
+// field returns the metadata of field f, which must be of kind k.
+func (c *Class) field(f FieldID, k Kind) *fieldMeta {
+	if m := &c.fields[f]; m.kind == k {
+		return m
 	}
-	if o.class.elem != kindOf(kind) {
-		panic(fmt.Sprintf("stm: array of %v accessed as %v", o.class.elem, kindOf(kind)))
-	}
-	// Bounds must be validated before any lock-slot or undo-slot use: the
-	// lock slab is indexed by the element index, so an out-of-range index
-	// used to panic deep inside slab.words with an opaque Go "index out
-	// of range" — and a negative index on the local/new paths could
-	// record a corrupt undo slot before the storage access panicked.
-	if n := o.Len(); i < 0 || i >= n {
-		panic(fmt.Sprintf("stm: index %d out of range for array %s of length %d",
-			i, o.class.name, n))
-	}
-	if o.local {
-		if write {
-			tx.captureUndo(o, int32(i), kind)
-		}
-		return
-	}
-	if o.locks.Load() == nil {
-		tx.n.CheckNew++
-		return
-	}
-	tx.lockFor(o, int32(i), kind, int32(i), o.class.siteID, write)
+	panic(c.kindMismatch(f, k))
 }
 
-func kindOf(s slotKind) Kind {
-	switch s {
-	case slotWord:
-		return KindWord
-	case slotRef:
-		return KindRef
-	default:
-		return KindStr
+// checkFinalWrite panics on a write to a final field outside
+// construction, a local object's included: it is born committed.
+func (o *Object) checkFinalWrite(m *fieldMeta) {
+	if o.locks.Load() != nil {
+		panic(o.class.finalWrite(m))
 	}
+}
+
+// checkElem panics unless c is an array class of kind k and i indexes
+// its n elements, before the index reaches a lock slab or the undo log.
+func (c *Class) checkElem(i int, k Kind, n int) {
+	if !c.isArray || c.elem != k || uint(i) >= uint(n) {
+		panic(c.badElem(i, k, n))
+	}
+}
+
+// The panic values are built out of line and the caller panics itself,
+// so the compiler knows the branch ends and spills nothing for it. They
+// are typed any: converting a string there would not fit the budget.
+
+//go:noinline
+func (c *Class) kindMismatch(f FieldID, k Kind) any {
+	m := &c.fields[f]
+	return fmt.Sprintf("stm: field %s.%s is %v, accessed as %v", c.name, m.name, m.kind, k)
+}
+
+//go:noinline
+func (c *Class) finalWrite(m *fieldMeta) any {
+	return fmt.Sprintf("stm: write to final field %s.%s outside construction", c.name, m.name)
+}
+
+//go:noinline
+func (c *Class) badElem(i int, k Kind, n int) any {
+	if !c.isArray {
+		return "stm: element access on non-array " + c.name
+	}
+	if c.elem != k {
+		return fmt.Sprintf("stm: array of %v accessed as %v", c.elem, k)
+	}
+	return fmt.Sprintf("stm: index %d out of range for array %s of length %d", i, c.name, n)
 }
 
 // ReadWord reads a word field under the SBD synchronization rules.
 func (tx *Tx) ReadWord(o *Object, f FieldID) uint64 {
-	idx := tx.fieldAccess(o, f, slotWord, false)
-	if tx.invisHit {
-		// The access went invisible: the value was loaded atomically
-		// inside tryInvisRead's double-check — the plain re-read below
-		// could race a concurrent writer's store.
-		tx.invisHit = false
-		return tx.invisVal
+	m := o.class.field(f, KindWord)
+	if !m.final && !tx.owns(o, m.lockID, false) {
+		tx.lockFor(o, m.idx, slotWord, m.lockID, m.siteID, false)
+		if tx.invisHit {
+			// The access went invisible: the value was loaded atomically
+			// inside tryInvisRead's double-check — the plain re-read below
+			// could race a concurrent writer's store.
+			tx.invisHit = false
+			return tx.invisVal
+		}
 	}
-	return o.words[idx]
+	return o.words[m.idx]
 }
 
 // WriteWord writes a word field.
 func (tx *Tx) WriteWord(o *Object, f FieldID, v uint64) {
-	idx := tx.fieldAccess(o, f, slotWord, true)
-	storeWord(o, idx, v)
+	m := o.class.field(f, KindWord)
+	if m.final {
+		o.checkFinalWrite(m)
+	} else if !tx.owns(o, m.lockID, true) {
+		tx.lockFor(o, m.idx, slotWord, m.lockID, m.siteID, true)
+	}
+	storeWord(o, m.idx, v)
 }
 
 // storeWord performs a value store that may be observed by a racing
@@ -538,26 +547,42 @@ func storeWord(o *Object, idx int32, v uint64) {
 
 // ReadRef reads a reference field.
 func (tx *Tx) ReadRef(o *Object, f FieldID) *Object {
-	idx := tx.fieldAccess(o, f, slotRef, false)
-	return o.refs[idx]
+	m := o.class.field(f, KindRef)
+	if !m.final && !tx.owns(o, m.lockID, false) {
+		tx.lockFor(o, m.idx, slotRef, m.lockID, m.siteID, false)
+	}
+	return o.refs[m.idx]
 }
 
 // WriteRef writes a reference field.
 func (tx *Tx) WriteRef(o *Object, f FieldID, v *Object) {
-	idx := tx.fieldAccess(o, f, slotRef, true)
-	o.refs[idx] = v
+	m := o.class.field(f, KindRef)
+	if m.final {
+		o.checkFinalWrite(m)
+	} else if !tx.owns(o, m.lockID, true) {
+		tx.lockFor(o, m.idx, slotRef, m.lockID, m.siteID, true)
+	}
+	o.refs[m.idx] = v
 }
 
 // ReadStr reads a string field.
 func (tx *Tx) ReadStr(o *Object, f FieldID) string {
-	idx := tx.fieldAccess(o, f, slotStr, false)
-	return o.strs[idx]
+	m := o.class.field(f, KindStr)
+	if !m.final && !tx.owns(o, m.lockID, false) {
+		tx.lockFor(o, m.idx, slotStr, m.lockID, m.siteID, false)
+	}
+	return o.strs[m.idx]
 }
 
 // WriteStr writes a string field.
 func (tx *Tx) WriteStr(o *Object, f FieldID, v string) {
-	idx := tx.fieldAccess(o, f, slotStr, true)
-	o.strs[idx] = v
+	m := o.class.field(f, KindStr)
+	if m.final {
+		o.checkFinalWrite(m)
+	} else if !tx.owns(o, m.lockID, true) {
+		tx.lockFor(o, m.idx, slotStr, m.lockID, m.siteID, true)
+	}
+	o.strs[m.idx] = v
 }
 
 // ReadWordForWrite reads a word field while declaring write intent: the
@@ -567,22 +592,37 @@ func (tx *Tx) WriteStr(o *Object, f FieldID, v string) {
 // skips the adaptive promoter's learning phase entirely.
 func (tx *Tx) ReadWordForWrite(o *Object, f FieldID) uint64 {
 	tx.n.IntentHints++
-	idx := tx.fieldAccess(o, f, slotWord, true)
-	return o.words[idx]
+	m := o.class.field(f, KindWord)
+	if m.final {
+		o.checkFinalWrite(m)
+	} else if !tx.owns(o, m.lockID, true) {
+		tx.lockFor(o, m.idx, slotWord, m.lockID, m.siteID, true)
+	}
+	return o.words[m.idx]
 }
 
 // ReadRefForWrite reads a reference field with declared write intent.
 func (tx *Tx) ReadRefForWrite(o *Object, f FieldID) *Object {
 	tx.n.IntentHints++
-	idx := tx.fieldAccess(o, f, slotRef, true)
-	return o.refs[idx]
+	m := o.class.field(f, KindRef)
+	if m.final {
+		o.checkFinalWrite(m)
+	} else if !tx.owns(o, m.lockID, true) {
+		tx.lockFor(o, m.idx, slotRef, m.lockID, m.siteID, true)
+	}
+	return o.refs[m.idx]
 }
 
 // ReadStrForWrite reads a string field with declared write intent.
 func (tx *Tx) ReadStrForWrite(o *Object, f FieldID) string {
 	tx.n.IntentHints++
-	idx := tx.fieldAccess(o, f, slotStr, true)
-	return o.strs[idx]
+	m := o.class.field(f, KindStr)
+	if m.final {
+		o.checkFinalWrite(m)
+	} else if !tx.owns(o, m.lockID, true) {
+		tx.lockFor(o, m.idx, slotStr, m.lockID, m.siteID, true)
+	}
+	return o.strs[m.idx]
 }
 
 // ReadInt reads a word field as int64.
@@ -620,10 +660,13 @@ func (tx *Tx) WriteBool(o *Object, f FieldID, v bool) {
 
 // ReadElem reads word element i of an array.
 func (tx *Tx) ReadElem(o *Object, i int) uint64 {
-	tx.elemAccess(o, i, slotWord, false)
-	if tx.invisHit {
-		tx.invisHit = false
-		return tx.invisVal
+	o.class.checkElem(i, KindWord, len(o.words))
+	if !tx.owns(o, int32(i), false) {
+		tx.lockFor(o, int32(i), slotWord, int32(i), o.class.siteID, false)
+		if tx.invisHit {
+			tx.invisHit = false
+			return tx.invisVal
+		}
 	}
 	return o.words[i]
 }
@@ -632,37 +675,55 @@ func (tx *Tx) ReadElem(o *Object, i int) uint64 {
 // intent (see ReadWordForWrite).
 func (tx *Tx) ReadElemForWrite(o *Object, i int) uint64 {
 	tx.n.IntentHints++
-	tx.elemAccess(o, i, slotWord, true)
+	o.class.checkElem(i, KindWord, len(o.words))
+	if !tx.owns(o, int32(i), true) {
+		tx.lockFor(o, int32(i), slotWord, int32(i), o.class.siteID, true)
+	}
 	return o.words[i]
 }
 
 // WriteElem writes word element i of an array.
 func (tx *Tx) WriteElem(o *Object, i int, v uint64) {
-	tx.elemAccess(o, i, slotWord, true)
+	o.class.checkElem(i, KindWord, len(o.words))
+	if !tx.owns(o, int32(i), true) {
+		tx.lockFor(o, int32(i), slotWord, int32(i), o.class.siteID, true)
+	}
 	storeWord(o, int32(i), v)
 }
 
 // ReadElemRef reads reference element i of an array.
 func (tx *Tx) ReadElemRef(o *Object, i int) *Object {
-	tx.elemAccess(o, i, slotRef, false)
+	o.class.checkElem(i, KindRef, len(o.refs))
+	if !tx.owns(o, int32(i), false) {
+		tx.lockFor(o, int32(i), slotRef, int32(i), o.class.siteID, false)
+	}
 	return o.refs[i]
 }
 
 // WriteElemRef writes reference element i of an array.
 func (tx *Tx) WriteElemRef(o *Object, i int, v *Object) {
-	tx.elemAccess(o, i, slotRef, true)
+	o.class.checkElem(i, KindRef, len(o.refs))
+	if !tx.owns(o, int32(i), true) {
+		tx.lockFor(o, int32(i), slotRef, int32(i), o.class.siteID, true)
+	}
 	o.refs[i] = v
 }
 
 // ReadElemStr reads string element i of an array.
 func (tx *Tx) ReadElemStr(o *Object, i int) string {
-	tx.elemAccess(o, i, slotStr, false)
+	o.class.checkElem(i, KindStr, len(o.strs))
+	if !tx.owns(o, int32(i), false) {
+		tx.lockFor(o, int32(i), slotStr, int32(i), o.class.siteID, false)
+	}
 	return o.strs[i]
 }
 
 // WriteElemStr writes string element i of an array.
 func (tx *Tx) WriteElemStr(o *Object, i int, v string) {
-	tx.elemAccess(o, i, slotStr, true)
+	o.class.checkElem(i, KindStr, len(o.strs))
+	if !tx.owns(o, int32(i), true) {
+		tx.lockFor(o, int32(i), slotStr, int32(i), o.class.siteID, true)
+	}
 	o.strs[i] = v
 }
 
