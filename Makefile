@@ -29,11 +29,14 @@ fmt-check:
 # is a fork production never takes, and fails here too. Only hooks.go
 # reads the hooks field: every other file calls its dispatch helpers.
 # A harness reaches only states production reaches, so the runtime
-# exports no Inject* or Redeliver* entry point that forces one.
+# exports no Inject* or Redeliver* entry point that forces one. Every
+# runtime records every event it emits, so no emission site asks
+# whether anyone listens (wantsEvent), no option sizes or disables the
+# recorder (RecorderSize), and no code tests the recorder for nil.
 one-path:
-	@out="$$(git grep -nwE 'hooks == nil|rt [!=]= nil' -- 'internal/stm/*.go' ':!*_test.go'; \
+	@out="$$(git grep -nwE 'hooks == nil|rt [!=]= nil|rec [!=]= nil' -- 'internal/stm/*.go' ':!*_test.go'; \
 		git grep -nE '\.hooks\b' -- 'internal/stm/*.go' ':!*_test.go' ':!internal/stm/hooks.go'; \
-		git grep -nE 'Inject|Redeliver' -- 'internal/stm/*.go' ':!*_test.go')"; \
+		git grep -nE 'Inject|Redeliver|wantsEvent|RecorderSize' -- 'internal/stm/*.go' ':!*_test.go')"; \
 		if [ -n "$$out" ]; then echo "production-only branch or harness-only entry point in internal/stm:"; \
 		echo "$$out"; exit 1; fi
 

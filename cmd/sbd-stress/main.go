@@ -84,7 +84,7 @@ func fail(roundSeed uint64, results []sched.Result, err error) {
 
 // report describes a failing round: its error and seed, and, when one
 // scenario failed, that scenario, the shrunk schedule that reproduces
-// it and the recent event log. A round whose scenarios all passed
+// it and the flight recorder's tail. A round whose scenarios all passed
 // failed RunRound's coverage floor, which no single scenario owns.
 func report(roundSeed uint64, results []sched.Result, err error) string {
 	rep := fmt.Sprintf("round-seed: %d\nerror: %v\n", roundSeed, err)

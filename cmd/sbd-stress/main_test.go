@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/stm"
 )
 
 // A run that checked nothing must not report success: -rounds below one
@@ -46,5 +47,30 @@ func TestReportCoverageFloorFailure(t *testing.T) {
 	}
 	if strings.Contains(rep, "<nil>") || strings.Contains(rep, "batch-acquire") {
 		t.Errorf("report blames a scenario that passed:\n%s", rep)
+	}
+}
+
+// A failing scenario's report ends with the flight recorder's tail,
+// every event of the failed run on a line of its own. The deadlock
+// scenario fails a planted post-check after its cycle is resolved; the
+// replay of its (dropped) schedule passes, so no shrinking runs.
+func TestReportPrintsRecorderTail(t *testing.T) {
+	sc := sched.ScenarioDeadlock()
+	build := sc.Build
+	sc.Build = func(rt *stm.Runtime, s *sched.Scheduler) ([]sched.Worker, func() error) {
+		workers, _ := build(rt, s)
+		return workers, func() error { return errors.New("planted post-check failure") }
+	}
+	res := sched.RunScenario(sc, sched.NewRandomPolicy(1))
+	if len(res.Events) == 0 {
+		t.Fatalf("failed run (%v) carries no events", res.Err)
+	}
+	res.Decisions = nil
+	rep := report(1, []sched.Result{res}, res.Err)
+	_, tail, _ := strings.Cut(rep, "events:\n")
+	for _, ev := range res.Events {
+		if !strings.Contains(tail, "  "+ev+"\n") {
+			t.Errorf("report lacks event %q:\n%s", ev, rep)
+		}
 	}
 }

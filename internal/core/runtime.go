@@ -41,8 +41,7 @@ func (rt *Runtime) Stats() *stm.Stats { return rt.stm.Stats() }
 // Profile returns the per-lock-site contention profile.
 func (rt *Runtime) Profile() *stm.Profile { return rt.stm.Profile() }
 
-// Recorder returns the protocol-event flight recorder (nil when
-// disabled via stm.Options.RecorderSize < 0).
+// Recorder returns the protocol-event flight recorder.
 func (rt *Runtime) Recorder() *stm.FlightRecorder { return rt.stm.Recorder() }
 
 // Main runs body as the program's main SBD thread on the calling

@@ -63,7 +63,7 @@ func goldenInputs() (stm.StatsSnapshot, []stm.SiteProfile, *stm.FlightRecorder) 
 	for r := range sites {
 		fillCounters(&sites[r], func(k int) uint64 { return uint64(r+1)*1500000000 + uint64(k+1)*1001 })
 	}
-	rt := stm.NewRuntimeOpts(stm.Options{RecorderSize: 16})
+	rt := stm.NewRuntime()
 	for i := 0; i < 3; i++ {
 		tx := rt.Begin()
 		tx.BecomeInevitable() // each commit returns the token: one recorded inev-release

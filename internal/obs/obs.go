@@ -135,8 +135,7 @@ func promFloat(v float64) string {
 }
 
 // Metrics renders the runtime's counters and per-site profile in
-// Prometheus text exposition format. rec may be nil (recorder
-// disabled).
+// Prometheus text exposition format.
 func Metrics(snap stm.StatsSnapshot, sites []stm.SiteProfile, rec *stm.FlightRecorder) string {
 	var b strings.Builder
 	header := func(family, help, typ string) {
@@ -180,20 +179,15 @@ func Metrics(snap stm.StatsSnapshot, sites []stm.SiteProfile, rec *stm.FlightRec
 		}
 	}
 
-	if rec != nil {
-		header("sbd_recorder_events_total", "Protocol events recorded by the flight recorder.", "counter")
-		fmt.Fprintf(&b, "sbd_recorder_events_total %d\n", rec.Recorded())
-		header("sbd_recorder_capacity", "Flight recorder ring capacity.", "gauge")
-		fmt.Fprintf(&b, "sbd_recorder_capacity %d\n", rec.Cap())
-	}
+	header("sbd_recorder_events_total", "Protocol events recorded by the flight recorder.", "counter")
+	fmt.Fprintf(&b, "sbd_recorder_events_total %d\n", rec.Recorded())
+	header("sbd_recorder_capacity", "Flight recorder ring capacity.", "gauge")
+	fmt.Fprintf(&b, "sbd_recorder_capacity %d\n", rec.Cap())
 	return b.String()
 }
 
 // EventsDump renders the flight-recorder contents, oldest first.
 func EventsDump(rec *stm.FlightRecorder) string {
-	if rec == nil {
-		return "flight recorder disabled\n"
-	}
 	var b strings.Builder
 	rec.Dump(&b)
 	return b.String()

@@ -97,7 +97,7 @@ func TestMetricsFormat(t *testing.T) {
 
 func TestMetricsRendersInfiniteAbortRate(t *testing.T) {
 	snap := stm.StatsSnapshot{Aborts: 3}
-	out := Metrics(snap, nil, nil)
+	out := Metrics(snap, nil, stm.NewRuntime().Recorder())
 	if !strings.Contains(out, "sbd_abort_rate +Inf") {
 		t.Fatalf("livelocked abort rate not rendered as +Inf:\n%s", out)
 	}

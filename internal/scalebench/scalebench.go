@@ -271,12 +271,11 @@ type Result struct {
 // cell result. It panics on a verification failure — a scalability
 // number measured over lost updates is worse than no number.
 func Run(m Mix, threads, totalOps int) Result {
-	// The flight recorder is off: every mix runs the contended path,
-	// where recording each event costs as much as a sixth of the
-	// throughput (stm-contend on 2 CPUs, 25 s, recorder on against
-	// off: 4.16 M txn/s against 5.03, cpu_us_per_op +19 %, peak_rss_mb
-	// +13 %), and the mixes measure the STM, not the recorder.
-	rt := stm.NewRuntimeOpts(stm.Options{RecorderSize: -1})
+	// The runtime that ships, flight recorder included: it records only
+	// contention events (a park, a grant, a deadlock), which cost
+	// nothing next to the wait they mark, so the mixes measure the STM
+	// as every caller runs it.
+	rt := stm.NewRuntime()
 	cells := make([]*stm.Object, m.cells)
 	for i := range cells {
 		cells[i] = stm.NewCommitted(cellClass)

@@ -68,7 +68,7 @@ func TestContendedCounterAllocatesNothingPerEnqueue(t *testing.T) {
 	}
 	const rounds = 10_000
 	blocked := make(enqueueSignal, 1)
-	rt := stm.NewRuntimeOpts(stm.Options{RecorderSize: -1, Hooks: blocked})
+	rt := stm.NewRuntimeOpts(stm.Options{Hooks: blocked})
 	cells := []*stm.Object{stm.NewCommitted(cellClass)}
 	held, done := make(chan int), make(chan struct{})
 	go func() { // the rival: one section per round, queued behind the holder

@@ -33,7 +33,9 @@ type Result struct {
 	Err       error
 	Decisions []Decision
 	Coverage  Coverage
-	Events    []string // diagnostic tail of the event log
+	// Events is the runtime flight recorder's tail when the run failed,
+	// oldest first, one stm.RecordedEvent per line.
+	Events []string
 }
 
 // RunScenario executes one scenario under the given policy and returns
@@ -61,12 +63,18 @@ func RunScenario(sc Scenario, pol Policy) Result {
 	cov.BiasGrants, cov.BiasRevokes, cov.SlotWaits = int(snap.BiasGrants), int(snap.BiasRevokes), int(snap.SlotWaits)
 	cov.InvisReads, cov.ValAborts = int(snap.InvisReads), int(snap.ValidationAborts)
 	cov.Commits, cov.Aborts = int(snap.Commits), int(snap.Aborts)
+	var events []string
+	if err != nil {
+		for _, ev := range rt.Recorder().Snapshot() {
+			events = append(events, ev.String())
+		}
+	}
 	return Result{
 		Scenario:  sc.Name,
 		Err:       err,
 		Decisions: s.Decisions(),
 		Coverage:  cov,
-		Events:    s.RecentEvents(),
+		Events:    events,
 	}
 }
 

@@ -98,15 +98,16 @@ type Scheduler struct {
 	mu    sync.Mutex
 	gs    []*goroutineState
 	byGID map[uint64]*goroutineState
-	// byTx maps a transaction's ID to the worker running it. Transaction
-	// IDs are unbounded, so these are maps, not [MaxTxns] arrays; entries
-	// are dropped when the transaction ends.
-	byTx map[int]*goroutineState
-	// blockedTx marks transaction IDs currently enqueued on a lock queue;
-	// slotWaitTx marks transaction IDs parked in the slot pool's overflow
-	// tier.
-	blockedTx  map[int]bool
-	slotWaitTx map[int]bool
+	// blockedTx maps the ID of a transaction enqueued on a lock queue to
+	// the goroutine that emitted its EvBlocked; slotWaitTx does the same
+	// for a section parked in the slot pool's overflow tier (EvSlotWait).
+	// That goroutine is the waiter: it emits the event under the queue
+	// mutex, or just before its channel receive, with no yield point in
+	// between. The wake event (EvGranted, EvAbortWaiter, EvSlotGrant)
+	// makes it runnable and drops the entry. Transaction IDs are
+	// unbounded, so these are maps, not [MaxTxns] arrays.
+	blockedTx  map[int]*goroutineState
+	slotWaitTx map[int]*goroutineState
 	barriers   map[string][]*goroutineState
 	nLive      int
 	errs       []error
@@ -120,8 +121,6 @@ type Scheduler struct {
 
 	decisions []Decision
 	steps     int
-	events    []string // diagnostic ring of recent events
-	evHead    int
 }
 
 // Coverage counts the protocol paths a run exercised. The scheduler
@@ -176,9 +175,8 @@ func New(pol Policy) *Scheduler {
 	s := &Scheduler{
 		pol:        pol,
 		byGID:      make(map[uint64]*goroutineState),
-		byTx:       make(map[int]*goroutineState),
-		blockedTx:  make(map[int]bool),
-		slotWaitTx: make(map[int]bool),
+		blockedTx:  make(map[int]*goroutineState),
+		slotWaitTx: make(map[int]*goroutineState),
 		barriers:   make(map[string][]*goroutineState),
 		check:      newChecker(),
 	}
@@ -222,29 +220,6 @@ func (s *Scheduler) Errors() []error {
 	out := make([]error, len(s.errs))
 	copy(out, s.errs)
 	return out
-}
-
-// RecentEvents returns the diagnostic tail of the event log.
-func (s *Scheduler) RecentEvents() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	n := len(s.events)
-	for i := 0; i < n; i++ {
-		out = append(out, s.events[(s.evHead+i)%n])
-	}
-	return out
-}
-
-const eventRing = 256
-
-func (s *Scheduler) logEventLocked(line string) {
-	if len(s.events) < eventRing {
-		s.events = append(s.events, line)
-		return
-	}
-	s.events[s.evHead] = line
-	s.evHead = (s.evHead + 1) % eventRing
 }
 
 // gid parses the calling goroutine's ID from its stack header. Values
@@ -596,21 +571,9 @@ func (s *Scheduler) Event(ev stm.Event) {
 	g := s.current() // nil for unregistered goroutines (setup code)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logEventLocked(formatEvent(ev))
 	switch ev.Kind {
-	case stm.EvBegin:
-		if g != nil {
-			s.byTx[ev.TxID] = g
-		}
-	case stm.EvCommit:
-		// The transaction is over; drop its ID binding (the slot release,
-		// if any, carries its own event and needs no byTx lookup). Keeping
-		// the map bounded matters now that VIDs are unbounded.
-		delete(s.byTx, ev.TxID)
-	case stm.EvSlotRelease:
-		delete(s.byTx, ev.TxID)
 	case stm.EvSlotWait:
-		s.slotWaitTx[ev.TxID] = true
+		s.slotWaitTx[ev.TxID] = g
 		for _, og := range s.gs {
 			if og.awaitSlotTx == ev.TxID {
 				og.awaitSlotTx = -1
@@ -623,8 +586,8 @@ func (s *Scheduler) Event(ev stm.Event) {
 		// runnable (broadcasting would wake sections no slot was handed
 		// to).
 		s.cov.SlotGrants++
+		s.wakeLocked(s.slotWaitTx[ev.TxID])
 		delete(s.slotWaitTx, ev.TxID)
-		s.wakeLocked(s.byTx[ev.TxID])
 	case stm.EvInevRelease:
 		for _, og := range s.gs {
 			if og.lastBlock == stm.PointInevWait {
@@ -632,7 +595,7 @@ func (s *Scheduler) Event(ev stm.Event) {
 			}
 		}
 	case stm.EvBlocked:
-		s.blockedTx[ev.TxID] = true
+		s.blockedTx[ev.TxID] = g
 		for _, og := range s.gs {
 			if og.awaitTx == ev.TxID {
 				og.awaitTx = -1
@@ -641,11 +604,11 @@ func (s *Scheduler) Event(ev stm.Event) {
 		}
 	case stm.EvGranted:
 		s.cov.Grants++
+		s.wakeLocked(s.blockedTx[ev.TxID])
 		delete(s.blockedTx, ev.TxID)
-		s.wakeLocked(s.byTx[ev.TxID])
 	case stm.EvAbortWaiter:
+		s.wakeLocked(s.blockedTx[ev.TxID])
 		delete(s.blockedTx, ev.TxID)
-		s.wakeLocked(s.byTx[ev.TxID])
 	}
 	if err := s.check.observe(ev); err != nil {
 		s.failLocked(fmt.Errorf("checker: %w", err))
@@ -653,7 +616,7 @@ func (s *Scheduler) Event(ev stm.Event) {
 }
 
 // wakeLocked marks a parked g runnable after its wake event. A nil g
-// (transaction not bound to a registered worker) is ignored, and so is
+// (a waiter that is not a registered worker) is ignored, and so is
 // a g that is not parked: a running one woke its own waiter (a grant
 // before it parked, or the self-victim unwind) and does not park for
 // it, and a ready one was already woken (the inevitability token's
@@ -661,17 +624,6 @@ func (s *Scheduler) Event(ev stm.Event) {
 func (s *Scheduler) wakeLocked(g *goroutineState) {
 	if g != nil && g.state == gBlocked {
 		g.state = gReady
-	}
-}
-
-func formatEvent(ev stm.Event) string {
-	switch ev.Kind {
-	case stm.EvDeadlock:
-		return fmt.Sprintf("%v cycle=%v victim=%d", ev.Kind, ev.CycleIDs, ev.VictimID)
-	case stm.EvBlocked:
-		return fmt.Sprintf("%v tx=%d write=%t upgrader=%t", ev.Kind, ev.TxID, ev.Write, ev.Upgrader)
-	default:
-		return fmt.Sprintf("%v tx=%d", ev.Kind, ev.TxID)
 	}
 }
 
@@ -729,7 +681,7 @@ func (s *Scheduler) AwaitBlocked(txID int) {
 		return
 	}
 	s.mu.Lock()
-	if s.blockedTx[txID] {
+	if _, ok := s.blockedTx[txID]; ok {
 		s.mu.Unlock()
 		return
 	}
@@ -752,7 +704,7 @@ func (s *Scheduler) AwaitSlotBlocked(txID int) {
 		return
 	}
 	s.mu.Lock()
-	if s.slotWaitTx[txID] {
+	if _, ok := s.slotWaitTx[txID]; ok {
 		s.mu.Unlock()
 		return
 	}

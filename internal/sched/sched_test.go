@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -318,4 +319,39 @@ func TestPRNGPinned(t *testing.T) {
 			t.Fatalf("splitmix64 output %d = %#x, want %#x", i, got, w)
 		}
 	}
+}
+
+// A failing run reports the runtime flight recorder's tail: the deadlock
+// scenario resolves its cycle, then fails a planted post-check, and its
+// Result.Events hold the block and the resolution in RecordedEvent
+// format.
+func TestFailureCarriesRecorderTail(t *testing.T) {
+	res := RunScenario(failingDeadlock(), NewRandomPolicy(1))
+	if res.Err == nil || res.Coverage.Deadlocks == 0 {
+		t.Fatalf("err %v with %d deadlocks, want the planted failure after a resolved cycle", res.Err, res.Coverage.Deadlocks)
+	}
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`^ *\S+ blocked +tx=\d+ ticket=\d+ lock=0x[0-9a-f]+ q=\d+( write)?( upgrader)?$`),
+		regexp.MustCompile(`^ *\S+ deadlock +tx=\d+ victim=\d+ cycle=\[\d+ \d+\]$`),
+	} {
+		found := false
+		for _, line := range res.Events {
+			found = found || want.MatchString(line)
+		}
+		if !found {
+			t.Errorf("no event matches %v:\n%s", want, strings.Join(res.Events, "\n"))
+		}
+	}
+}
+
+// failingDeadlock is ScenarioDeadlock with a post-check that always
+// fails.
+func failingDeadlock() Scenario {
+	sc := ScenarioDeadlock()
+	build := sc.Build
+	sc.Build = func(rt *stm.Runtime, s *Scheduler) ([]Worker, func() error) {
+		workers, _ := build(rt, s)
+		return workers, func() error { return errors.New("planted post-check failure") }
+	}
+	return sc
 }

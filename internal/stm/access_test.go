@@ -185,11 +185,7 @@ func TestAccessPathsAgree(t *testing.T) {
 				if col.name == "invisible" {
 					o = committed()
 					setRawSlot(o, r.kind, at, first)
-					site := o.class.siteID
-					if !r.elem {
-						site = pathsClass.fields[at].siteID
-					}
-					rt.noteSite(site, siteSeedInvisible)
+					rt.SeedInvisible(o.class, FieldID(at))
 					// The first read installs the version array.
 					prime := rt.Begin()
 					readRow(r).do(prime, o, at)

@@ -234,9 +234,6 @@ func (tx *Tx) tryBiasRead(addr *uint64, site int32) bool {
 		rt.noteSite(site, siteBiasGrant)
 		atomic.AddUint64(&rt.sites.at(site).n.BiasGrants, profMask+1)
 	}
-	if rt.wantsEvent(EvBiased) {
-		rt.event(Event{Kind: EvBiased, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr})
-	}
 	return true
 }
 
@@ -341,7 +338,5 @@ func (tx *Tx) noteBiasRevoke(addr *uint64, site int32, qid int) {
 	if tx.rt.bias.drainedExcept(addr, tx.slot) {
 		tx.rt.noteSite(site, siteEmptyRevoke)
 	}
-	if tx.rt.wantsEvent(EvBiasRevoke) {
-		tx.rt.event(Event{Kind: EvBiasRevoke, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: qid})
-	}
+	tx.rt.event(Event{Kind: EvBiasRevoke, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: qid})
 }

@@ -97,20 +97,18 @@ func (p YieldPoint) String() string {
 	return "point?"
 }
 
-// EventKind classifies protocol events reported through Hooks.Event.
+// EventKind classifies protocol events reported through Hooks.Event and
+// kept by the flight recorder. Every kind marks contention: a section
+// parks, is granted, is aborted, a deadlock is resolved, a slot is waited
+// for or handed over, a bias is revoked, the inevitability token is
+// returned, or a validation fails. The uncontended path emits none; what
+// it does is counted (Stats, Profile), not recorded.
 type EventKind uint8
 
 const (
-	// EvBegin: a transaction was assigned its ID (its ticket) and started
-	// (TxID, Ticket). Begin never blocks on the slot pool.
-	EvBegin EventKind = iota
-	// EvCommit: a transaction committed (TxID).
-	EvCommit
-	// EvReset: a transaction rolled back for retry (TxID).
-	EvReset
 	// EvBlocked: a transaction enqueued on a lock (TxID, Addr, Write,
 	// Upgrader).
-	EvBlocked
+	EvBlocked EventKind = iota
 	// EvGranted: a queued transaction was handed the lock (TxID, Addr,
 	// Write).
 	EvGranted
@@ -121,18 +119,8 @@ const (
 	// is a two-member one (VictimID; CycleIDs and CycleTickets parallel;
 	// CycleInev marks inevitable members).
 	EvDeadlock
-	// EvSlotRelease: a section released its lock-word slot (TxID =
-	// transaction ID, OtherID = slot); emitted after the slot is back in
-	// the pool or handed off.
-	EvSlotRelease
 	// EvInevRelease: the inevitability token was returned (TxID).
 	EvInevRelease
-	// EvPromoted: a read acquisition was adaptively promoted to a write
-	// acquisition by the per-site write-intent hint table (TxID, Addr).
-	EvPromoted
-	// EvBiased: a read acquisition published through the distributed
-	// reader slots instead of the shared lock-word CAS (TxID, Addr).
-	EvBiased
 	// EvBiasRevoke: a writer replaced the bias marker of a lock word
 	// with an installed wait queue (TxID, Addr, QID).
 	EvBiasRevoke
@@ -143,31 +131,20 @@ const (
 	// section (TxID = recipient's transaction ID, OtherID = slot). Emitted
 	// synchronously by the releaser, before the recipient resumes.
 	EvSlotGrant
-	// EvInvisRead: a read was served invisibly — no shared store at all,
-	// validated at commit (TxID, Addr). Per-access; not retained by the
-	// default recorder mask.
-	EvInvisRead
 	// EvValidationAbort: commit-time read-set validation failed and the
 	// transaction unwound for replay (TxID, Ticket).
 	EvValidationAbort
 )
 
 var eventNames = [...]string{
-	EvBegin:           "begin",
-	EvCommit:          "commit",
-	EvReset:           "reset",
 	EvBlocked:         "blocked",
 	EvGranted:         "granted",
 	EvAbortWaiter:     "abort-waiter",
 	EvDeadlock:        "deadlock",
-	EvSlotRelease:     "slot-release",
 	EvInevRelease:     "inev-release",
-	EvPromoted:        "promoted",
-	EvBiased:          "biased",
 	EvBiasRevoke:      "bias-revoke",
 	EvSlotWait:        "slot-wait",
 	EvSlotGrant:       "slot-grant",
-	EvInvisRead:       "invis-read",
 	EvValidationAbort: "validation-abort",
 }
 
@@ -185,7 +162,7 @@ type Event struct {
 	Kind     EventKind
 	TxID     int
 	Ticket   uint64
-	OtherID  int     // EvSlotGrant, EvSlotRelease: the slot
+	OtherID  int     // EvSlotGrant: the slot
 	Addr     *uint64 // the lock word involved, when applicable
 	QID      int
 	Write    bool
@@ -220,8 +197,10 @@ type Hooks interface {
 	// (fault injection). Called immediately before the hardware CAS;
 	// may run under the detector mutex, so it must not park.
 	FailCAS(p YieldPoint) bool
-	// Event reports a protocol event. Queue events run under the
-	// detector mutex; the handler must not block or re-enter the STM.
+	// Event reports a protocol event, the same one the flight recorder
+	// keeps: a contention event (EventKind), never an uncontended begin,
+	// access or commit. Queue events run under the detector mutex; the
+	// handler must not block or re-enter the STM.
 	Event(ev Event)
 }
 
@@ -256,23 +235,13 @@ func (rt *Runtime) failCAS(p YieldPoint) bool {
 	return rt.hooks != nil && rt.hooks.FailCAS(p)
 }
 
+// event records ev in the flight recorder and reports it to the
+// harness, if one is attached.
 func (rt *Runtime) event(ev Event) {
-	if r := rt.rec; r != nil && r.wants(ev.Kind) {
-		r.record(&ev)
-	}
+	rt.rec.record(&ev)
 	if rt.hooks != nil {
 		rt.hooks.Event(ev)
 	}
-}
-
-// wantsEvent reports whether constructing an Event of kind k has an
-// audience — a harness, or a recorder retaining that kind. Emission
-// sites that must allocate (deadlock cycle slices) check this first.
-func (rt *Runtime) wantsEvent(k EventKind) bool {
-	if rt.hooks != nil {
-		return true
-	}
-	return rt.rec != nil && rt.rec.wants(k)
 }
 
 // casWord performs the lock-word CAS at the given yield point, with

@@ -114,9 +114,7 @@ func (p *slotPool) acquire(tx *Tx) (slot int, waited bool) {
 	p.waiters = append(p.waiters, w)
 	p.mu.Unlock()
 
-	if rt.wantsEvent(EvSlotWait) {
-		rt.event(Event{Kind: EvSlotWait, TxID: tx.ID(), Ticket: tx.ticket})
-	}
+	rt.event(Event{Kind: EvSlotWait, TxID: tx.ID(), Ticket: tx.ticket})
 	tx.n.SlotWaits++
 	start := time.Now()
 	rt.block(PointSlotWait)
@@ -166,7 +164,7 @@ func (p *slotPool) handoff(slot int) bool {
 	}
 	w := p.popLocked()
 	p.mu.Unlock()
-	p.grantEvent(w, slot)
+	p.rt.event(Event{Kind: EvSlotGrant, TxID: w.id, OtherID: slot})
 	w.ch <- slot
 	return true
 }
@@ -195,7 +193,7 @@ func (p *slotPool) rescue() {
 		}
 		w := p.popLocked()
 		p.mu.Unlock()
-		p.grantEvent(w, bitIndex(b))
+		p.rt.event(Event{Kind: EvSlotGrant, TxID: w.id, OtherID: bitIndex(b)})
 		w.ch <- bitIndex(b)
 	}
 }
@@ -207,12 +205,6 @@ func (p *slotPool) popLocked() *slotWaiter {
 	p.waiters = p.waiters[:len(p.waiters)-1]
 	p.nwait.Add(-1)
 	return w
-}
-
-func (p *slotPool) grantEvent(w *slotWaiter, slot int) {
-	if rt := p.rt; rt.wantsEvent(EvSlotGrant) {
-		rt.event(Event{Kind: EvSlotGrant, TxID: w.id, OtherID: slot})
-	}
 }
 
 // available returns the number of free slots.

@@ -51,9 +51,6 @@ func (tx *Tx) notePromoted(addr *uint64, site int32) {
 	tx.promoLog = append(tx.promoLog, promoRec{addr: addr, site: site})
 	tx.n.Promotions++
 	atomic.AddUint64(&tx.rt.sites.at(site).n.Promotions, 1)
-	if tx.rt.wantsEvent(EvPromoted) {
-		tx.rt.event(Event{Kind: EvPromoted, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, Write: true})
-	}
 }
 
 // promoWritten marks the promotion of addr as justified by an actual

@@ -350,9 +350,7 @@ func (tx *Tx) slowAcquire(addr *uint64, site int32, write, mustQueue bool) grant
 	}
 	wt.deps.Store(q.depsOfLocked(wt))
 	d.blocked[tx.slot].Store(wt)
-	if rt.wantsEvent(EvBlocked) {
-		rt.event(Event{Kind: EvBlocked, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: q.qid, Write: write, Upgrader: upgrader})
-	}
+	rt.event(Event{Kind: EvBlocked, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr, QID: q.qid, Write: write, Upgrader: upgrader})
 
 	// The queue may have become serviceable while we enqueued (e.g. a
 	// grant raced with the install); try once before sleeping. Granted
@@ -503,9 +501,7 @@ func (d *detector) grantScanLocked(q *lockQueue) {
 		q.waiters = q.waiters[1:]
 		d.blocked[head.tx.slot].Store(nil)
 		head.granted = true
-		if d.rt.wantsEvent(EvGranted) {
-			d.rt.event(Event{Kind: EvGranted, TxID: head.tx.ID(), Ticket: head.tx.ticket, Addr: q.addr, QID: q.qid, Write: head.write, Upgrader: head.upgrader})
-		}
+		d.rt.event(Event{Kind: EvGranted, TxID: head.tx.ID(), Ticket: head.tx.ticket, Addr: q.addr, QID: q.qid, Write: head.write, Upgrader: head.upgrader})
 		head.signal()
 		if head.write {
 			break // a write lock excludes everything behind it
@@ -573,9 +569,7 @@ func (d *detector) removeWaiterLocked(q *lockQueue, wt *waiter) {
 func (d *detector) abortWaiterLocked(q *lockQueue, wt *waiter) {
 	wt.tx.victim.Store(true)
 	wt.aborted = true
-	if d.rt.wantsEvent(EvAbortWaiter) {
-		d.rt.event(Event{Kind: EvAbortWaiter, TxID: wt.tx.ID(), Addr: q.addr})
-	}
+	d.rt.event(Event{Kind: EvAbortWaiter, TxID: wt.tx.ID(), Addr: q.addr})
 	d.removeWaiterLocked(q, wt)
 	wt.signal()
 }
@@ -744,15 +738,13 @@ func (d *detector) exactVictim(wt *waiter) (victim *waiter, vq *lockQueue, epoch
 	if victim == nil {
 		return nil, nil, 0
 	}
-	if d.rt.wantsEvent(EvDeadlock) {
-		ev := Event{Kind: EvDeadlock, VictimID: victim.tx.ID(), TxID: wt.tx.ID()}
-		for _, m := range members {
-			ev.CycleIDs = append(ev.CycleIDs, m.tx.ID())
-			ev.CycleTickets = append(ev.CycleTickets, m.tx.ticket)
-			ev.CycleInev = append(ev.CycleInev, m.tx.inevitable)
-		}
-		d.rt.event(ev)
+	ev := Event{Kind: EvDeadlock, VictimID: victim.tx.ID(), TxID: wt.tx.ID()}
+	for _, m := range members {
+		ev.CycleIDs = append(ev.CycleIDs, m.tx.ID())
+		ev.CycleTickets = append(ev.CycleTickets, m.tx.ticket)
+		ev.CycleInev = append(ev.CycleInev, m.tx.inevitable)
 	}
+	d.rt.event(ev)
 	return victim, d.queueOf(victim), victim.epoch.Load()
 }
 

@@ -128,9 +128,6 @@ func (tx *Tx) tryInvisRead(o *Object, valIdx int32, slab *lockSlab, lockID, site
 	if (tx.n.InvisReads+tx.ticket)&profMask == 0 {
 		atomic.AddUint64(&rt.sites.at(site).n.InvisReads, profMask+1)
 	}
-	if rt.wantsEvent(EvInvisRead) {
-		rt.event(Event{Kind: EvInvisRead, TxID: tx.ID(), Ticket: tx.ticket, Addr: addr})
-	}
 	return true
 }
 
@@ -217,9 +214,7 @@ func (tx *Tx) invisAbort(site int32) {
 	rt := tx.rt
 	rt.noteSite(site, siteValidationAbort)
 	atomic.AddUint64(&rt.sites.at(site).n.ValAborts, 1)
-	if rt.wantsEvent(EvValidationAbort) {
-		rt.event(Event{Kind: EvValidationAbort, TxID: tx.ID(), Ticket: tx.ticket})
-	}
+	rt.event(Event{Kind: EvValidationAbort, TxID: tx.ID(), Ticket: tx.ticket})
 	tx.selfAbort("invisible-read validation failed")
 }
 

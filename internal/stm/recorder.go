@@ -9,33 +9,21 @@ import (
 	"unsafe"
 )
 
-// The flight recorder retains the last N protocol events in production.
-// Before it existed, events were only observable with a schedule
-// harness attached (Options.Hooks); the recorder keeps the contention
-// history — blocks, grants, deadlock resolutions —
-// available for dumping on demand (Dump, or /events in internal/obs),
-// without any harness and without locks: one fetch-add claims a slot,
-// and per-slot sequence validation makes torn (overwritten-while-read)
-// slots detectable, so readers simply skip them.
+// The flight recorder keeps the last recorderSize protocol events on
+// every runtime. It holds the contention history — blocks, grants,
+// deadlock resolutions, slot waits, bias revocations — for dumping on
+// demand (Dump, or /events in internal/obs), without any harness and
+// without locks: one fetch-add claims a slot, and per-slot sequence
+// validation makes torn (overwritten-while-read) slots detectable, so
+// readers simply skip them.
 //
-// Per-transaction lifecycle events (begin/commit/reset/slot release)
-// are excluded by the kind mask (recordedKinds): they fire once per
-// transaction on the uncontended path, where the recorder must cost
-// nothing beyond a mask check. The slot-pool overflow events (slot-wait/slot-grant)
-// are retained: they only fire when more than MaxTxns sections hold
-// locks at once, which is exactly the saturation history a dump should
-// show.
+// It records every event the runtime emits, because every EventKind
+// marks contention: the uncontended path (begin, an access in any read
+// mode, commit) emits none, so the recorder costs it nothing, and the
+// counters (Stats, Profile) say how often it ran.
 
-// DefaultRecorderSize is the event capacity used when Options.RecorderSize
-// is zero.
-const DefaultRecorderSize = 1024
-
-// recordedKinds is the bit mask of the contention-path protocol events
-// the recorder retains. Constant, so an emission site of a kind outside
-// it (EvBegin, EvCommit) compiles down to the harness check alone.
-const recordedKinds uint64 = 1<<EvBlocked | 1<<EvGranted | 1<<EvAbortWaiter | 1<<EvDeadlock |
-	1<<EvInevRelease | 1<<EvPromoted | 1<<EvBiasRevoke | 1<<EvSlotWait | 1<<EvSlotGrant |
-	1<<EvValidationAbort
+// recorderSize is the ring capacity in events, a power of two.
+const recorderSize = 256
 
 // recSlot is one ring slot: a sequence word plus the packed payload.
 // Everything is atomic so concurrent overwrite is a torn read the
@@ -53,25 +41,14 @@ type FlightRecorder struct {
 	slots  []recSlot
 }
 
+// newFlightRecorder returns a ring of size slots; size is a power of
+// two, so slot selection is one AND.
 func newFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = DefaultRecorderSize
-	}
-	// Round up to a power of two so slot selection is one AND.
-	n := 1
-	for n < size {
-		n <<= 1
-	}
 	return &FlightRecorder{
-		mask:  uint64(n - 1),
+		mask:  uint64(size - 1),
 		start: time.Now(),
-		slots: make([]recSlot, n),
+		slots: make([]recSlot, size),
 	}
-}
-
-// wants reports whether events of kind k are recorded.
-func (r *FlightRecorder) wants(k EventKind) bool {
-	return recordedKinds&(1<<k) != 0
 }
 
 // Cap returns the ring capacity in events.
@@ -113,7 +90,7 @@ func (r *FlightRecorder) record(ev *Event) {
 	w0 |= (uint64(ev.TxID+1) & 0xffffffff) << 32
 
 	var ov uint64
-	if ev.Kind == EvSlotGrant || ev.Kind == EvSlotRelease {
+	if ev.Kind == EvSlotGrant {
 		ov |= uint64(ev.OtherID+1) & 0xffffffff
 	}
 	if ev.Kind == EvDeadlock {
@@ -156,7 +133,7 @@ type RecordedEvent struct {
 	T        time.Duration // offset from recorder start
 	Kind     EventKind
 	TxID     int
-	OtherID  int // EvSlotGrant/EvSlotRelease slot; -1 when not applicable
+	OtherID  int // EvSlotGrant slot; -1 when not applicable
 	VictimID int // EvDeadlock victim; -1 when not applicable
 	QID      int
 	Write    bool
@@ -238,7 +215,7 @@ func (ev RecordedEvent) String() string {
 	if ev.Kind == EvDeadlock && ev.VictimID >= 0 {
 		fmt.Fprintf(&b, " victim=%d", ev.VictimID)
 	}
-	if (ev.Kind == EvSlotGrant || ev.Kind == EvSlotRelease) && ev.OtherID >= 0 {
+	if ev.Kind == EvSlotGrant && ev.OtherID >= 0 {
 		fmt.Fprintf(&b, " slot=%d", ev.OtherID)
 	}
 	if len(ev.CycleIDs) > 0 {

@@ -46,8 +46,7 @@ type Runtime struct {
 	// txPool recycles Tx objects (and their log capacities) across
 	// transactions.
 	txPool sync.Pool
-	// rec is the protocol-event flight recorder; nil when disabled via
-	// Options.RecorderSize < 0.
+	// rec is the protocol-event flight recorder (recorder.go).
 	rec *FlightRecorder
 	// inev is the single inevitability token (§3.4): at most one
 	// transaction can be inevitable at any moment.
@@ -68,10 +67,6 @@ type Options struct {
 	// hooks.go). Production runtimes leave it nil; the only residual
 	// cost is one nil check per instrumented slow-path site.
 	Hooks Hooks
-	// RecorderSize sizes the protocol-event flight recorder (rounded up
-	// to a power of two). 0 means DefaultRecorderSize; negative disables
-	// the recorder entirely.
-	RecorderSize int
 }
 
 // NewRuntime creates a runtime with default options.
@@ -87,13 +82,11 @@ func NewRuntimeOpts(opts Options) *Runtime {
 		maxSlots: n,
 		hooks:    opts.Hooks,
 		inev:     make(chan struct{}, 1),
+		rec:      newFlightRecorder(recorderSize),
 	}
 	rt.slots = newSlotPool(rt, n)
 	rt.det = newDetector(rt)
 	rt.inev <- struct{}{}
-	if opts.RecorderSize >= 0 {
-		rt.rec = newFlightRecorder(opts.RecorderSize)
-	}
 	rt.vc.init()
 	return rt
 }
@@ -108,8 +101,7 @@ func (rt *Runtime) Stats() *Stats { return &rt.stats }
 // Profile returns the runtime's per-lock-site contention profile.
 func (rt *Runtime) Profile() *Profile { return (*Profile)(&rt.sites) }
 
-// Recorder returns the protocol-event flight recorder, or nil when it
-// was disabled with Options.RecorderSize < 0.
+// Recorder returns the protocol-event flight recorder.
 func (rt *Runtime) Recorder() *FlightRecorder { return rt.rec }
 
 // Begin starts a new transaction. It never blocks: identity is the
@@ -138,12 +130,6 @@ func (rt *Runtime) Begin() *Tx {
 	// reuse for a new section.
 	tx.noInvis = false
 	tx.requeued = false
-	// Guard the Event construction, not just its delivery: with the
-	// default recorder mask, lifecycle events are unwanted and the guard
-	// lets the compiler drop the struct build from the fast path.
-	if rt.wantsEvent(EvBegin) {
-		rt.event(Event{Kind: EvBegin, TxID: tx.ID(), Ticket: tx.ticket})
-	}
 	return tx
 }
 
@@ -165,9 +151,6 @@ func (rt *Runtime) releaseSlot(tx *Tx) {
 	tx.slot = -1
 	tx.mask = 0
 	rt.slots.release(slot)
-	if rt.wantsEvent(EvSlotRelease) {
-		rt.event(Event{Kind: EvSlotRelease, TxID: tx.ID(), OtherID: slot})
-	}
 }
 
 // endTx retires a finished transaction: releases its slot lease if it

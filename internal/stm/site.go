@@ -276,10 +276,10 @@ func (rt *Runtime) noteSite(site int32, ev siteEvent) (old, now policy) {
 // seedSite resolves the lock site behind (class, field) for the Seed
 // functions.
 func seedSite(c *Class, f FieldID, who string) int32 {
-	site := c.fields[f].siteID
 	if c.isArray {
-		site = c.siteID
+		return c.siteID
 	}
+	site := c.fields[f].siteID
 	if site < 0 {
 		panic("stm: " + who + " on a final field")
 	}

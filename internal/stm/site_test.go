@@ -221,3 +221,30 @@ func TestNoteSiteConcurrent(t *testing.T) {
 		t.Error("no on-bit change in the whole run; the test exercised nothing")
 	}
 }
+
+// The Seed functions resolve an array class to its one element site
+// without indexing its (empty) field table: a seeded array reads its
+// elements invisibly, or through the bias, like a seeded field.
+func TestSeedArraySite(t *testing.T) {
+	rt := NewRuntime()
+	words := NewCommittedArray(KindWord, 2)
+	rt.SeedInvisible(words.Class(), 0)
+	prime := rt.Begin()
+	prime.ReadElem(words, 1) // installs the version array, stays visible
+	prime.Commit()
+	tx := rt.Begin()
+	tx.ReadElem(words, 1)
+	if n := tx.n.InvisReads; n != 1 {
+		t.Errorf("seeded array element read invisibly %d times, want 1", n)
+	}
+	tx.Commit()
+
+	refs := NewCommittedArray(KindRef, 1)
+	rt.SeedReadBias(refs.Class(), 0)
+	tx = rt.Begin()
+	tx.ReadElemRef(refs, 0)
+	if n := tx.n.BiasGrants; n != 1 {
+		t.Errorf("seeded array element read through the bias %d times, want 1", n)
+	}
+	tx.Commit()
+}

@@ -908,9 +908,6 @@ func (tx *Tx) Commit() {
 	tx.onCommit = nil
 	tx.clearLogs()
 	tx.n.Commits++
-	if tx.rt.wantsEvent(EvCommit) {
-		tx.rt.event(Event{Kind: EvCommit, TxID: tx.ID(), Ticket: tx.ticket})
-	}
 	tx.flushPromo() // before flushCounters: scoring bumps PromoWasted
 	tx.flushCounters()
 	tx.rt.endTx(tx)
@@ -970,9 +967,6 @@ func (tx *Tx) Reset() {
 	// Charged now, not through tx.n: a section that keeps retrying must
 	// show its aborts (AbortRate +Inf is how a livelock reads).
 	atomic.AddUint64(&tx.rt.stats.c.Aborts, 1)
-	if tx.rt.wantsEvent(EvReset) {
-		tx.rt.event(Event{Kind: EvReset, TxID: tx.ID(), Ticket: tx.ticket})
-	}
 	// The other counters stay in tx.n across the retry; Commit (or
 	// AbandonAfterReset) flushes them once.
 }
