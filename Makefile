@@ -33,11 +33,18 @@ fmt-check:
 # runtime records every event it emits, so no emission site asks
 # whether anyone listens (wantsEvent), no option sizes or disables the
 # recorder (RecorderSize), and no code tests the recorder for nil.
+# One section runner: the schedule harness and the IR interpreter run
+# their sections on core.Thread, so neither begins a transaction or
+# recovers an abort itself (a private Begin/replay loop would hide a
+# fault in core's replay from the harness).
 one-path:
 	@out="$$(git grep -nwE 'hooks == nil|rt [!=]= nil|rec [!=]= nil' -- 'internal/stm/*.go' ':!*_test.go'; \
 		git grep -nE '\.hooks\b' -- 'internal/stm/*.go' ':!*_test.go' ':!internal/stm/hooks.go'; \
 		git grep -nE 'Inject|Redeliver|wantsEvent|RecorderSize' -- 'internal/stm/*.go' ':!*_test.go')"; \
 		if [ -n "$$out" ]; then echo "production-only branch or harness-only entry point in internal/stm:"; \
+		echo "$$out"; exit 1; fi
+	@out="$$(git grep -nE 'stm\.Aborted|\.Begin\(\)' -- 'internal/sched/*.go' 'internal/instrument/*.go' ':!*_test.go')"; \
+		if [ -n "$$out" ]; then echo "a section runner outside internal/core (use core.Thread):"; \
 		echo "$$out"; exit 1; fi
 
 # The gate CI runs on every push/PR: formatting, the one-path check,

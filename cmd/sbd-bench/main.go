@@ -235,7 +235,10 @@ func table8(out io.Writer, runs []singleRun) {
 	}
 	printTable(out, "Table 8: transaction memory overhead (one-thread run, luindex at its fixed two threads; totals)", tbl,
 		"luindex's two threads can move its R-W set and add an abort to its",
-		"Txns; every other row is the same on every run.",
+		"Txns. From -scale 8 lusearch's R-W set varies too: a biased read",
+		"whose reader-slot stripe (a hash of the word's heap address)",
+		"collides within its transaction takes a visible lock instead. Every",
+		"other row is the same on every run.",
 		"Paper shape: LuSearch/Sunflow largest lock slabs, LuIndex largest",
 		"buffers (index file written in one transaction), Tomcat large R-W",
 		"set (many write locks), H2 almost nothing.")

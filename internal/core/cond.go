@@ -25,17 +25,12 @@ func NewCond() *Cond { return &Cond{} }
 // lock on it, so the registration is always visible to the wake-up that
 // matters — no lost signals.
 func (th *Thread) Wait(c *Cond) {
-	if th.inAtomic {
-		panic("core: Wait inside an Atomic closure (canSplit violation)")
-	}
-	th.SplitRequired()
+	th.canSplit("Wait")
 	ch := make(chan struct{})
 	c.mu.Lock()
 	c.waiters = append(c.waiters, ch)
 	c.mu.Unlock()
-	th.endSection()
-	<-ch
-	th.beginSection()
+	th.park(func() { <-ch })
 }
 
 // Notify wakes one waiter when the current atomic section commits. If

@@ -123,31 +123,9 @@ func (th *Thread) beginSection() {
 }
 
 func (th *Thread) endSection() {
-	// Commit itself can abort: a section that read invisibly revalidates
-	// its read-set at commit time (stm/readset.go), and a failure unwinds
-	// with *Aborted before anything irreversible happened. Replay the
-	// recorded section and try again — the crushed site score makes the
-	// replay read visibly, so the loop terminates.
-	for !th.tryCommit() {
-		th.tx.Reset()
-		th.replayFrom(0)
-	}
+	th.replayFrom(len(th.log), true)
 	th.tx = nil
 	th.log = th.log[:0]
-}
-
-func (th *Thread) tryCommit() (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ab, isAbort := r.(*stm.Aborted); isAbort && ab.Tx == th.tx {
-				ok = false
-				return
-			}
-			panic(r)
-		}
-	}()
-	th.tx.Commit()
-	return true
 }
 
 // Atomic executes f inside the thread's current atomic section and
@@ -166,16 +144,18 @@ func (th *Thread) Atomic(f func(tx *stm.Tx)) {
 		return
 	}
 	th.log = append(th.log, f)
-	th.replayFrom(len(th.log) - 1)
+	th.replayFrom(len(th.log)-1, false)
 }
 
-// replayFrom runs the replay log starting at index start, restarting the
-// whole section on abort.
-func (th *Thread) replayFrom(start int) {
-	for {
-		if th.tryRun(start) {
-			return
-		}
+// replayFrom runs the replay log starting at index start and, if commit
+// is set, commits the section; on abort it resets the transaction and
+// runs the whole section again. Commit itself can abort: a section that
+// read invisibly revalidates its read-set at commit time
+// (stm/readset.go), and a failure unwinds with *Aborted before anything
+// irreversible happened. The crushed site score makes the replay read
+// visibly, so the loop terminates.
+func (th *Thread) replayFrom(start int, commit bool) {
+	for !th.tryRun(start, commit) {
 		// Replay at once: the transaction keeps its start ticket across
 		// Reset, so it ages until it is the oldest, which is never a
 		// victim. After a lost upgrade duel the boosted promotion hint
@@ -185,8 +165,11 @@ func (th *Thread) replayFrom(start int) {
 	}
 }
 
-func (th *Thread) tryRun(start int) (ok bool) {
+// tryRun is the one place a section's abort is recovered: an abort of
+// the thread's own transaction returns false, any other panic goes on.
+func (th *Thread) tryRun(start int, commit bool) (ok bool) {
 	defer func() {
+		th.inAtomic = false
 		if r := recover(); r != nil {
 			if ab, isAbort := r.(*stm.Aborted); isAbort && ab.Tx == th.tx {
 				ok = false
@@ -196,9 +179,12 @@ func (th *Thread) tryRun(start int) (ok bool) {
 		}
 	}()
 	th.inAtomic = true
-	defer func() { th.inAtomic = false }()
 	for i := start; i < len(th.log); i++ {
 		th.log[i](th.tx)
+	}
+	th.inAtomic = false
+	if commit {
+		th.tx.Commit()
 	}
 	return true
 }
@@ -266,13 +252,8 @@ func (th *Thread) Go(name string, body func(th *Thread)) *Thread {
 // ends) and releases the joiner's transaction ID while it waits. A panic
 // that terminated t is re-raised in the joiner.
 func (th *Thread) Join(t *Thread) {
-	if th.inAtomic {
-		panic("core: Join inside an Atomic closure (canSplit violation)")
-	}
-	th.SplitRequired()
-	th.endSection()
-	<-t.done
-	th.beginSection()
+	th.canSplit("Join")
+	th.park(func() { <-t.done })
 	if t.err != nil {
 		panic(fmt.Sprintf("core: joined thread %s failed: %v", t.name, t.err))
 	}
@@ -284,12 +265,26 @@ func (th *Thread) Join(t *Thread) {
 // locks and transaction ID while blocked — the rule of paper §3.3 that
 // makes bounding the number of concurrent transactions safe.
 func (th *Thread) Suspend(f func()) {
+	th.canSplit("Suspend")
+	th.park(f)
+}
+
+// canSplit panics unless the thread may end its section here, for op
+// (Suspend, Join or Wait): at thread level, outside any Atomic closure
+// and any NoSplit block.
+func (th *Thread) canSplit(op string) {
 	if th.inAtomic {
-		panic("core: Suspend inside an Atomic closure (canSplit violation)")
+		panic("core: " + op + " inside an Atomic closure (canSplit violation)")
 	}
 	th.SplitRequired()
+}
+
+// park is the one blocking path of Suspend, Join and Wait: it commits
+// the current section, runs wait outside any section and begins the
+// next.
+func (th *Thread) park(wait func()) {
 	th.endSection()
-	f()
+	wait()
 	th.beginSection()
 }
 

@@ -193,6 +193,45 @@ func TestReplayReexecutesWholeSection(t *testing.T) {
 	}
 }
 
+func TestCommitValidationAbortReplaysSection(t *testing.T) {
+	// An invisible read takes no lock, so a writer can commit under it;
+	// the reader's commit-time validation then aborts, and the section
+	// must replay (reading visibly) instead of being dropped.
+	rt := New()
+	o := stm.NewCommitted(counterClass)
+	n := counterClass.Field("n")
+	rt.STM().SeedInvisible(counterClass, n)
+	read, written := make(chan struct{}), make(chan struct{})
+	var seen []int64
+	rt.Main(func(th *Thread) {
+		// The object's first read installs its version array and stays
+		// visible; the next section's read is invisible.
+		th.AtomicSplit(func(tx *stm.Tx) { tx.ReadInt(o, n) })
+		w := th.Go("writer", func(w *Thread) {
+			w.Suspend(func() { <-read })
+			w.AtomicSplit(func(tx *stm.Tx) { tx.WriteInt(o, n, tx.ReadInt(o, n)+1) })
+			close(written)
+		})
+		th.Split() // starts the writer
+		th.Atomic(func(tx *stm.Tx) {
+			seen = append(seen, tx.ReadInt(o, n))
+			if len(seen) == 1 {
+				close(read)
+				<-written
+			}
+		})
+		th.Split()
+		th.Join(w)
+	})
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
+		t.Fatalf("reader attempts saw %v, want [0 1] (section dropped, not replayed)", seen)
+	}
+	s := rt.Stats().Snapshot()
+	if s.ValidationAborts != 1 || s.InvisReads == 0 {
+		t.Fatalf("ValidationAborts = %d, InvisReads = %d; want 1 and > 0", s.ValidationAborts, s.InvisReads)
+	}
+}
+
 func TestNoSplitComposesSections(t *testing.T) {
 	rt := New()
 	o := stm.NewCommitted(counterClass)

@@ -8,19 +8,19 @@ import (
 // The static inliner of §4.1: the paper's tool replays the HotSpot JIT's
 // inlining decisions from a compilation log; lacking a JIT, this inliner
 // applies the same policy HotSpot's log encodes in the common case —
-// inline small non-recursive callees — with the size threshold as the
-// budget knob. Inlining matters because the optimization passes are
+// inline small non-recursive callees, at most inlineBudget statements
+// long. Inlining matters because the optimization passes are
 // intraprocedural: a lock made redundant by the caller is only visible
 // once the callee's accesses sit in the caller's body.
 
 // inlineAll inlines eligible calls in every method until fixpoint,
 // returning the number of call sites expanded.
-func (p *Program) inlineAll(budget int) int {
+func (p *Program) inlineAll() int {
 	total := 0
 	for pass := 0; pass < 8; pass++ { // depth cap against pathological chains
 		n := 0
 		for _, m := range p.Methods {
-			n += p.inlineBlock(m, m.Body, budget)
+			n += p.inlineBlock(m, m.Body)
 		}
 		total += n
 		if n == 0 {
@@ -30,7 +30,7 @@ func (p *Program) inlineAll(budget int) int {
 	return total
 }
 
-func (p *Program) inlineBlock(m *Method, b *Block, budget int) int {
+func (p *Program) inlineBlock(m *Method, b *Block) int {
 	if b == nil {
 		return 0
 	}
@@ -40,18 +40,18 @@ func (p *Program) inlineBlock(m *Method, b *Block, budget int) int {
 		switch st := s.(type) {
 		case *Call:
 			callee, ok := p.Methods[st.Method]
-			if ok && p.inlinable(m, callee, budget) {
+			if ok && p.inlinable(m, callee) {
 				out = append(out, p.expand(callee, st.Args, n)...)
 				n++
 				continue
 			}
 			out = append(out, st)
 		case *Loop:
-			n += p.inlineBlock(m, st.Body, budget)
+			n += p.inlineBlock(m, st.Body)
 			out = append(out, st)
 		case *If:
-			n += p.inlineBlock(m, st.Then, budget)
-			n += p.inlineBlock(m, st.Else, budget)
+			n += p.inlineBlock(m, st.Then)
+			n += p.inlineBlock(m, st.Else)
 			out = append(out, st)
 		default:
 			out = append(out, s)
@@ -61,11 +61,11 @@ func (p *Program) inlineBlock(m *Method, b *Block, budget int) int {
 	return n
 }
 
-func (p *Program) inlinable(caller, callee *Method, budget int) bool {
+func (p *Program) inlinable(caller, callee *Method) bool {
 	if callee == caller || callee.Constructor {
 		return false
 	}
-	if blockSize(callee.Body) > budget {
+	if blockSize(callee.Body) > inlineBudget {
 		return false
 	}
 	// No recursion (direct or through the callee's own calls).

@@ -419,7 +419,7 @@ func TestInliningEnablesElimination(t *testing.T) {
 		p := figure2Program(false)
 		st, err := p.Transform(Options{
 			EliminateRedun: true, Hoist: true, CombineNew: true,
-			Inline: inline, InlineBudget: 16,
+			Inline: inline,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -448,7 +448,7 @@ func TestInlinerSkipsRecursion(t *testing.T) {
 	p := NewProgram()
 	p.AddMethod(&Method{Name: "a", Body: &Block{Stmts: []Stmt{&Call{Method: "b"}}}})
 	p.AddMethod(&Method{Name: "b", Body: &Block{Stmts: []Stmt{&Call{Method: "a"}}}})
-	st, err := p.Transform(Options{Inline: true, InlineBudget: 16})
+	st, err := p.Transform(Options{Inline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestInlinerRespectsBudget(t *testing.T) {
 	p.AddMethod(&Method{Name: "big", Params: []string{"x"}, ParamClasses: []string{"C"}, Body: big})
 	p.AddMethod(&Method{Name: "m", Params: []string{"c"}, ParamClasses: []string{"C"},
 		Body: &Block{Stmts: []Stmt{&Call{Method: "big", Args: []string{"c"}}}}})
-	st, _ := p.Transform(Options{Inline: true, InlineBudget: 8})
+	st, _ := p.Transform(Options{Inline: true})
 	if st.CallsInlined != 0 {
 		t.Fatal("oversized callee inlined")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/stm"
 )
 
@@ -14,9 +15,14 @@ import (
 // passes buy (the ablation benchmarks) and to differentially test the
 // transformer: an optimized and an unoptimized run of the same program
 // must leave identical heaps.
+//
+// A run is one core.Thread: Split and NoSplit are the thread's own, and
+// accesses use Thread.Tx outside any Atomic closure. That is sound only
+// because a single-threaded run never aborts; a concurrent interpreter
+// must route accesses through Thread.Atomic so an abort replays them.
 type Interp struct {
 	p       *Program
-	rt      *stm.Runtime
+	rt      *core.Runtime
 	classes map[string]*stm.Class
 	fields  map[string]map[string]stm.FieldID
 	// TakeElse makes every If execute its else branch instead of the
@@ -30,7 +36,7 @@ type Interp struct {
 func NewInterp(p *Program, rt *stm.Runtime) *Interp {
 	in := &Interp{
 		p:       p,
-		rt:      rt,
+		rt:      core.FromSTM(rt),
 		classes: map[string]*stm.Class{},
 		fields:  map[string]map[string]stm.FieldID{},
 	}
@@ -69,9 +75,10 @@ func newEnv() *env {
 	return &env{objs: map[string]*stm.Object{}, ints: map[string]int{}, cls: map[string]string{}}
 }
 
-// Run executes the named method in a fresh transaction sequence (a split
-// commits and begins a new transaction) and returns the method's final
-// environment for inspection. Args become the method's parameters.
+// Run executes the named method as the main SBD thread of the
+// interpreter's runtime (a split commits the section and begins the
+// next) and returns the method's final environment for inspection. Args
+// become the method's parameters.
 func (in *Interp) Run(method string, args map[string]*stm.Object, argClasses map[string]string) (map[string]*stm.Object, error) {
 	m, ok := in.p.Methods[method]
 	if !ok {
@@ -82,21 +89,15 @@ func (in *Interp) Run(method string, args map[string]*stm.Object, argClasses map
 		e.objs[k] = v
 		e.cls[k] = argClasses[k]
 	}
-	tx := in.rt.Begin()
-	txp := &tx
-	if err := in.exec(m.Body, e, txp); err != nil {
-		(*txp).Commit()
+	var err error
+	in.rt.Main(func(th *core.Thread) { err = in.execBlock(th, m.Body, e) })
+	if err != nil {
 		return nil, err
 	}
-	(*txp).Commit()
 	return e.objs, nil
 }
 
-func (in *Interp) exec(b *Block, e *env, txp **stm.Tx) error {
-	return in.execBlock(b, e, txp, false)
-}
-
-func (in *Interp) execBlock(b *Block, e *env, txp **stm.Tx, noSplit bool) error {
+func (in *Interp) execBlock(th *core.Thread, b *Block, e *env) error {
 	if b == nil {
 		return nil
 	}
@@ -107,21 +108,20 @@ func (in *Interp) execBlock(b *Block, e *env, txp **stm.Tx, noSplit bool) error 
 			if !ok {
 				return fmt.Errorf("instrument: new of unknown class %s", st.Class)
 			}
-			e.objs[st.Dst] = (*txp).New(cls)
+			e.objs[st.Dst] = th.Tx().New(cls)
 			e.cls[st.Dst] = st.Class
 		case *NewArray:
-			e.objs[st.Dst] = (*txp).NewArray(stm.KindWord, st.Size)
+			e.objs[st.Dst] = th.Tx().NewArray(stm.KindWord, st.Size)
 			e.cls[st.Dst] = ""
 		case *Assign:
 			e.objs[st.Dst] = e.objs[st.Src]
 			e.cls[st.Dst] = e.cls[st.Src]
 		case *Split:
-			if !noSplit { // §3.7: splits inside a noSplit block are ignored
-				(*txp).Commit()
-				*txp = in.rt.Begin()
-			}
+			th.Split() // §3.7: a no-op inside a NoSplit block
 		case *NoSplit:
-			if err := in.execBlock(st.Body, e, txp, true); err != nil {
+			var err error
+			th.NoSplit(func() { err = in.execBlock(th, st.Body, e) })
+			if err != nil {
 				return err
 			}
 		case *Call:
@@ -131,7 +131,7 @@ func (in *Interp) execBlock(b *Block, e *env, txp **stm.Tx, noSplit bool) error 
 				ce.objs[param] = e.objs[st.Args[i]]
 				ce.cls[param] = e.cls[st.Args[i]]
 			}
-			if err := in.execBlock(callee.Body, ce, txp, noSplit); err != nil {
+			if err := in.execBlock(th, callee.Body, ce); err != nil {
 				return err
 			}
 		case *Loop:
@@ -139,7 +139,7 @@ func (in *Interp) execBlock(b *Block, e *env, txp **stm.Tx, noSplit bool) error 
 				if st.IdxVar != "" {
 					e.ints[st.IdxVar] = i
 				}
-				if err := in.execBlock(st.Body, e, txp, noSplit); err != nil {
+				if err := in.execBlock(th, st.Body, e); err != nil {
 					return err
 				}
 			}
@@ -151,15 +151,15 @@ func (in *Interp) execBlock(b *Block, e *env, txp **stm.Tx, noSplit bool) error 
 			if in.TakeElse && st.Else != nil {
 				branch = st.Else
 			}
-			if err := in.execBlock(branch, e, txp, noSplit); err != nil {
+			if err := in.execBlock(th, branch, e); err != nil {
 				return err
 			}
 		case *HoistedLock:
-			if err := in.execHoisted(st, e, *txp); err != nil {
+			if err := in.execHoisted(st, e, th.Tx()); err != nil {
 				return err
 			}
 		case *Access:
-			if err := in.execAccess(st, e, *txp); err != nil {
+			if err := in.execAccess(st, e, th.Tx()); err != nil {
 				return err
 			}
 		default:

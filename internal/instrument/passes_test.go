@@ -31,7 +31,7 @@ func TestHoistedLockRenamedThroughInline(t *testing.T) {
 			&Call{Method: "locker", Args: []string{"g"}},
 		}},
 	})
-	if n := p.inlineAll(16); n != 1 {
+	if n := p.inlineAll(); n != 1 {
 		t.Fatalf("inlined %d calls, want 1", n)
 	}
 	body := p.Methods["entry"].Body.Stmts

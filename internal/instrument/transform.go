@@ -5,7 +5,6 @@ package instrument
 type Options struct {
 	InferFinals    bool // §5.2: auto-add final to ctor-only fields
 	Inline         bool // §4.1: static inlining feeding the passes below
-	InlineBudget   int  // max callee statements to inline (default 16)
 	Hoist          bool // §3.3 (2): move lock ops out of loops
 	EliminateRedun bool // §3.3 (1): dataflow removal of redundant checks
 	CombineNew     bool // §3.3 (3): combine is-new checks per instance
@@ -24,10 +23,12 @@ type Options struct {
 	InferIntent bool
 }
 
+const inlineBudget = 16 // the largest callee, in statements, that Inline inlines
+
 // AllOptimizations enables every pass.
 func AllOptimizations() Options {
 	return Options{
-		InferFinals: true, Inline: true, InlineBudget: 16,
+		InferFinals: true, Inline: true,
 		Hoist: true, EliminateRedun: true, CombineNew: true,
 		HoistDeep: true, InferIntent: true,
 	}
@@ -66,11 +67,7 @@ func (p *Program) Transform(opts Options) (Stats, error) {
 		st.FinalsInferred = p.inferFinals()
 	}
 	if opts.Inline {
-		budget := opts.InlineBudget
-		if budget <= 0 {
-			budget = 16
-		}
-		st.CallsInlined = p.inlineAll(budget)
+		st.CallsInlined = p.inlineAll()
 	}
 	if opts.InferIntent {
 		st.IntentInferred = p.inferIntent()

@@ -78,33 +78,15 @@ func RunScenario(sc Scenario, pol Policy) Result {
 	}
 }
 
-// Retry runs body as a transaction, resetting and replaying it at once
-// on abort the way the SBD layer does. The replay keeps the start
-// ticket, so it ages until it is the oldest, which is never a victim.
-func Retry(s *Scheduler, rt *stm.Runtime, body func(tx *stm.Tx)) {
-	tx := rt.Begin()
-	for {
-		ok := func() (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if ab, is := r.(*stm.Aborted); is && ab.Tx == tx {
-						ok = false
-						return
-					}
-					panic(r)
-				}
-			}()
-			body(tx)
-			// Commit inside the recovery scope: commit-time read-set
-			// validation (stm/readset.go) may abort the transaction.
-			tx.Commit()
-			return true
-		}()
-		if ok {
-			return
-		}
-		tx.Reset()
-	}
+// Thread returns a worker that runs body as one SBD thread on rt, so
+// every section a scenario runs goes through core.Thread: an abort, a
+// deadlock loss or a failed commit-time validation replays the section
+// exactly as it does in production. Each worker gets its own core
+// runtime: Main waits on its runtime's thread group, a park the
+// scheduler cannot see, so workers must not share one group.
+func Thread(rt *stm.Runtime, name string, body func(th *core.Thread)) Worker {
+	crt := core.FromSTM(rt)
+	return Worker{Name: name, Body: func() { crt.Main(body) }}
 }
 
 var cellClass = stm.NewClass("sched.cell", stm.FieldSpec{Name: "v", Kind: stm.KindWord})
@@ -121,9 +103,9 @@ func ScenarioDeadlock() Scenario {
 			a, b := stm.NewCommitted(cellClass), stm.NewCommitted(cellClass)
 			s.Watch(a, b)
 			mk := func(name string, first, second *stm.Object) Worker {
-				return Worker{Name: name, Body: func() {
+				return Thread(rt, name, func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						tx.WriteWord(first, cellV, tx.ReadWord(first, cellV)+1)
 						if arm {
 							// Only the first attempt synchronizes; the retry
@@ -133,7 +115,7 @@ func ScenarioDeadlock() Scenario {
 						}
 						tx.WriteWord(second, cellV, tx.ReadWord(second, cellV)+1)
 					})
-				}}
+				})
 			}
 			post := func() error {
 				for i, o := range []*stm.Object{a, b} {
@@ -160,9 +142,9 @@ func ScenarioDuel() Scenario {
 			o := stm.NewCommitted(cellClass)
 			s.Watch(o)
 			mk := func(name string) Worker {
-				return Worker{Name: name, Body: func() {
+				return Thread(rt, name, func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						v := tx.ReadWord(o, cellV)
 						if arm {
 							arm = false
@@ -170,7 +152,7 @@ func ScenarioDuel() Scenario {
 						}
 						tx.WriteWord(o, cellV, v+1)
 					})
-				}}
+				})
 			}
 			post := func() error {
 				if v := stm.CommittedWord(o, cellV); v != 2 {
@@ -206,9 +188,9 @@ func ScenarioInevDuel(inevSecond bool) Scenario {
 			s.Watch(o)
 			var attempts [2]int // workers are serialized; post runs after both
 			mk := func(i int) Worker {
-				return Worker{Name: fmt.Sprintf("%s-%d", name, i), Body: func() {
+				return Thread(rt, fmt.Sprintf("%s-%d", name, i), func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						attempts[i]++
 						if i == inev {
 							tx.BecomeInevitable()
@@ -220,7 +202,7 @@ func ScenarioInevDuel(inevSecond bool) Scenario {
 						}
 						tx.WriteWord(o, cellV, v+1)
 					})
-				}}
+				})
 			}
 			post := func() error {
 				if v := stm.CommittedWord(o, cellV); v != 2 {
@@ -250,20 +232,20 @@ func ScenarioHandoff() Scenario {
 			o := stm.NewCommitted(cellClass)
 			s.Watch(o)
 			waiterID := -1 // written before the barrier, read after: token-ordered
-			holder := Worker{Name: "holder", Body: func() {
-				Retry(s, rt, func(tx *stm.Tx) {
+			holder := Thread(rt, "holder", func(th *core.Thread) {
+				th.AtomicSplit(func(tx *stm.Tx) {
 					tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1)
 					s.Barrier("holding", 2)
 					s.AwaitBlocked(waiterID)
 				})
-			}}
-			waiter := Worker{Name: "waiter", Body: func() {
-				Retry(s, rt, func(tx *stm.Tx) {
+			})
+			waiter := Thread(rt, "waiter", func(th *core.Thread) {
+				th.AtomicSplit(func(tx *stm.Tx) {
 					waiterID = tx.ID()
 					s.Barrier("holding", 2)
 					tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1)
 				})
-			}}
+			})
 			post := func() error {
 				if v := stm.CommittedWord(o, cellV); v != 2 {
 					return fmt.Errorf("handoff scenario: object = %d, want 2", v)
@@ -291,9 +273,9 @@ func ScenarioShardedRelease() Scenario {
 			wid := [2]int{-1, -1} // written before the barrier, read after
 			mkHolder := func(i int) Worker {
 				o := cells[i]
-				return Worker{Name: fmt.Sprintf("shr-h%d", i), Body: func() {
+				return Thread(rt, fmt.Sprintf("shr-h%d", i), func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1)
 						if arm {
 							arm = false
@@ -301,13 +283,13 @@ func ScenarioShardedRelease() Scenario {
 							s.AwaitBlocked(wid[i])
 						}
 					})
-				}}
+				})
 			}
 			mkWaiter := func(i int) Worker {
 				o := cells[i]
-				return Worker{Name: fmt.Sprintf("shr-w%d", i), Body: func() {
+				return Thread(rt, fmt.Sprintf("shr-w%d", i), func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						wid[i] = tx.ID()
 						if arm {
 							arm = false
@@ -315,7 +297,7 @@ func ScenarioShardedRelease() Scenario {
 						}
 						tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1)
 					})
-				}}
+				})
 			}
 			post := func() error {
 				for i, o := range cells {
@@ -350,14 +332,14 @@ func ScenarioIDPool() Scenario {
 			s.Watch(objs...)
 			mk := func(i int) Worker {
 				o := objs[i]
-				return Worker{Name: fmt.Sprintf("idp-%d", i), Body: func() {
+				return Thread(rt, fmt.Sprintf("idp-%d", i), func(th *core.Thread) {
 					for r := 0; r < rounds; r++ {
-						Retry(s, rt, func(tx *stm.Tx) {
+						th.AtomicSplit(func(tx *stm.Tx) {
 							tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1)
 						})
 						s.Step()
 					}
-				}}
+				})
 			}
 			post := func() error {
 				for i, o := range objs {
@@ -394,7 +376,7 @@ func ScenarioTransfer(seed uint64) Scenario {
 			s.Watch(accts...)
 			mk := func(w int) Worker {
 				rng := newPRNG(mix(seed, uint64(w)))
-				return Worker{Name: fmt.Sprintf("xfer-%d", w), Body: func() {
+				return Thread(rt, fmt.Sprintf("xfer-%d", w), func(th *core.Thread) {
 					for op := 0; op < nOps; op++ {
 						src := rng.intn(nAccounts)
 						dst := rng.intn(nAccounts - 1)
@@ -402,7 +384,7 @@ func ScenarioTransfer(seed uint64) Scenario {
 							dst++
 						}
 						amt := uint64(1 + rng.intn(7))
-						Retry(s, rt, func(tx *stm.Tx) {
+						th.AtomicSplit(func(tx *stm.Tx) {
 							sv := tx.ReadWord(accts[src], cellV)
 							if sv < amt {
 								return // insufficient funds: commit empty
@@ -414,7 +396,7 @@ func ScenarioTransfer(seed uint64) Scenario {
 						})
 						s.Step()
 					}
-				}}
+				})
 			}
 			post := func() error {
 				var total uint64
@@ -453,10 +435,10 @@ func ScenarioUpgradeStorm() Scenario {
 			s.Watch(o)
 			const workers, rounds = 3, 3
 			mk := func(i int) Worker {
-				return Worker{Name: fmt.Sprintf("storm-%d", i), Body: func() {
+				return Thread(rt, fmt.Sprintf("storm-%d", i), func(th *core.Thread) {
 					arm := true
 					for r := 0; r < rounds; r++ {
-						Retry(s, rt, func(tx *stm.Tx) {
+						th.AtomicSplit(func(tx *stm.Tx) {
 							v := tx.ReadWord(o, cellV)
 							if arm {
 								// Only the very first attempt synchronizes:
@@ -470,7 +452,7 @@ func ScenarioUpgradeStorm() Scenario {
 						})
 						s.Step()
 					}
-				}}
+				})
 			}
 			post := func() error {
 				if v := stm.CommittedWord(o, cellV); v != workers*rounds {
@@ -484,10 +466,11 @@ func ScenarioUpgradeStorm() Scenario {
 	}
 }
 
-// ScenarioCoreAtomic drives the SBD layer (core.Thread sections) rather
-// than raw transactions: three SBD threads increment two shared cells
-// in conflicting orders inside th.Atomic sections, so aborts unwind
-// through core's replay machinery instead of the harness's Retry.
+// ScenarioCoreAtomic runs three SBD threads that increment two shared
+// cells in conflicting orders, one section per increment, so deadlock
+// losses replay sections that follow a split. The name predates every
+// scenario running on core.Thread; it keeps its list position so
+// per-index policy seeds are stable.
 func ScenarioCoreAtomic() Scenario {
 	return Scenario{
 		Name: "core-atomic",
@@ -496,21 +479,15 @@ func ScenarioCoreAtomic() Scenario {
 			s.Watch(a, b)
 			const nOps = 3
 			mk := func(w int, first, second *stm.Object) Worker {
-				// One SBD runtime per worker: Main waits on its runtime's
-				// thread group, and that park is invisible to the
-				// scheduler, so workers must not share one group.
-				crt := core.FromSTM(rt)
-				return Worker{Name: fmt.Sprintf("core-%d", w), Body: func() {
-					crt.Main(func(th *core.Thread) {
-						for op := 0; op < nOps; op++ {
-							th.AtomicSplit(func(tx *stm.Tx) {
-								tx.WriteWord(first, cellV, tx.ReadWord(first, cellV)+1)
-								tx.WriteWord(second, cellV, tx.ReadWord(second, cellV)+1)
-							})
-							s.Step()
-						}
-					})
-				}}
+				return Thread(rt, fmt.Sprintf("core-%d", w), func(th *core.Thread) {
+					for op := 0; op < nOps; op++ {
+						th.AtomicSplit(func(tx *stm.Tx) {
+							tx.WriteWord(first, cellV, tx.ReadWord(first, cellV)+1)
+							tx.WriteWord(second, cellV, tx.ReadWord(second, cellV)+1)
+						})
+						s.Step()
+					}
+				})
 			}
 			post := func() error {
 				for i, o := range []*stm.Object{a, b} {
@@ -555,10 +532,10 @@ func ScenarioBiasRevoke() Scenario {
 			var consistency error
 			last := make([]uint64, readers)
 			mkReader := func(i int) Worker {
-				return Worker{Name: fmt.Sprintf("br-r%d", i), Body: func() {
+				return Thread(rt, fmt.Sprintf("br-r%d", i), func(th *core.Thread) {
 					arm := true
 					for r := 0; r < rounds; r++ {
-						Retry(s, rt, func(tx *stm.Tx) {
+						th.AtomicSplit(func(tx *stm.Tx) {
 							v := tx.ReadWord(o, cellV)
 							if arm {
 								arm = false
@@ -578,11 +555,11 @@ func ScenarioBiasRevoke() Scenario {
 						s.Step()
 					}
 					s.Barrier("bias-done", readers+1)
-				}}
+				})
 			}
 			writes := 0
-			write := func(arm bool) {
-				Retry(s, rt, func(tx *stm.Tx) {
+			write := func(th *core.Thread, arm bool) {
+				th.AtomicSplit(func(tx *stm.Tx) {
 					// The read publishes a reader slot of its own (the
 					// site is biased), so the write below exercises the
 					// upgrade-from-bias path before it can revoke.
@@ -597,19 +574,19 @@ func ScenarioBiasRevoke() Scenario {
 				writes++
 				s.Step()
 			}
-			writer := Worker{Name: "br-w", Body: func() {
+			writer := Thread(rt, "br-w", func(th *core.Thread) {
 				for r := 0; r < rounds; r++ {
-					write(r == 0)
+					write(th, r == 0)
 				}
 				s.Barrier("bias-done", readers+1)
 				for try := 0; try < 4; try++ {
 					thrus := rt.Stats().Snapshot().BiasWriteThrus
-					write(false)
+					write(th, false)
 					if rt.Stats().Snapshot().BiasWriteThrus > thrus {
 						break
 					}
 				}
-			}}
+			})
 			post := func() error {
 				if consistency != nil {
 					return consistency
@@ -642,9 +619,9 @@ func ScenarioBiasDrainTimeout() Scenario {
 			s.Watch(a, b)
 			rt.SeedReadBias(cellClass, cellV)
 			rID := -1 // written before the barrier, read after
-			reader := Worker{Name: "dt-r", Body: func() {
+			reader := Thread(rt, "dt-r", func(th *core.Thread) {
 				arm := true
-				Retry(s, rt, func(tx *stm.Tx) {
+				th.AtomicSplit(func(tx *stm.Tx) {
 					v := tx.ReadWord(a, cellV)
 					if arm {
 						arm = false
@@ -653,10 +630,10 @@ func ScenarioBiasDrainTimeout() Scenario {
 					}
 					tx.WriteWord(b, cellV, 10+v)
 				})
-			}}
-			writer := Worker{Name: "dt-w", Body: func() {
+			})
+			writer := Thread(rt, "dt-w", func(th *core.Thread) {
 				arm := true
-				Retry(s, rt, func(tx *stm.Tx) {
+				th.AtomicSplit(func(tx *stm.Tx) {
 					tx.WriteWord(b, cellV, 1)
 					if arm {
 						arm = false
@@ -665,7 +642,7 @@ func ScenarioBiasDrainTimeout() Scenario {
 					}
 					tx.WriteWord(a, cellV, 1)
 				})
-			}}
+			})
 			post := func() error {
 				// R then W leaves (1, 1); W then R leaves (1, 11).
 				if va, vb := stm.CommittedWord(a, cellV), stm.CommittedWord(b, cellV); va != 1 || (vb != 1 && vb != 11) {
@@ -702,9 +679,9 @@ func ScenarioSlotLease() Scenario {
 			wid := [4]int{-1, -1, -1, -1} // written before the barrier, read after
 			mkHolder := func(i int) Worker {
 				o := objs[i]
-				return Worker{Name: fmt.Sprintf("sl-h%d", i), Body: func() {
+				return Thread(rt, fmt.Sprintf("sl-h%d", i), func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1) // leases a slot
 						if arm {
 							arm = false
@@ -721,13 +698,13 @@ func ScenarioSlotLease() Scenario {
 							s.Barrier("sl-go", 2)
 						}
 					})
-				}}
+				})
 			}
 			mkWaiter := func(i int) Worker {
 				o := objs[i]
-				return Worker{Name: fmt.Sprintf("sl-w%d", i), Body: func() {
+				return Thread(rt, fmt.Sprintf("sl-w%d", i), func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						wid[i] = tx.ID() // Begin is identity-only: no slot yet
 						if arm {
 							arm = false
@@ -735,7 +712,7 @@ func ScenarioSlotLease() Scenario {
 						}
 						tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1) // parks for a lease
 					})
-				}}
+				})
 			}
 			post := func() error {
 				for i, o := range objs {
@@ -772,12 +749,12 @@ func ScenarioInvisibleValidation() Scenario {
 			s.Watch(o)
 			rt.SeedInvisible(cellClass, cellV)
 			var seen []uint64
-			reader := Worker{Name: "iv-r", Body: func() {
+			reader := Thread(rt, "iv-r", func(th *core.Thread) {
 				// First section installs the slab's version array (the
 				// installing read itself stays visible by design).
-				Retry(s, rt, func(tx *stm.Tx) { _ = tx.ReadWord(o, cellV) })
+				th.AtomicSplit(func(tx *stm.Tx) { _ = tx.ReadWord(o, cellV) })
 				arm := true
-				Retry(s, rt, func(tx *stm.Tx) {
+				th.AtomicSplit(func(tx *stm.Tx) {
 					v := tx.ReadWord(o, cellV)
 					seen = append(seen, v)
 					if arm {
@@ -786,14 +763,14 @@ func ScenarioInvisibleValidation() Scenario {
 						s.Barrier("iv-written", 2) // writer has committed
 					}
 				})
-			}}
-			writer := Worker{Name: "iv-w", Body: func() {
+			})
+			writer := Thread(rt, "iv-w", func(th *core.Thread) {
 				s.Barrier("iv-read", 2)
-				Retry(s, rt, func(tx *stm.Tx) {
+				th.AtomicSplit(func(tx *stm.Tx) {
 					tx.WriteWord(o, cellV, tx.ReadWord(o, cellV)+1)
 				})
 				s.Barrier("iv-written", 2)
-			}}
+			})
 			post := func() error {
 				if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
 					return fmt.Errorf("invisible-validation: reader attempts saw %v, want [0 1]", seen)
@@ -835,9 +812,9 @@ func ScenarioBatchAcquire() Scenario {
 			ids := [2]int{-1, -1} // written before the barrier, read after
 			held := false
 			mk := func(me, first, second int) Worker {
-				return Worker{Name: fmt.Sprintf("ba-%d%d", first, second), Body: func() {
+				return Thread(rt, fmt.Sprintf("ba-%d%d", first, second), func(th *core.Thread) {
 					arm := true
-					Retry(s, rt, func(tx *stm.Tx) {
+					th.AtomicSplit(func(tx *stm.Tx) {
 						if arm {
 							ids[me] = tx.ID()
 							s.Barrier("ba", 2)
@@ -855,7 +832,7 @@ func ScenarioBatchAcquire() Scenario {
 						arr.SetRawElem(first, arr.RawElem(first)+1)
 						arr.SetRawElem(second, arr.RawElem(second)+1)
 					})
-				}}
+				})
 			}
 			post := func() error {
 				for _, i := range []int{0, 2} {

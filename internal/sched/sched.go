@@ -20,6 +20,11 @@
 // ("unannounced wake") instead of racing the token holder: no code may
 // signal a waiter without a grant or an abort.
 //
+// A scenario worker is one SBD thread (Thread): its sections run on
+// core.Thread, the runner every shipped program uses, so an abort, a
+// deadlock loss or a failed commit-time validation replays through the
+// same code under the harness as in production.
+//
 // Invariants are checked two ways: structural sweeps through the
 // runtime's invariant accessors (stm.CheckInvariants/CheckObjectLocks),
 // and online event checkers for FIFO fairness and youngest-victim

@@ -111,7 +111,7 @@ func (s *Server) Start(addr string) (string, error) {
 				s.mu.Lock()
 				s.conns[nc] = struct{}{}
 				s.mu.Unlock()
-				slot := int(s.nextConn.Add(1)) % s.shop.StatSlots()
+				slot := int(s.nextConn.Add(1)) % statSlots
 				th.Go("conn", func(w *core.Thread) {
 					defer func() {
 						s.mu.Lock()

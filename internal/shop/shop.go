@@ -15,11 +15,13 @@ import (
 	"repro/internal/txio"
 )
 
+// statSlots is the stripe count of the request counter.
+const statSlots = 64
+
 // Config sizes a shop.
 type Config struct {
-	Items     int   // catalog size (default 24)
-	Stock     int64 // initial per-item stock (default 1 << 30)
-	StatSlots int   // stripes of the request counter (default 64)
+	Items int   // catalog size (default 24)
+	Stock int64 // initial per-item stock (default 1 << 30)
 }
 
 func (c Config) withDefaults() Config {
@@ -28,9 +30,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Stock <= 0 {
 		c.Stock = 1 << 30
-	}
-	if c.StatSlots <= 0 {
-		c.StatSlots = 64
 	}
 	return c
 }
@@ -94,7 +93,7 @@ func New(rt *core.Runtime, cfg Config) (*Shop, error) {
 		s.products = append(s.products, NewProduct(tx, fmt.Sprintf("widget-%02d", i), cfg.Stock))
 	}
 	s.orderSeq = tx.New(orderSeqClass)
-	s.served = sbdcol.NewCounter(tx, cfg.StatSlots)
+	s.served = sbdcol.NewCounter(tx, statSlots)
 	tx.Commit()
 	return s, nil
 }
@@ -107,7 +106,7 @@ func (s *Shop) Items() int { return s.cfg.Items }
 
 // StatSlots returns the stripe count of the request counter; connection
 // handlers pass their id modulo this as the slot argument of Handle.
-func (s *Shop) StatSlots() int { return s.cfg.StatSlots }
+func (s *Shop) StatSlots() int { return statSlots }
 
 // Product returns the STM inventory object of item (tests and the
 // Figure 3 example drive it directly).
@@ -156,7 +155,7 @@ func (s *Shop) Handle(tx *stm.Tx, req *minihttp.Request, slot int) (status int, 
 // AppendHandle is Handle appending the response body to dst, so a caller
 // that reuses dst renders the reply without allocating it.
 func (s *Shop) AppendHandle(dst []byte, tx *stm.Tx, req *minihttp.Request, slot int) (status int, body []byte) {
-	s.served.Add(tx, slot%s.cfg.StatSlots, 1)
+	s.served.Add(tx, slot%statSlots, 1)
 	switch req.Path {
 	case "/", "/healthz":
 		return 200, append(dst, "ok\n"...)

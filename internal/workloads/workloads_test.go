@@ -72,21 +72,30 @@ func TestSBDDeterministicAcrossThreadCounts(t *testing.T) {
 
 // One-thread lusearch runs are repeatable in Table 8's memory columns:
 // the term dictionary is filled in one fixed order, so every run builds
-// the same bucket chains and read-locks the same entries per lookup.
+// the same bucket chains and read-locks the same entries per lookup. At
+// scale 8 the lookups also take biased reads, and one whose reader-slot
+// stripe (a hash of the word's heap address) collides with another in
+// the same transaction falls back to a visible acquire. So the split
+// between Acquire and BiasGrants, and with it the R-W set bytes, follows
+// heap layout there; their sum, CheckNew and Commits still repeat.
 func TestLuSearchMemoryRepeatable(t *testing.T) {
 	w := LuSearch()
-	var first struct{ locks, rwset uint64 }
-	for run := 0; run < 3; run++ {
-		rt := core.New()
-		w.SBD(rt, w.Prepare(1), 1)
-		s := rt.Stats().Snapshot()
-		if run == 0 {
-			first.locks, first.rwset = s.LockBytes, s.RWSetBytes
-			continue
-		}
-		if s.LockBytes != first.locks || s.RWSetBytes != first.rwset {
-			t.Fatalf("run %d: LockBytes=%d RWSetBytes=%d, run 0: %d and %d",
-				run, s.LockBytes, s.RWSetBytes, first.locks, first.rwset)
+	type counts struct{ locks, rwset, reads, checkNew, commits uint64 }
+	for _, scale := range []int{1, 8} {
+		var first counts
+		for run := 0; run < 3; run++ {
+			rt := core.New()
+			w.SBD(rt, w.Prepare(scale), 1)
+			s := rt.Stats().Snapshot()
+			c := counts{locks: s.LockBytes, reads: s.Acquire + s.BiasGrants, checkNew: s.CheckNew, commits: s.Commits}
+			if scale == 1 {
+				c.rwset = s.RWSetBytes
+			}
+			if run == 0 {
+				first = c
+			} else if c != first {
+				t.Fatalf("scale %d, run %d: %+v, run 0: %+v", scale, run, c, first)
+			}
 		}
 	}
 }
